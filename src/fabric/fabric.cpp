@@ -1,7 +1,5 @@
 #include "fabric/fabric.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace qspr {
@@ -174,15 +172,11 @@ SegmentId Fabric::segment_at(Position p) const {
 }
 
 std::vector<TrapId> Fabric::traps_by_distance(Position from) const {
-  std::vector<TrapId> order(traps_.size());
-  for (std::size_t i = 0; i < traps_.size(); ++i) {
-    order[i] = TrapId::from_index(i);
-  }
-  std::sort(order.begin(), order.end(), [&](TrapId a, TrapId b) {
-    const int da = manhattan_distance(traps_[a.index()].position, from);
-    const int db = manhattan_distance(traps_[b.index()].position, from);
-    if (da != db) return da < db;
-    return traps_[a.index()].position < traps_[b.index()].position;
+  std::vector<TrapId> order;
+  order.reserve(traps_.size());
+  find_nearest_trap(from, [&](TrapId trap) {
+    order.push_back(trap);
+    return false;
   });
   return order;
 }

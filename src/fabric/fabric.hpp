@@ -10,6 +10,8 @@
 //    the paper's Eq. 2 ("channel"); its length is its cell count.
 #pragma once
 
+#include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -93,8 +95,15 @@ class Fabric {
   /// Segment containing channel cell `p`, or an invalid id.
   [[nodiscard]] SegmentId segment_at(Position p) const;
 
-  /// All traps ordered by Manhattan distance from `from` (ties by position),
-  /// the order used by center placement (paper §I) and target-trap search.
+  /// Offers the traps to `stop` in order of Manhattan distance from `from`
+  /// (ties by position) and returns the first one it accepts, or an invalid
+  /// id when it accepts none. This is the target-trap search of paper §IV.B;
+  /// it allocates nothing and reads no cell past its answer.
+  template <class Stop>
+  TrapId find_nearest_trap(Position from, Stop&& stop) const;
+
+  /// All traps in find_nearest_trap order: the order used by center
+  /// placement (paper §I).
   [[nodiscard]] std::vector<TrapId> traps_by_distance(Position from) const;
 
  private:
@@ -123,5 +132,33 @@ class Fabric {
   std::vector<std::int32_t> junction_index_;
   std::vector<std::int32_t> segment_index_;
 };
+
+template <class Stop>
+TrapId Fabric::find_nearest_trap(Position from, Stop&& stop) const {
+  // Ring d holds the cells at Manhattan distance d from `from`: at most two
+  // per row, at columns from.col -/+ (d - |row - from.row|). Taking the rows
+  // top to bottom and the left cell before the right visits a ring in
+  // ascending (row, col) order, so ring after ring is exactly the
+  // (distance, position) order.
+  const auto offer = [&](int row, int col) {
+    if (col < 0 || col >= cols_) return TrapId::invalid();
+    const std::int32_t index = trap_index_[cell_index({row, col})];
+    return index >= 0 && stop(TrapId(index)) ? TrapId(index)
+                                             : TrapId::invalid();
+  };
+  const int farthest =
+      std::max(std::abs(from.row), std::abs(from.row - (rows_ - 1))) +
+      std::max(std::abs(from.col), std::abs(from.col - (cols_ - 1)));
+  for (int d = 0; d <= farthest; ++d) {
+    const int last_row = std::min(from.row + d, rows_ - 1);
+    for (int row = std::max(from.row - d, 0); row <= last_row; ++row) {
+      const int reach = d - std::abs(row - from.row);
+      TrapId found = offer(row, from.col - reach);
+      if (!found.is_valid() && reach > 0) found = offer(row, from.col + reach);
+      if (found.is_valid()) return found;
+    }
+  }
+  return TrapId::invalid();
+}
 
 }  // namespace qspr

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -328,15 +329,22 @@ void ShardSupervisor::spawn_shard(int index) {
   for (std::string& arg : args) argv.push_back(arg.data());
   argv.push_back(nullptr);
 
+  const pid_t supervisor = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     shard_failed(index, "fork failed");
     return;
   }
   if (pid == 0) {
-    // Child: drop every inherited descriptor beyond stdio (the listener,
-    // wake pipe, sibling lanes...), then become the worker. Only
-    // async-signal-safe calls between fork and execv.
+    // Child: die with the supervisor. The kernel delivers the death signal
+    // when the thread that forked exits, so spawns stay on threads that
+    // outlive the workers (see start()). A supervisor that died before the
+    // prctl has already handed this child to another parent: exit instead.
+    // Then drop every inherited descriptor beyond stdio (the listener, wake
+    // pipe, sibling lanes...) and become the worker. Only async-signal-safe
+    // calls between fork and execv.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != supervisor) _exit(127);
     for (int fd = 3; fd < 4096; ++fd) ::close(fd);
     ::execv(argv[0], argv.data());
     _exit(127);

@@ -26,7 +26,9 @@
 //   * drain (SIGTERM): cascades SIGTERM to the workers (they answer their
 //     in-flight work), parks nothing new, answers parked requests with
 //     `draining`, cancels what is left past the deadline, reaps every
-//     child, and serve() returns 0. No worker outlives the supervisor.
+//     child, and serve() returns 0. No worker outlives the supervisor;
+//   * supervisor death (SIGKILL, crash): every worker is spawned with
+//     PR_SET_PDEATHSIG = SIGKILL, so the kernel kills the fleet with it.
 //
 // Routing: requests hash by fabric spec (FNV-1a 64 of the canonical spec,
 // "" == "paper") to a shard, so every request against one fabric lands on
@@ -193,7 +195,9 @@ class ShardSupervisor {
 
   /// Binds the client listener and spawns the first generation of workers
   /// (does not wait for them to come Up — serve() brings them up). Throws
-  /// qspr::Error on bind/setup failure.
+  /// qspr::Error on bind/setup failure. A worker is killed when the thread
+  /// that spawned it exits, so call start() and serve() on threads that
+  /// outlive the fleet (serve() respawns).
   void start();
 
   [[nodiscard]] int port() const;

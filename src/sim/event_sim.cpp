@@ -120,15 +120,15 @@ bool EventSimulator::issue_one_qubit(RunState& state, InstructionId id,
 
   // §II.B: a 1-qubit operation requires the qubit alone in a trap, so a
   // co-resident qubit must first relocate to the nearest empty trap.
-  const auto target = find_empty_trap(state, qubit_position(state, qubit));
-  if (!target.has_value()) return false;
+  const TrapId target = find_empty_trap(state, qubit_position(state, qubit));
+  if (!target.is_valid()) return false;
   auto path =
-      router_.route_trap_to_trap(trap, *target, state.congestion, *state.arena);
+      router_.route_trap_to_trap(trap, target, state.congestion, *state.arena);
   if (!path.has_value()) return false;
 
   state.timings[id.index()].issue = now;
-  state.timings[id.index()].trap = *target;
-  state.trap_reserved_by[target->index()] = id;
+  state.timings[id.index()].trap = target;
+  state.trap_reserved_by[target.index()] = id;
   state.pending_arrivals[id.index()] = 1;
   for (const ResourceUse& use : path->resource_uses) {
     state.congestion.acquire(use.resource);
@@ -157,7 +157,7 @@ bool EventSimulator::issue_two_qubit(RunState& state, InstructionId id,
   // Target trap selection (§IV.B): QSPR takes the nearest available trap to
   // the median of the operand positions; the destination-fixed policy of
   // prior art prefers the destination qubit's own trap.
-  std::optional<TrapId> target;
+  TrapId target;
   if (options_.dual_move) {
     const Position pa = qubit_position(state, a);
     const Position pb = qubit_position(state, b);
@@ -168,11 +168,11 @@ bool EventSimulator::issue_two_qubit(RunState& state, InstructionId id,
   } else {
     target = find_target_trap(state, qubit_position(state, b), instr);
   }
-  if (!target.has_value()) return false;
+  if (!target.is_valid()) return false;
 
   std::vector<QubitId> moving;
   for (const QubitId q : {a, b}) {
-    if (state.qubit_trap[q.index()] != *target) moving.push_back(q);
+    if (state.qubit_trap[q.index()] != target) moving.push_back(q);
   }
   require(!moving.empty(), "2-qubit issue with no moving qubit");
 
@@ -180,8 +180,8 @@ bool EventSimulator::issue_two_qubit(RunState& state, InstructionId id,
   // second route sees the first one's reservations, and an operand whose
   // departure is fully congested waits in its trap until channels free up.
   state.timings[id.index()].issue = now;
-  state.timings[id.index()].trap = *target;
-  state.trap_reserved_by[target->index()] = id;
+  state.timings[id.index()].trap = target;
+  state.trap_reserved_by[target.index()] = id;
   state.pending_arrivals[id.index()] = static_cast<int>(moving.size());
   for (const QubitId q : moving) {
     if (!try_dispatch_operand(state, id, q, now)) {
@@ -339,10 +339,8 @@ bool EventSimulator::initiate_return(RunState& state, InstructionId id,
       state.trap_occupants[home.index()].empty() &&
       !state.trap_reserved_by[home.index()].is_valid();
   if (!home_free) {
-    const auto fallback =
-        find_empty_trap(state, fabric_->trap(home).position);
-    if (!fallback.has_value()) return false;
-    target = *fallback;
+    target = find_empty_trap(state, fabric_->trap(home).position);
+    if (!target.is_valid()) return false;
   }
 
   auto path = router_.route_trap_to_trap(origin, target, state.congestion,
@@ -385,45 +383,42 @@ bool EventSimulator::trap_available(const RunState& state, TrapId trap,
   return true;
 }
 
-std::optional<TrapId> EventSimulator::find_target_trap(
-    const RunState& state, Position anchor, const Instruction& instr) const {
+TrapId EventSimulator::find_target_trap(const RunState& state,
+                                        Position anchor,
+                                        const Instruction& instr) const {
   if (options_.trap_selection == TrapSelectionPolicy::NearestToAnchor) {
-    for (const TrapId trap : fabric_->traps_by_distance(anchor)) {
-      if (trap_available(state, trap, instr)) return trap;
-    }
-    return std::nullopt;
+    return fabric_->find_nearest_trap(anchor, [&](TrapId trap) {
+      return trap_available(state, trap, instr);
+    });
   }
 
   // CongestionAware: collect the nearest available candidates and pick the
   // one whose access channels carry the least load (ties: nearer first).
-  std::optional<TrapId> best;
+  TrapId best;
   int best_load = 0;
   int collected = 0;
-  for (const TrapId trap : fabric_->traps_by_distance(anchor)) {
-    if (!trap_available(state, trap, instr)) continue;
+  fabric_->find_nearest_trap(anchor, [&](TrapId trap) {
+    if (!trap_available(state, trap, instr)) return false;
     int load = 0;
     for (const TrapPort& port : fabric_->trap(trap).ports) {
       const SegmentId segment = fabric_->segment_at(port.channel_cell);
       if (segment.is_valid()) load += state.congestion.segment_load(segment);
     }
-    if (!best.has_value() || load < best_load) {
+    if (!best.is_valid() || load < best_load) {
       best = trap;
       best_load = load;
     }
-    if (++collected >= options_.trap_candidates) break;
-  }
+    return ++collected >= options_.trap_candidates;
+  });
   return best;
 }
 
-std::optional<TrapId> EventSimulator::find_empty_trap(const RunState& state,
-                                                      Position anchor) const {
-  for (const TrapId trap : fabric_->traps_by_distance(anchor)) {
-    if (state.trap_occupants[trap.index()].empty() &&
-        !state.trap_reserved_by[trap.index()].is_valid()) {
-      return trap;
-    }
-  }
-  return std::nullopt;
+TrapId EventSimulator::find_empty_trap(const RunState& state,
+                                       Position anchor) const {
+  return fabric_->find_nearest_trap(anchor, [&](TrapId trap) {
+    return state.trap_occupants[trap.index()].empty() &&
+           !state.trap_reserved_by[trap.index()].is_valid();
+  });
 }
 
 Position EventSimulator::qubit_position(const RunState& state,

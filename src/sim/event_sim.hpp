@@ -16,7 +16,6 @@
 //   * tech.channel_capacity — QSPR exploits ion multiplexing (2), prior art 1.
 #pragma once
 
-#include <optional>
 #include <queue>
 #include <set>
 #include <vector>
@@ -203,14 +202,14 @@ class EventSimulator {
   bool trap_available(const RunState& state, TrapId trap,
                       const Instruction& instr) const;
 
-  /// Nearest available trap to `anchor` (nullopt when none exists).
-  std::optional<TrapId> find_target_trap(const RunState& state,
-                                         Position anchor,
-                                         const Instruction& instr) const;
+  /// Target trap for `instr` near `anchor` under options_.trap_selection
+  /// (invalid when no trap is available).
+  TrapId find_target_trap(const RunState& state, Position anchor,
+                          const Instruction& instr) const;
 
-  /// Nearest empty, unreserved trap to `anchor` (for 1-qubit relocations).
-  std::optional<TrapId> find_empty_trap(const RunState& state,
-                                        Position anchor) const;
+  /// Nearest empty, unreserved trap to `anchor` (for 1-qubit relocations;
+  /// invalid when none exists).
+  TrapId find_empty_trap(const RunState& state, Position anchor) const;
 
   Position qubit_position(const RunState& state, QubitId qubit) const;
 

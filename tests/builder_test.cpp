@@ -8,6 +8,7 @@
 #include "fabric/quale_fabric.hpp"
 #include "qecc/codes.hpp"
 #include "qecc/cyclic_builder.hpp"
+#include "service/request_codec.hpp"
 #include "sim/trace_validator.hpp"
 #include "sim/trajectory.hpp"
 
@@ -184,6 +185,21 @@ TEST(TrapSelection, CongestionAwareProducesValidMappings) {
   EXPECT_TRUE(validate_trace(result.trace, graph, fabric,
                              result.initial_placement, TechnologyParams{})
                   .empty());
+}
+
+TEST(TrapSelection, CongestionAwareResultIsPinned) {
+  // Pinned latency and fingerprint. The policy scores the first
+  // trap_candidates available traps in (distance, position) order, so a
+  // change in that order or in its cut-off moves this result.
+  MapperOptions options;
+  options.placer = PlacerKind::MonteCarlo;
+  options.monte_carlo_trials = 4;
+  options.rng_seed = 1;
+  options.trap_selection = TrapSelectionPolicy::CongestionAware;
+  const MapResult result = map_program(make_encoder(QeccCode::Q19_1_7),
+                                       make_paper_fabric(), options);
+  EXPECT_EQ(result.latency, 3128);
+  EXPECT_EQ(map_result_fingerprint(result), "12004e65f5215cd7");
 }
 
 TEST(TrapSelection, BothPoliciesAgreeWithoutCongestion) {

@@ -2,6 +2,10 @@
 // (Fig. 4) and the fabric text I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/quale_fabric.hpp"
@@ -99,16 +103,80 @@ TEST(Fabric, SegmentEndpointsAndOrientation) {
             (Position{0, 4}));
 }
 
-TEST(Fabric, TrapsByDistanceIsSortedAndComplete) {
-  const Fabric fabric = make_paper_fabric();
-  const auto order = fabric.traps_by_distance(fabric.center());
-  ASSERT_EQ(order.size(), fabric.trap_count());
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(manhattan_distance(fabric.trap(order[i - 1]).position,
-                                 fabric.center()),
-              manhattan_distance(fabric.trap(order[i]).position,
-                                 fabric.center()));
+/// The trap order written out: every trap, sorted by (Manhattan distance
+/// from `from`, position).
+std::vector<TrapId> sorted_trap_order(const Fabric& fabric, Position from) {
+  std::vector<TrapId> order;
+  for (const Trap& trap : fabric.traps()) order.push_back(trap.id);
+  std::sort(order.begin(), order.end(), [&](TrapId a, TrapId b) {
+    const Position pa = fabric.trap(a).position;
+    const Position pb = fabric.trap(b).position;
+    return std::pair(manhattan_distance(pa, from), pa) <
+           std::pair(manhattan_distance(pb, from), pb);
+  });
+  return order;
+}
+
+TEST(Fabric, TrapsByDistanceEqualsSortedOrderFromEveryCell) {
+  // The tie order decides which of several equally near traps a gate gets,
+  // so it is compared element for element, not only for monotone distance.
+  std::vector<Fabric> fabrics;
+  fabrics.push_back(make_paper_fabric());
+  fabrics.push_back(make_quale_fabric({2, 2, 4}));
+  fabrics.push_back(make_quale_fabric({7, 12, 4}));
+  // Asymmetric: uneven tiles, traps on both sides of a channel, a short
+  // appendix below the main block.
+  fabrics.push_back(parse_fabric("J---J-----J\n"
+                                 "|T.T|....T|\n"
+                                 "|...|.....|\n"
+                                 "|T..|T....|\n"
+                                 "J---J-----J\n"
+                                 "|.T.|\n"
+                                 "|...|\n"
+                                 "J---J\n",
+                                 "asymmetric"));
+  for (const Fabric& fabric : fabrics) {
+    std::vector<Position> anchors;
+    for (int row = 0; row < fabric.rows(); ++row) {
+      for (int col = 0; col < fabric.cols(); ++col) {
+        anchors.push_back({row, col});
+      }
+    }
+    // Off-fabric anchors take the same order.
+    anchors.push_back({-3, -2});
+    anchors.push_back({fabric.rows() + 1, fabric.cols() / 2});
+    anchors.push_back({fabric.rows() / 2, fabric.cols() + 4});
+    for (const Position from : anchors) {
+      ASSERT_EQ(fabric.traps_by_distance(from), sorted_trap_order(fabric, from))
+          << fabric.name() << " from " << from;
+    }
   }
+}
+
+TEST(Fabric, FindNearestTrapOffersExactlyThePrefixUpToItsAnswer) {
+  const Fabric fabric = make_quale_fabric({7, 12, 4});
+  const Position from{9, 20};
+  const std::vector<TrapId> order = fabric.traps_by_distance(from);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              order.size() - 1}) {
+    std::vector<TrapId> offered;
+    const TrapId found = fabric.find_nearest_trap(from, [&](TrapId trap) {
+      offered.push_back(trap);
+      return trap == order[k];
+    });
+    EXPECT_EQ(found, order[k]);
+    EXPECT_EQ(offered, std::vector<TrapId>(order.begin(),
+                                           order.begin() + k + 1))
+        << "k = " << k;
+  }
+
+  std::size_t offered = 0;
+  const TrapId none = fabric.find_nearest_trap(from, [&](TrapId) {
+    ++offered;
+    return false;
+  });
+  EXPECT_FALSE(none.is_valid());
+  EXPECT_EQ(offered, fabric.trap_count());
 }
 
 TEST(Fabric, ValidationRejectsCrossingWithoutJunction) {

@@ -14,19 +14,31 @@
 //      shedding behind the circuit breaker, not a hang;
 //   5. drain cascades: SIGTERM answers what is in flight, reaps every
 //      child (spawns == reaps, kill(pid, 0) => ESRCH), exits 0 — no
-//      leaked workers, no leftover port files.
+//      leaked workers, no leftover port files;
+//   6. a SIGKILLed qspr_shard takes its workers with it.
+//
+// No assertion depends on how long a map takes: a kill meant to land
+// mid-request freezes its target before the request is sent, and every
+// wait is a bounded poll, so a broken contract fails its test instead of
+// hanging the suite. Threads join through std::jthread, so a failed ASSERT
+// cannot leave a joinable thread behind.
 //
 // Worker discovery: qspr_serve next to this test binary (the build tree
 // layout); override with QSPR_SERVE_BIN.
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,17 +56,22 @@ constexpr const char* kTinyQasm =
     "QUBIT q0,0\nQUBIT q1,0\nQUBIT q2,0\nH q0\nC-X q0,q1\nC-X q1,q2\n"
     "MEASURE q2\n";
 
-std::string worker_binary() {
-  const char* env = std::getenv("QSPR_SERVE_BIN");
-  if (env != nullptr && *env != '\0') return env;
+/// `name` in this test binary's directory (the build tree layout).
+std::string sibling_binary(const std::string& name) {
   char buffer[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof buffer - 1);
-  if (n <= 0) return "qspr_serve";
+  if (n <= 0) return name;
   buffer[n] = '\0';
   const std::string path(buffer);
   const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return "qspr_serve";
-  return path.substr(0, slash + 1) + "qspr_serve";
+  if (slash == std::string::npos) return name;
+  return path.substr(0, slash + 1) + name;
+}
+
+std::string worker_binary() {
+  const char* env = std::getenv("QSPR_SERVE_BIN");
+  if (env != nullptr && *env != '\0') return env;
+  return sibling_binary("qspr_serve");
 }
 
 std::string map_request(const std::string& id, int m) {
@@ -80,6 +97,33 @@ std::string direct_fingerprint(int m) {
   options.monte_carlo_trials = m;
   options.rng_seed = 1;
   return map_result_fingerprint(map_program(program, fabric, options));
+}
+
+/// Polls `done` until it holds (true) or `timeout_ms` passes (false).
+template <class Predicate>
+bool wait_until(Predicate done, int timeout_ms = 20'000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return true;
+}
+
+/// Polls the health endpoint of the supervisor on `port` until `want`
+/// shards are Up.
+bool wait_for_shards_up(int port, int want) {
+  ShardClientOptions options;
+  options.port = port;
+  ShardClient probe(options);
+  return wait_until(
+      [&] {
+        std::string reply;
+        return probe.try_request(R"({"type":"health","id":"w"})", reply) &&
+               parse_json(reply).number_or("shards_up", -1) >= want;
+      },
+      30'000);
 }
 
 /// In-process supervisor under test; serve() runs on a background thread.
@@ -111,23 +155,7 @@ class ShardHarness {
     return exit_code_;
   }
 
-  /// Polls the supervisor's health endpoint until `want` shards are Up.
-  bool wait_for_up(int want, int timeout_ms = 30'000) {
-    ShardClientOptions options;
-    options.port = port();
-    ShardClient probe(options);
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      std::string reply;
-      if (probe.try_request(R"({"type":"health","id":"w"})", reply)) {
-        const JsonValue json = parse_json(reply);
-        if (json.number_or("shards_up", -1) >= want) return true;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return false;
-  }
+  bool wait_for_up(int want) { return wait_for_shards_up(port(), want); }
 
  private:
   std::unique_ptr<ShardSupervisor> supervisor_;
@@ -164,6 +192,51 @@ bool process_exists(int pid) {
   return pid > 0 && (::kill(pid, 0) == 0 || errno != ESRCH);
 }
 
+/// The state letter of /proc/<pid>/stat, or 0 when the process is gone.
+char process_state(int pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  if (!std::getline(in, stat)) return 0;
+  // The state follows the ") " that closes the command name.
+  const std::size_t close = stat.rfind(')');
+  return close != std::string::npos && close + 2 < stat.size()
+             ? stat[close + 2]
+             : 0;
+}
+
+/// True once `pid` has exited: gone, or a zombie its parent has not reaped.
+bool has_exited(int pid) {
+  const char state = process_state(pid);
+  return state == 0 || state == 'Z' || state == 'X';
+}
+
+/// Pids whose parent is `parent`, from the ppid field of /proc/*/stat.
+std::vector<int> child_pids(int parent) {
+  std::vector<int> children;
+  std::error_code error;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc", error)) {
+    const std::string name = entry.path().filename().string();
+    if (name.empty() || !std::all_of(name.begin(), name.end(), [](char c) {
+          return c >= '0' && c <= '9';
+        })) {
+      continue;
+    }
+    std::ifstream in(entry.path() / "stat");
+    std::string stat;
+    if (!std::getline(in, stat)) continue;
+    const std::size_t close = stat.rfind(')');
+    if (close == std::string::npos) continue;
+    char state = 0;
+    int ppid = 0;
+    std::istringstream fields(stat.substr(close + 1));
+    if (fields >> state >> ppid && ppid == parent) {
+      children.push_back(std::stoi(name));
+    }
+  }
+  return children;
+}
+
 TEST(ShardChaos, BringsUpShardsAndServesBitIdenticalResults) {
   ShardHarness harness(fast_options(2));
   ASSERT_TRUE(harness.wait_for_up(2));
@@ -193,21 +266,22 @@ TEST(ShardChaos, SigkillMidRequestStillAnswersExactlyOnceBitIdentical) {
   ShardHarness harness(fast_options(2));
   ASSERT_TRUE(harness.wait_for_up(2));
   const int target = shard_for_fabric("", 2);  // where kTinyQasm routes
-  const std::vector<int> pids = harness.supervisor().worker_pids();
-  ASSERT_GT(pids[static_cast<std::size_t>(target)], 0);
+  const int victim =
+      harness.supervisor().worker_pids()[static_cast<std::size_t>(target)];
+  ASSERT_GT(victim, 0);
 
-  // A slow request (seconds on one core) so the SIGKILL lands mid-map.
+  // Freeze the target before sending: once the supervisor has accepted the
+  // request, its frame sits unanswered on the frozen worker's lane, so the
+  // SIGKILL lands mid-request however fast the map is.
+  ASSERT_EQ(::kill(victim, SIGSTOP), 0);
   std::string reply_line;
-  std::atomic<bool> got_reply{false};
-  std::thread requester([&] {
+  std::jthread requester([&] {
     ShardClient client(client_options(harness.port()));
-    reply_line = client.request(map_request("victim", 3000));
-    got_reply.store(true);
+    reply_line = client.request(map_request("victim", 8));
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  ASSERT_FALSE(got_reply.load()) << "request finished before the kill; "
-                                    "raise m for this box";
-  ASSERT_EQ(::kill(pids[static_cast<std::size_t>(target)], SIGKILL), 0);
+  ASSERT_TRUE(wait_until(
+      [&] { return harness.supervisor().metrics().accepted >= 1; }));
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
   requester.join();
 
   // Exactly one reply, and it is the right one: bit-identical to a direct
@@ -215,7 +289,7 @@ TEST(ShardChaos, SigkillMidRequestStillAnswersExactlyOnceBitIdentical) {
   const JsonValue reply = parse_json(reply_line);
   EXPECT_TRUE(reply.bool_or("ok", false)) << reply_line;
   EXPECT_EQ(reply.string_or("id", ""), "victim");
-  EXPECT_EQ(reply.string_or("result_fp", ""), direct_fingerprint(3000));
+  EXPECT_EQ(reply.string_or("result_fp", ""), direct_fingerprint(8));
 
   const SupervisorMetrics metrics = harness.supervisor().metrics();
   EXPECT_GE(metrics.crashes, 1);
@@ -226,8 +300,7 @@ TEST(ShardChaos, SigkillMidRequestStillAnswersExactlyOnceBitIdentical) {
   EXPECT_TRUE(harness.wait_for_up(2));
   const std::vector<int> after = harness.supervisor().worker_pids();
   EXPECT_GT(after[static_cast<std::size_t>(target)], 0);
-  EXPECT_NE(after[static_cast<std::size_t>(target)],
-            pids[static_cast<std::size_t>(target)]);
+  EXPECT_NE(after[static_cast<std::size_t>(target)], victim);
 
   EXPECT_EQ(harness.drain_and_join(), 0);
 }
@@ -240,7 +313,7 @@ TEST(ShardChaos, SeededKillScheduleLosesNoReplies) {
   constexpr int kRequestsPerClient = 8;
   std::atomic<int> ok_replies{0};
   std::atomic<int> error_replies{0};
-  std::vector<std::thread> clients;
+  std::vector<std::jthread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -262,9 +335,10 @@ TEST(ShardChaos, SeededKillScheduleLosesNoReplies) {
     });
   }
 
-  // Seeded kill schedule: deterministic victims and intervals.
+  // Seeded kill schedule: deterministic victims and intervals. The stop
+  // flag is read only between kills, so the first kill always lands.
   std::atomic<bool> stop_killing{false};
-  std::thread killer([&] {
+  std::jthread killer([&] {
     Rng rng(2026);
     int kills = 0;
     while (!stop_killing.load() && kills < 6) {
@@ -279,7 +353,7 @@ TEST(ShardChaos, SeededKillScheduleLosesNoReplies) {
     }
   });
 
-  for (std::thread& thread : clients) thread.join();
+  for (std::jthread& thread : clients) thread.join();
   stop_killing.store(true);
   killer.join();
 
@@ -290,10 +364,12 @@ TEST(ShardChaos, SeededKillScheduleLosesNoReplies) {
   // schedule must not surface errors to well-behaved retrying clients.
   EXPECT_EQ(error_replies.load(), 0);
 
+  // The supervisor reaps the last kill on a later loop pass.
+  EXPECT_TRUE(
+      wait_until([&] { return harness.supervisor().metrics().reaps >= 1; }));
   // The supervisor's own ledger balances once the dust settles.
   const SupervisorMetrics metrics = harness.supervisor().metrics();
   EXPECT_EQ(metrics.accepted, metrics.answered);
-  EXPECT_GE(metrics.reaps, 1);  // the schedule landed at least one kill
 
   EXPECT_TRUE(harness.wait_for_up(2));
   EXPECT_EQ(harness.drain_and_join(), 0);
@@ -315,14 +391,8 @@ TEST(ShardChaos, WedgedWorkerIsDetectedKilledAndReplaced) {
   // SIGSTOP: the process is alive (waitpid sees nothing) but cannot answer
   // the poll-loop health probe — the definition of a wedge.
   ASSERT_EQ(::kill(wedged_pid, SIGSTOP), 0);
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (harness.supervisor().metrics().wedges < 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_GE(harness.supervisor().metrics().wedges, 1);
+  EXPECT_TRUE(
+      wait_until([&] { return harness.supervisor().metrics().wedges >= 1; }));
 
   // Replacement comes up and serves the wedged shard's traffic again.
   ASSERT_TRUE(harness.wait_for_up(2));
@@ -371,7 +441,7 @@ TEST(ShardChaos, DrainCascadeAnswersInFlightReapsAllWorkersExitsZero) {
   // A request in flight when the drain starts must still be answered (the
   // worker drains, not aborts).
   std::string reply_line;
-  std::thread requester([&] {
+  std::jthread requester([&] {
     ShardClient client(client_options(harness.port()));
     reply_line = client.request(map_request("inflight", 800));
   });
@@ -401,6 +471,57 @@ TEST(ShardChaos, DrainCascadeAnswersInFlightReapsAllWorkersExitsZero) {
                                   std::to_string(::getpid()) + "_" +
                                   std::to_string(i) + ".port";
     EXPECT_NE(::access(port_file.c_str(), F_OK), 0) << port_file;
+  }
+}
+
+TEST(ShardChaos, KilledSupervisorTakesItsWorkersWithIt) {
+  // The real qspr_shard binary, so the supervisor can die alone. Nothing
+  // below returns early: whatever fails, the cleanup at the end runs.
+  const std::string port_file =
+      "/tmp/qspr_shard_test_" + std::to_string(::getpid()) + ".port";
+  (void)::unlink(port_file.c_str());
+  std::vector<std::string> args = {
+      sibling_binary("qspr_shard"), "--port", "0", "--port-file", port_file,
+      "--shards", "2", "--worker-bin", worker_binary(), "--mapper-threads",
+      "1", "--jobs", "1", "--quiet"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  const pid_t supervisor = ::fork();
+  ASSERT_GE(supervisor, 0);
+  if (supervisor == 0) {
+    ::execv(argv[0], argv.data());
+    _exit(127);
+  }
+
+  int port = 0;
+  const bool up = wait_until([&] {
+                    std::ifstream in(port_file);
+                    return static_cast<bool>(in >> port) && port > 0;
+                  }) &&
+                  wait_for_shards_up(port, 2);
+  EXPECT_TRUE(up) << "qspr_shard never brought its two workers up";
+  const std::vector<int> workers =
+      up ? child_pids(supervisor) : std::vector<int>{};
+  EXPECT_EQ(workers.size(), 2u);
+
+  ::kill(supervisor, SIGKILL);
+  int status = 0;
+  (void)::waitpid(supervisor, &status, 0);
+  EXPECT_TRUE(wait_until(
+      [&] { return std::all_of(workers.begin(), workers.end(), has_exited); },
+      10'000))
+      << "a worker outlived its SIGKILLed supervisor";
+
+  for (const int worker : workers) {
+    if (!has_exited(worker)) ::kill(worker, SIGKILL);
+  }
+  (void)::unlink(port_file.c_str());
+  for (int i = 0; i < 2; ++i) {
+    const std::string worker_port_file = "/tmp/qspr_shard_" +
+                                         std::to_string(supervisor) + "_" +
+                                         std::to_string(i) + ".port";
+    (void)::unlink(worker_port_file.c_str());
   }
 }
 
