@@ -92,8 +92,8 @@ class MappingEngine {
   /// for jobs with cache_result set) — callers decide when a cached result
   /// may substitute for a fresh mapping via result_key()/results().find().
   [[nodiscard]] ResultCache& results();
-  /// The cache key of (program, fabric, options) — canonical program
-  /// fingerprint + fabric layout fingerprint + contractual options
+  /// The cache key of (program, fabric, options) — program instruction
+  /// sequence fingerprint + fabric layout fingerprint + contractual options
   /// fingerprint.
   [[nodiscard]] static ResultCache::Key result_key(const Program& program,
                                                    const Fabric& fabric,

@@ -36,51 +36,22 @@ void mix_optional(std::uint64_t& hash, const std::optional<T>& value) {
 }  // namespace
 
 std::uint64_t program_fingerprint(const Program& program) {
-  // Per-qubit dependency-chain hashes, seeded with the qubit index and its
-  // declared init value. Instruction hashes chain through these, so the
-  // fingerprint captures the interaction *graph*: instructions on disjoint
-  // qubits see identical chain states in either textual order, and their
-  // wrapping-sum combination commutes exactly as the QIDG does.
-  std::vector<std::uint64_t> chain(program.qubit_count());
-  for (std::size_t q = 0; q < chain.size(); ++q) {
-    std::uint64_t seed = kFnvOffset;
-    mix(seed, static_cast<std::uint64_t>(q));
-    const std::optional<int>& init = program.qubits()[q].init_value;
-    mix(seed, init.has_value() ? static_cast<std::uint64_t>(*init) + 2 : 1);
-    chain[q] = seed;
+  std::uint64_t hash = kFnvOffset;
+  mix(hash, static_cast<std::uint64_t>(program.qubit_count()));
+  for (const QubitDecl& qubit : program.qubits()) {
+    mix(hash, qubit.init_value.has_value()
+                  ? static_cast<std::uint64_t>(*qubit.init_value) + 2
+                  : 1);
   }
-  std::uint64_t sum = 0;
+  mix(hash, static_cast<std::uint64_t>(program.instruction_count()));
   for (const Instruction& instruction : program.instructions()) {
-    std::uint64_t hash = kFnvOffset;
+    // Control/target order is contractual (source vs destination); the
+    // control of a 1-qubit gate is the invalid id.
     mix(hash, static_cast<std::uint64_t>(instruction.kind));
-    if (instruction.is_two_qubit()) {
-      // Control/target order is contractual (source vs destination).
-      mix(hash, 2);
-      mix(hash, static_cast<std::uint64_t>(instruction.control.value()));
-      mix(hash, chain[instruction.control.index()]);
-      mix(hash, static_cast<std::uint64_t>(instruction.target.value()));
-      mix(hash, chain[instruction.target.index()]);
-      chain[instruction.control.index()] = hash * kFnvPrime + 1;
-      chain[instruction.target.index()] = hash * kFnvPrime + 2;
-    } else {
-      mix(hash, 1);
-      mix(hash, static_cast<std::uint64_t>(instruction.target.value()));
-      mix(hash, chain[instruction.target.index()]);
-      chain[instruction.target.index()] = hash * kFnvPrime + 2;
-    }
-    sum += hash;  // wrapping: commutative across independent instructions
+    mix(hash, static_cast<std::uint64_t>(instruction.control.value()));
+    mix(hash, static_cast<std::uint64_t>(instruction.target.value()));
   }
-  std::uint64_t fingerprint = kFnvOffset;
-  mix(fingerprint, static_cast<std::uint64_t>(program.qubit_count()));
-  mix(fingerprint, static_cast<std::uint64_t>(program.instruction_count()));
-  mix(fingerprint, sum);
-  // Final qubit states pin the *ends* of every dependency chain too, so two
-  // programs whose instruction multisets collide but whose chains differ
-  // still separate.
-  std::uint64_t chain_sum = 0;
-  for (const std::uint64_t state : chain) chain_sum += state;
-  mix(fingerprint, chain_sum);
-  return fingerprint;
+  return hash;
 }
 
 std::uint64_t mapper_options_fingerprint(const MapperOptions& options) {

@@ -3,9 +3,9 @@
 //
 // A service absorbing interactive traffic sees near-duplicate circuits —
 // resubmissions, and incremental edits against an open session. The cache
-// keys on a canonical QIDG fingerprint of the program (order-independent
-// where the program is: two textual orderings of the same interaction
-// structure hash identically), the fabric-layout fingerprint, and a
+// keys on a fingerprint of the program's instruction sequence (in program
+// order, since reordering even independent gates can change the mapped
+// result), the fabric-layout fingerprint, and a
 // fingerprint of the *contractual* mapper options — the knobs that change
 // the mapped result, deliberately excluding jobs/route_jobs, which are
 // bit-identity-neutral by the PR-2 determinism contract.
@@ -28,13 +28,11 @@
 
 namespace qspr {
 
-/// Canonical QIDG fingerprint: FNV-1a over the program's interaction
-/// structure. Each instruction hashes (gate kind, operand qubits, and the
-/// running hash of each operand's dependency chain); per-instruction hashes
-/// combine by wrapping sum, so instructions on disjoint qubits commute in
-/// the fingerprint exactly as they commute in the QIDG, while dependent
-/// instructions chain through their shared qubits and stay order-sensitive.
-/// Qubit names are ignored (placement is index-based); init values are not.
+/// FNV-1a over the instruction sequence in program order: qubit count, each
+/// qubit's init value, then each instruction's gate kind and operands. It is
+/// deliberately order-sensitive even for independent gates, because the
+/// mapped result is: instruction ids order the simulator's ready set and
+/// label the trace. Qubit names are ignored (placement is index-based).
 [[nodiscard]] std::uint64_t program_fingerprint(const Program& program);
 
 /// Fingerprint of the MapperOptions fields that are contractual for the

@@ -67,14 +67,14 @@ std::optional<Router::NodePath> Router::shortest_node_path(
         if (edge.to != to) continue;
         weight = params_.t_move;
       } else if (v.junction.is_valid()) {
-        if (congestion.junction_load(v.junction) >=
-            params_.junction_capacity) {
+        if (at_capacity(ResourceRef::Kind::Junction,
+                        congestion.junction_load(v.junction))) {
           continue;
         }
         weight = params_.t_move;
       } else if (v.segment.is_valid()) {
         const int load = congestion.segment_load(v.segment);
-        if (load >= params_.channel_capacity) continue;
+        if (at_capacity(ResourceRef::Kind::Segment, load)) continue;
         weight = params_.t_move * static_cast<Duration>(load + 1);
       } else {
         weight = params_.t_move;
@@ -98,6 +98,23 @@ std::optional<RoutedPath> Router::route_trap_to_trap(
     SearchArena<Duration>& arena, Duration* selection_cost) const {
   const RouteNodeId source = graph_->trap_node(from);
   const RouteNodeId target = graph_->trap_node(to);
+  if (from != to) {
+    // Exact fast fail. A trap's graph neighbours are its port cells, which
+    // are channel cells, and the search never passes through a trap. So
+    // every trap-to-trap path ends by entering a port cell through a move
+    // edge the search capacity-checks (a turn only changes orientation
+    // inside a cell already entered). When every port's segment is full no
+    // path exists, and the search would flood the whole reachable fabric
+    // just to find that out.
+    const EdgeSpan ports = graph_->edges(target);
+    const bool enclosed =
+        std::all_of(ports.begin(), ports.end(), [&](const RouteEdge& port) {
+          return at_capacity(
+              ResourceRef::Kind::Segment,
+              congestion.segment_load(graph_->node(port.to).segment));
+        });
+    if (enclosed) return std::nullopt;
+  }
   const auto found = shortest_node_path(source, target, congestion, arena,
                                         from);
   if (!found.has_value()) return std::nullopt;

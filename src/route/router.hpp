@@ -49,7 +49,8 @@ class Router {
   };
 
   /// Minimum-cost path between two traps under the given congestion. Returns
-  /// nullopt when every route is blocked by fully-loaded resources. A path
+  /// nullopt when every route is blocked by fully-loaded resources; when
+  /// every port cell of `to` is full it does so without searching. A path
   /// from a trap to itself is empty. `arena` is the caller's reusable search
   /// workspace (one per thread); when `selection_cost` is non-null it
   /// receives the minimized cost of the returned path.
@@ -63,6 +64,16 @@ class Router {
       RouteNodeId from, RouteNodeId to, const CongestionState& congestion,
       SearchArena<Duration>& arena,
       TrapId allowed_trap = TrapId::invalid()) const;
+
+  /// True when a channel segment or junction holding `load` qubits admits
+  /// no further qubit. The one capacity test: the search prunes every edge
+  /// into such a resource, and the event simulator watches resources leave
+  /// this state.
+  [[nodiscard]] bool at_capacity(ResourceRef::Kind kind, int load) const {
+    return load >= (kind == ResourceRef::Kind::Segment
+                        ? params_.channel_capacity
+                        : params_.junction_capacity);
+  }
 
   [[nodiscard]] const RouterOptions& options() const { return options_; }
   [[nodiscard]] const TechnologyParams& params() const { return params_; }

@@ -122,8 +122,7 @@ bool EventSimulator::issue_one_qubit(RunState& state, InstructionId id,
   // co-resident qubit must first relocate to the nearest empty trap.
   const TrapId target = find_empty_trap(state, qubit_position(state, qubit));
   if (!target.is_valid()) return false;
-  auto path =
-      router_.route_trap_to_trap(trap, target, state.congestion, *state.arena);
+  auto path = route(state, trap, target);
   if (!path.has_value()) return false;
 
   state.timings[id.index()].issue = now;
@@ -193,10 +192,8 @@ bool EventSimulator::issue_two_qubit(RunState& state, InstructionId id,
 
 bool EventSimulator::try_dispatch_operand(RunState& state, InstructionId id,
                                           QubitId qubit, TimePoint now) const {
-  const TrapId target = state.timings[id.index()].trap;
-  auto path = router_.route_trap_to_trap(state.qubit_trap[qubit.index()],
-                                         target, state.congestion,
-                                         *state.arena);
+  auto path = route(state, state.qubit_trap[qubit.index()],
+                    state.timings[id.index()].trap);
   if (!path.has_value()) return false;
   for (const ResourceUse& use : path->resource_uses) {
     state.congestion.acquire(use.resource);
@@ -215,6 +212,19 @@ void EventSimulator::retry_pending_routes(RunState& state,
       state.pending_routes.emplace_back(id, qubit);
     }
   }
+}
+
+std::optional<RoutedPath> EventSimulator::route(RunState& state, TrapId from,
+                                                TrapId to) const {
+  const std::pair<TrapId, TrapId> pair{from, to};
+  auto& blocked = state.blocked_routes;
+  if (std::find(blocked.begin(), blocked.end(), pair) != blocked.end()) {
+    return std::nullopt;
+  }
+  auto path =
+      router_.route_trap_to_trap(from, to, state.congestion, *state.arena);
+  if (!path.has_value()) blocked.push_back(pair);
+  return path;
 }
 
 void EventSimulator::dispatch_qubit(RunState& state, InstructionId id,
@@ -343,8 +353,7 @@ bool EventSimulator::initiate_return(RunState& state, InstructionId id,
     if (!target.is_valid()) return false;
   }
 
-  auto path = router_.route_trap_to_trap(origin, target, state.congestion,
-                                         *state.arena);
+  auto path = route(state, origin, target);
   if (!path.has_value()) return false;
 
   state.trap_reserved_by[target.index()] = id;
@@ -449,10 +458,20 @@ ExecutionResult EventSimulator::run(const Placement& initial,
     bool fabric_changed = false;
 
     switch (event.kind) {
-      case Event::Kind::ResourceRelease:
-        state.congestion.release(event.resource);
+      case Event::Kind::ResourceRelease: {
+        const ResourceRef resource = event.resource;
+        const bool was_full = router_.at_capacity(
+            resource.kind, state.congestion.load(resource));
+        state.congestion.release(resource);
+        // Only a resource leaving capacity can reopen a route whose search
+        // failed; see RunState::blocked_routes.
+        if (was_full && !router_.at_capacity(resource.kind,
+                                             state.congestion.load(resource))) {
+          state.blocked_routes.clear();
+        }
         fabric_changed = true;
         break;
+      }
       case Event::Kind::QubitArrived: {
         const InstructionId id = event.instruction;
         // The reserved target trap was recorded at issue time.

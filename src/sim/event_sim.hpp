@@ -16,6 +16,7 @@
 //   * tech.channel_capacity — QSPR exploits ion multiplexing (2), prior art 1.
 #pragma once
 
+#include <optional>
 #include <queue>
 #include <set>
 #include <vector>
@@ -163,6 +164,13 @@ class EventSimulator {
     std::vector<int> pending_returns;   // per instruction
     std::vector<bool> gate_done;        // per instruction (gate op finished)
     std::vector<std::pair<InstructionId, QubitId>> deferred_returns;
+    // (from, to) trap pairs whose route search failed since a segment or
+    // junction last left capacity. A failed search's reachable region is
+    // walled only by full resources and by traps, which it never crosses.
+    // Acquires only shrink that region, and only a resource leaving capacity
+    // can grow it, so until then a listed pair stays unroutable and route()
+    // answers it without searching.
+    std::vector<std::pair<TrapId, TrapId>> blocked_routes;
     // Caller-supplied router search workspace, confined to this run.
     SearchArena<Duration>* arena = nullptr;
 
@@ -193,6 +201,11 @@ class EventSimulator {
   bool try_dispatch_operand(RunState& state, InstructionId id, QubitId qubit,
                             TimePoint now) const;
   void retry_pending_routes(RunState& state, TimePoint now) const;
+  /// The simulator's one route query: Router::route_trap_to_trap, except
+  /// that a pair on state.blocked_routes fails without searching, and a
+  /// pair whose search fails joins the list.
+  std::optional<RoutedPath> route(RunState& state, TrapId from,
+                                  TrapId to) const;
   void dispatch_qubit(RunState& state, InstructionId id, QubitId qubit,
                       const RoutedPath& path, TimePoint now,
                       Event::Kind arrival_kind = Event::Kind::QubitArrived) const;

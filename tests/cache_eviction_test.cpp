@@ -3,10 +3,14 @@
 // the same contract: set_budget_bytes(0) is unlimited, eviction is
 // least-recently-used, and the entry the current operation returns/inserts
 // is never evicted (a budget smaller than one entry degrades to a cache of
-// one, not thrash-to-empty).
+// one, not thrash-to-empty). Also the result cache's program key.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/artifact_cache.hpp"
 #include "core/result_cache.hpp"
@@ -149,6 +153,49 @@ TEST(ResultCacheTest, MemoryBytesCountsNegotiationState) {
   const auto heavy = entry_of_bytes(1 << 16);
   EXPECT_GE(heavy->memory_bytes(),
             lean->memory_bytes() + (std::size_t{1} << 16));
+}
+
+/// Four qubits `prefix`0..3 with init value `init`, then `H a; C-X a,b` for
+/// each (a, b) of `pairs`, in order.
+Program gate_pairs(const std::vector<std::pair<int, int>>& pairs,
+                   std::optional<int> init = 0,
+                   const std::string& prefix = "q") {
+  Program program;
+  for (int q = 0; q < 4; ++q) {
+    program.add_qubit(prefix + std::to_string(q), init);
+  }
+  for (const auto& [a, b] : pairs) {
+    program.add_gate(GateKind::H, QubitId(a));
+    program.add_gate(GateKind::CX, QubitId(a), QubitId(b));
+  }
+  return program;
+}
+
+TEST(ProgramFingerprint, FollowsProgramOrder) {
+  // Reordering independent gates renumbers the instructions, which can
+  // change the mapped result, so it must change the key too.
+  const std::uint64_t key = program_fingerprint(gate_pairs({{0, 1}, {2, 3}}));
+  EXPECT_EQ(program_fingerprint(gate_pairs({{0, 1}, {2, 3}})), key);
+  EXPECT_NE(program_fingerprint(gate_pairs({{2, 3}, {0, 1}})), key);
+}
+
+TEST(ProgramFingerprint, SeesOperandsInitValuesAndWidthButNotNames) {
+  const std::uint64_t key = program_fingerprint(gate_pairs({{0, 1}, {2, 3}}));
+
+  Program reversed = gate_pairs({{0, 1}});
+  reversed.add_gate(GateKind::H, QubitId(2));
+  reversed.add_gate(GateKind::CX, QubitId(3), QubitId(2));
+  EXPECT_NE(program_fingerprint(reversed), key);
+
+  EXPECT_NE(program_fingerprint(gate_pairs({{0, 1}, {2, 3}}, std::nullopt)),
+            key);
+
+  Program wider = gate_pairs({{0, 1}, {2, 3}});
+  wider.add_qubit("q4", 0);
+  EXPECT_NE(program_fingerprint(wider), key);
+
+  // Placement is index-based: qubit names never reach the mapped result.
+  EXPECT_EQ(program_fingerprint(gate_pairs({{0, 1}, {2, 3}}, 0, "r")), key);
 }
 
 }  // namespace

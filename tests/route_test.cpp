@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "fabric/text_io.hpp"
 #include "route/congestion.hpp"
@@ -164,6 +165,110 @@ TEST_F(RouteTest, FullyBlockedRouteReturnsNullopt) {
   const auto path = router.route_trap_to_trap(trap_at(1, 1), trap_at(1, 3),
                                               congestion_, arena_);
   EXPECT_FALSE(path.has_value());
+}
+
+TEST_F(RouteTest, EnclosedTargetFailsWithoutSearching) {
+  TechnologyParams strict = params_;
+  strict.channel_capacity = 1;
+  Router router(graph_, strict);
+  // (1,3)'s ports are on the top channel and the right column: fill both.
+  const ResourceRef top = ResourceRef::segment(fabric_.segment_at({0, 2}));
+  const ResourceRef right = ResourceRef::segment(fabric_.segment_at({2, 4}));
+  congestion_.acquire(top);
+  congestion_.acquire(right);
+
+  const std::uint64_t settles = arena_.settle_count();
+  EXPECT_FALSE(router
+                   .route_trap_to_trap(trap_at(3, 1), trap_at(1, 3),
+                                       congestion_, arena_)
+                   .has_value());
+  EXPECT_EQ(arena_.settle_count(), settles);
+
+  // The same question asked without the shortcut floods what it can reach.
+  EXPECT_FALSE(router
+                   .shortest_node_path(graph_.trap_node(trap_at(3, 1)),
+                                       graph_.trap_node(trap_at(1, 3)),
+                                       congestion_, arena_, trap_at(3, 1))
+                   .has_value());
+  EXPECT_GT(arena_.settle_count(), settles);
+
+  // Freeing one port makes the target routable again: up the right column.
+  congestion_.release(right);
+  const auto path = router.route_trap_to_trap(trap_at(3, 1), trap_at(1, 3),
+                                              congestion_, arena_);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path->resource_uses.back().resource, right);
+}
+
+/// Seeded random loads in [0, capacity] on every resource, then random trap
+/// pairs: route_trap_to_trap must agree with shortest_node_path, which
+/// keeps no shortcut, on whether a route exists and on its node sequence.
+void expect_router_matches_reference(const Fabric& fabric, std::uint64_t seed,
+                                     int trials, int pairs_per_trial) {
+  const RoutingGraph graph(fabric);
+  const TechnologyParams params;
+  const Router router(graph, params);
+  SearchArena<Duration> arena;
+  Rng rng(seed);
+  int enclosed = 0;
+  int blocked = 0;
+  int routed = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    CongestionState congestion(fabric.segment_count(),
+                               fabric.junction_count());
+    const auto load = [&](ResourceRef resource, int capacity) {
+      for (int n = rng.uniform_int(0, capacity); n > 0; --n) {
+        congestion.acquire(resource);
+      }
+    };
+    for (std::size_t s = 0; s < fabric.segment_count(); ++s) {
+      load(ResourceRef::segment(SegmentId::from_index(s)),
+           params.channel_capacity);
+    }
+    for (std::size_t j = 0; j < fabric.junction_count(); ++j) {
+      load(ResourceRef::junction(JunctionId::from_index(j)),
+           params.junction_capacity);
+    }
+    for (int p = 0; p < pairs_per_trial; ++p) {
+      const auto random_trap = [&] {
+        return TrapId::from_index(rng.uniform_index(fabric.trap_count()));
+      };
+      const TrapId from = random_trap();
+      const TrapId to = random_trap();
+      const auto fast = router.route_trap_to_trap(from, to, congestion, arena);
+      const auto reference =
+          router.shortest_node_path(graph.trap_node(from), graph.trap_node(to),
+                                    congestion, arena, from);
+      ASSERT_EQ(fast.has_value(), reference.has_value())
+          << "trap " << from.value() << " -> " << to.value();
+      if (fast.has_value()) {
+        EXPECT_EQ(fast->nodes, reference->nodes);
+        ++routed;
+        continue;
+      }
+      ++blocked;
+      bool all_ports_full = true;
+      for (const TrapPort& port : fabric.trap(to).ports) {
+        const SegmentId segment = fabric.segment_at(port.channel_cell);
+        all_ports_full = all_ports_full &&
+                         congestion.segment_load(segment) >=
+                             params.channel_capacity;
+      }
+      if (all_ports_full) ++enclosed;
+    }
+  }
+  // The draw must exercise all three outcomes, or the test proves nothing.
+  EXPECT_GT(routed, 0);
+  EXPECT_GT(enclosed, 0);
+  EXPECT_GT(blocked, enclosed);
+}
+
+TEST(RouterShortcut, AgreesWithTheFullSearchOnTheTileFabric) {
+  expect_router_matches_reference(make_quale_fabric({2, 2, 4}), 7, 200, 8);
+}
+
+TEST(RouterShortcut, AgreesWithTheFullSearchOnThePaperFabric) {
+  expect_router_matches_reference(make_paper_fabric(), 11, 40, 25);
 }
 
 TEST_F(RouteTest, TurnUnawareSelectionIgnoresTurnCosts) {

@@ -21,6 +21,8 @@
 
 #include "common/json.hpp"
 #include "common/net.hpp"
+#include "core/qspr.hpp"
+#include "fabric/quale_fabric.hpp"
 #include "service/request_codec.hpp"
 #include "service/serve_loop.hpp"
 
@@ -201,6 +203,36 @@ TEST(ServeSession, ExactResubmissionServedFromResultCache) {
   ASSERT_NE(stats, nullptr);
   EXPECT_GE(stats->number_or("result_hits", -1), 1);
   EXPECT_EQ(stats->number_or("open_sessions", -1), 1);
+  EXPECT_EQ(harness.drain_and_join(), 0);
+}
+
+TEST(ServeSession, ReorderedIndependentGatesAreNotACacheHit) {
+  // The two programs differ only in the order of two independent gate
+  // pairs. Instruction ids order the ready set and label the trace, so they
+  // map to different results, and the second map must not be answered with
+  // the first one's cached result.
+  const std::string header =
+      "QUBIT q0,0\nQUBIT q1,0\nQUBIT q2,0\nQUBIT q3,0\n";
+  const std::string first_qasm = header + "H q0\nC-X q0,q1\nH q2\nC-X q2,q3\n";
+  const std::string second_qasm =
+      header + "H q2\nC-X q2,q3\nH q0\nC-X q0,q1\n";
+
+  ServeHarness harness;
+  RawClient client(harness.port());
+  const std::string name = open_session(client, "o1");
+  client.send_line(session_map("m1", name, first_qasm));
+  ASSERT_TRUE(client.recv_json().bool_or("ok", false));
+  client.send_line(session_map("m2", name, second_qasm));
+  const JsonValue second = client.recv_json();
+  ASSERT_TRUE(second.bool_or("ok", false));
+
+  MapperOptions options;
+  options.placer = PlacerKind::MonteCarlo;
+  options.monte_carlo_trials = 4;
+  options.rng_seed = 1;
+  const MapResult direct = map_program(parse_qasm(second_qasm, "m2"),
+                                       make_paper_fabric(), options);
+  EXPECT_EQ(second.string_or("result_fp", ""), map_result_fingerprint(direct));
   EXPECT_EQ(harness.drain_and_join(), 0);
 }
 

@@ -415,6 +415,83 @@ TEST(SimStall, DisconnectedFabricStalls) {
                SimulationError);
 }
 
+// A three-segment bus with one stub at each end. a (bottom left) travels to
+// b (bottom right) along the whole bus: left segment [0, 12], J1 [0, 13],
+// middle segment [0, 14], J2 [0, 15], right segment [0, 26]; reservations
+// are taken at issue and each one is released as a leaves it. c (top left)
+// must reach d (top right) through the stubs, J1, the middle segment and J2,
+// so its only route is blocked until the right one of those releases fires.
+constexpr const char* kBusFabric =
+    "T|.|T\n"
+    ".|.|.\n"
+    "-J-J-\n"
+    "T...T\n";
+
+ExecutionResult run_crossing_bus(const ExecutionOptions& options) {
+  const Fabric fabric = parse_fabric(kBusFabric);
+  const RoutingGraph routing(fabric);
+  Program program;
+  const QubitId a = program.add_qubit("a");
+  const QubitId b = program.add_qubit("b");
+  const QubitId c = program.add_qubit("c");
+  const QubitId d = program.add_qubit("d");
+  program.add_gate(GateKind::CX, a, b);
+  program.add_gate(GateKind::CX, c, d);
+  const DependencyGraph graph = DependencyGraph::build(program);
+  Placement placement(4);
+  placement.set(a, fabric.trap_at({3, 0}));
+  placement.set(b, fabric.trap_at({3, 4}));
+  placement.set(c, fabric.trap_at({0, 0}));
+  placement.set(d, fabric.trap_at({0, 4}));
+  ExecutionResult result =
+      execute_circuit(graph, fabric, routing, {0, 1}, placement, options);
+  EXPECT_TRUE(
+      validate_trace(result.trace, graph, fabric, placement, options.tech)
+          .empty());
+  return result;
+}
+
+/// Start of the first transport op of `id` (its operand's departure).
+TimePoint departure_of(const ExecutionResult& result, InstructionId id) {
+  TimePoint first = kInfiniteDuration;
+  for (const MicroOp& op : result.trace.ops()) {
+    if (op.instruction == id && op.kind != MicroOpKind::Gate) {
+      first = std::min(first, op.start);
+    }
+  }
+  return first;
+}
+
+TEST(SimBlockedRoute, OperandDepartsAtTheSegmentReleaseThatFreesItsPath) {
+  ExecutionOptions options;
+  options.dual_move = false;
+  options.tech.channel_capacity = 1;
+  const ExecutionResult result = run_crossing_bus(options);
+  // a: 6 moves + 2 turns = 26, then the gate.
+  EXPECT_EQ(result.timings[0].gate_start, 26);
+  // c's gate issues at 0, reserving d's trap, but the middle segment is
+  // full until a leaves it at 14. The left segment leaving capacity at 12
+  // does not open c's route; the middle one at 14 does.
+  EXPECT_EQ(result.timings[1].issue, 0);
+  EXPECT_EQ(departure_of(result, InstructionId(1)), 14);
+  // c: 8 moves + 4 turns = 48.
+  EXPECT_EQ(result.timings[1].gate_start, 62);
+  EXPECT_EQ(result.latency, 162);
+}
+
+TEST(SimBlockedRoute, OperandDepartsAtTheJunctionReleaseThatFreesItsPath) {
+  ExecutionOptions options;
+  options.dual_move = false;
+  options.tech.junction_capacity = 1;
+  const ExecutionResult result = run_crossing_bus(options);
+  EXPECT_EQ(result.timings[0].gate_start, 26);
+  // J1 frees at 13 but J2 stays full until 15: c departs at 15, not 13.
+  EXPECT_EQ(result.timings[1].issue, 0);
+  EXPECT_EQ(departure_of(result, InstructionId(1)), 15);
+  EXPECT_EQ(result.timings[1].gate_start, 63);
+  EXPECT_EQ(result.latency, 163);
+}
+
 TEST(SimTrace, TimeReversalPreservesStructure) {
   const Fabric fabric = make_quale_fabric({2, 2, 4});
   const RoutingGraph routing(fabric);
