@@ -13,7 +13,7 @@
 namespace qspr {
 
 /// Everything one in-flight trial loop owns. The simulator is shared
-/// read-only by all workers; each run threads the worker's own arena
+/// read-only by all workers; each run threads the worker's own workspace
 /// through.
 struct MonteCarloState {
   MonteCarloState(const DependencyGraph& qidg, const Fabric& fabric,
@@ -91,7 +91,7 @@ MonteCarloRun monte_carlo_submit(const DependencyGraph& qidg,
         const Placement placement = random_center_placement_from(
             *state->traps_near_center, state->qubit_count, ctx.rng);
         ExecutionResult execution =
-            state->simulator.run(placement, ctx.arena);
+            state->simulator.run(placement, ctx.workspace);
         MonteCarloState::WorkerBest& local =
             state->best[static_cast<std::size_t>(worker)];
         if (local.incumbent.improved_by(execution.latency, trial)) {
@@ -129,6 +129,8 @@ MonteCarloResult monte_carlo_collect(Executor& executor, MonteCarloRun& run) {
   result.best_latency = winner->incumbent.latency;
   result.best_initial_placement = std::move(winner->placement);
   result.best_execution = std::move(winner->execution);
+  // Trials return their traces in issue order; only the winner's is sorted.
+  result.best_execution.trace.sort_by_time();
   return result;
 }
 

@@ -55,17 +55,17 @@ MvfbPlacer::MvfbPlacer(const DependencyGraph& qidg, const Fabric& fabric,
 }
 
 MvfbPlacer::SeedOutcome MvfbPlacer::run_seed(
-    Rng seed_rng, SearchArena<Duration>& arena) const {
+    Rng seed_rng, EventSimulator::Workspace& workspace) const {
   SeedOutcome out;
   Placement placement = random_center_placement_from(
       *traps_near_center_, qidg_->qubit_count(), seed_rng);
   int non_improving = 0;
 
-  const auto record = [&](const ExecutionResult& execution, bool is_backward) {
+  const auto record = [&](ExecutionResult&& execution, bool is_backward) {
     if (execution.latency < out.best_latency) {
       out.best_latency = execution.latency;
       out.best_is_backward = is_backward;
-      out.best_execution = execution;
+      out.best_execution = std::move(execution);
       non_improving = 0;
     } else {
       ++non_improving;
@@ -76,26 +76,25 @@ MvfbPlacer::SeedOutcome MvfbPlacer::run_seed(
          out.runs < options_.max_runs_per_seed) {
     // Cancellation boundary: between placement runs, never mid-execution.
     options_.cancel.check();
-    // Forward placement run: QIDG in schedule order S.
-    const ExecutionResult forward = forward_sim_.run(placement, arena);
+    // Forward placement run: QIDG in schedule order S. Its final placement
+    // starts the backward run.
+    ExecutionResult forward = forward_sim_.run(placement, workspace);
     ++out.runs;
-    record(forward, /*is_backward=*/false);
+    placement = forward.final_placement;
+    record(std::move(forward), /*is_backward=*/false);
     if (non_improving >= options_.stop_after ||
         out.runs >= options_.max_runs_per_seed) {
       break;
     }
 
     options_.cancel.check();
-    // Backward placement run: UIDG in reversed order S*, starting from the
-    // forward run's final placement.
-    const ExecutionResult backward =
-        backward_sim_.run(forward.final_placement, arena);
+    // Backward placement run: UIDG in reversed order S*. Its final
+    // placement seeds the next iteration.
+    ExecutionResult backward = backward_sim_.run(placement, workspace);
     ++out.runs;
     ++out.iterations;
-    record(backward, /*is_backward=*/true);
-
-    // The backward run's final placement seeds the next iteration.
     placement = backward.final_placement;
+    record(std::move(backward), /*is_backward=*/true);
   }
   return out;
 }
@@ -123,7 +122,7 @@ MvfbPlacer::AsyncRun MvfbPlacer::submit(Executor& executor) {
         AsyncState::WorkerBest& local =
             state->best[static_cast<std::size_t>(worker)];
         const ThreadCpuTimer watch;
-        SeedOutcome out = run_seed(state->seed_rngs[seed], ctx.arena);
+        SeedOutcome out = run_seed(state->seed_rngs[seed], ctx.workspace);
         local.runs += out.runs;
         local.iterations += out.iterations;
         if (local.incumbent.improved_by(out.best_latency, seed)) {
@@ -162,6 +161,8 @@ MvfbResult MvfbPlacer::collect(Executor& executor, AsyncRun& run) {
   result.best_latency = winner->incumbent.latency;
   result.best_is_backward = winner->outcome.best_is_backward;
   result.best_execution = std::move(winner->outcome.best_execution);
+  // Runs return their traces in issue order; only the winner's is sorted.
+  result.best_execution.trace.sort_by_time();
   if (result.best_is_backward) {
     // §IV.A: a winning backward computation is reported as its reverse — a
     // forward execution starting from the backward run's *final* placement.

@@ -135,9 +135,10 @@ class MvfbPlacer {
     int iterations = 0;
   };
 
-  /// Runs one seed's local search; thread-confined to `arena` and the
+  /// Runs one seed's local search; thread-confined to `workspace` and the
   /// value-owned `seed_rng`, so seeds may execute concurrently.
-  SeedOutcome run_seed(Rng seed_rng, SearchArena<Duration>& arena) const;
+  SeedOutcome run_seed(Rng seed_rng,
+                       EventSimulator::Workspace& workspace) const;
 
   const DependencyGraph* qidg_;
   DependencyGraph uidg_;

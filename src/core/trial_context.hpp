@@ -5,8 +5,10 @@
 // rank, ExecutionOptions, and the EventSimulator built over them — across
 // all workers. Everything mutable lives here, one instance per worker:
 //
-//   * arena       — the router's SearchArena, threaded through every
-//                   EventSimulator::run on this worker;
+//   * workspace   — the simulator's per-run state and the router's
+//                   SearchArena, threaded through every EventSimulator::run
+//                   on this worker (one workspace per thread, like the arena
+//                   it owns), so the worker's runs reuse its buffers;
 //   * rng         — the current trial's RNG, *assigned* per trial from a
 //                   stream forked up front by trial index, so results never
 //                   depend on which worker ran which trial;
@@ -27,12 +29,12 @@
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
-#include "route/search_arena.hpp"
+#include "sim/event_sim.hpp"
 
 namespace qspr {
 
 struct TrialContext {
-  SearchArena<Duration> arena;
+  EventSimulator::Workspace workspace;
   Rng rng{0};
 
   /// Worker-local incumbent over the trials this worker happened to run.

@@ -118,6 +118,12 @@ CongestionState::CongestionState(std::size_t segment_count,
                                  std::size_t junction_count)
     : segment_load_(segment_count, 0), junction_load_(junction_count, 0) {}
 
+void CongestionState::reset(std::size_t segment_count,
+                            std::size_t junction_count) {
+  segment_load_.assign(segment_count, 0);
+  junction_load_.assign(junction_count, 0);
+}
+
 int CongestionState::load(ResourceRef resource) const {
   require(resource.index >= 0, "invalid resource");
   if (resource.kind == ResourceRef::Kind::Segment) {

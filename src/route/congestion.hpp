@@ -223,6 +223,10 @@ class CongestionState {
  public:
   CongestionState(std::size_t segment_count, std::size_t junction_count);
 
+  /// Zero load on `segment_count` segments and `junction_count` junctions,
+  /// reusing the tables' capacity.
+  void reset(std::size_t segment_count, std::size_t junction_count);
+
   [[nodiscard]] int segment_load(SegmentId id) const {
     return segment_load_[id.index()];
   }

@@ -34,16 +34,26 @@ int RoutedPath::turn_count() const {
   return static_cast<int>(steps.size()) - move_count();
 }
 
-RoutedPath lower_path(const RoutingGraph& graph,
-                      const std::vector<RouteNodeId>& nodes,
-                      const TechnologyParams& params) {
-  RoutedPath path;
-  path.nodes = nodes;
-  if (nodes.size() < 2) return path;
+void lower_path(const RoutingGraph& graph, const TechnologyParams& params,
+                RoutedPath& path) {
+  const std::vector<RouteNodeId>& nodes = path.nodes;
+  std::vector<ResourceUse>& uses = path.resource_uses;
+  path.steps.clear();
+  uses.clear();
+  if (nodes.size() < 2) return;
 
-  // Steps with cumulative offsets.
+  // Resource intervals: a resource opens when the qubit starts moving into
+  // one of its cells and closes when the qubit has fully moved out.
+  const auto find_open = [&uses](ResourceRef r) -> ResourceUse* {
+    for (auto it = uses.rbegin(); it != uses.rend(); ++it) {
+      if (it->resource == r && it->exit_offset < 0) return &*it;
+    }
+    return nullptr;
+  };
+
+  // One pass: each step with its offset, then the resources it enters and
+  // leaves.
   Duration offset = 0;
-  std::vector<Duration> step_start_offsets;
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
     const RouteNode& a = graph.node(nodes[i]);
     const RouteNode& b = graph.node(nodes[i + 1]);
@@ -61,30 +71,12 @@ RoutedPath lower_path(const RoutingGraph& graph,
       step.to = b.cell;
       step.duration = params.t_move;
     }
-    step_start_offsets.push_back(offset);
-    offset += step.duration;
     path.steps.push_back(step);
-  }
-  const Duration total = offset;
+    const Duration start = offset;
+    const Duration end = start + step.duration;
 
-  // Resource intervals: a resource opens when the qubit starts moving into
-  // one of its cells and closes when the qubit has fully moved out.
-  std::vector<ResourceUse> uses;
-  const auto find_open = [&uses](ResourceRef r) -> ResourceUse* {
-    for (auto it = uses.rbegin(); it != uses.rend(); ++it) {
-      if (it->resource == r && it->exit_offset < 0) return &*it;
-    }
-    return nullptr;
-  };
-
-  offset = 0;
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    const RouteNode& a = graph.node(nodes[i]);
-    const RouteNode& b = graph.node(nodes[i + 1]);
     const ResourceRef ra = resource_of(a);
     const ResourceRef rb = resource_of(b);
-    const Duration start = step_start_offsets[i];
-    const Duration end = start + path.steps[i].duration;
     if (rb.index >= 0 && !(rb == ra)) {
       // Entering rb: open at move start (occupies both cells while moving).
       if (find_open(rb) == nullptr) {
@@ -98,9 +90,16 @@ RoutedPath lower_path(const RoutingGraph& graph,
   }
   // Anything still open is held until the path completes.
   for (ResourceUse& use : uses) {
-    if (use.exit_offset < 0) use.exit_offset = total;
+    if (use.exit_offset < 0) use.exit_offset = offset;
   }
-  path.resource_uses = std::move(uses);
+}
+
+RoutedPath lower_path(const RoutingGraph& graph,
+                      const std::vector<RouteNodeId>& nodes,
+                      const TechnologyParams& params) {
+  RoutedPath path;
+  path.nodes = nodes;
+  lower_path(graph, params, path);
   return path;
 }
 

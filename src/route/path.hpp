@@ -33,6 +33,8 @@ struct ResourceUse {
   Duration exit_offset = 0;
 };
 
+/// Reusable as a buffer: a query or lower_path overwrites every field and
+/// keeps each vector's capacity.
 struct RoutedPath {
   /// Vertices visited, from source to target (useful for tests/debugging).
   std::vector<RouteNodeId> nodes;
@@ -45,9 +47,14 @@ struct RoutedPath {
   [[nodiscard]] bool empty() const { return steps.empty(); }
 };
 
-/// Lowers a vertex sequence into timed steps and resource-use intervals.
+/// Lowers `path.nodes` in place into timed steps and resource-use
+/// intervals, replacing whatever steps and uses `path` held before.
 /// `params` supplies the physical t_move / t_turn (turn durations are always
 /// physical here, even when the router *selected* the path turn-unaware).
+void lower_path(const RoutingGraph& graph, const TechnologyParams& params,
+                RoutedPath& path);
+
+/// Value-returning form of the above over a copy of `nodes`.
 RoutedPath lower_path(const RoutingGraph& graph,
                       const std::vector<RouteNodeId>& nodes,
                       const TechnologyParams& params);

@@ -798,7 +798,8 @@ PathFinderResult route_nets_negotiated_impl(
         throw RoutingError("PathFinder: net " + std::to_string(i) +
                            " has no route on this fabric");
       }
-      result.paths[i] = lower_path(graph, node_buffer, params);
+      result.paths[i].nodes = node_buffer;
+      lower_path(graph, params, result.paths[i]);
       collect_resources(result.paths[i], ledger, membership,
                         net_resources[i]);
     };
@@ -895,7 +896,8 @@ PathFinderResult route_nets_negotiated_impl(
                                         nets[i].from, nets[i].to, ws.arena,
                                         ws.node_buffer, out.settled);
               if (routed) {
-                out.path = lower_path(graph, ws.node_buffer, params);
+                out.path.nodes = ws.node_buffer;
+                lower_path(graph, params, out.path);
                 collect_resources(out.path, *snapshot, ws.membership,
                                   out.resources);
                 out.routed = true;

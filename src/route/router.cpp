@@ -13,12 +13,15 @@ Router::Router(const RoutingGraph& graph, const TechnologyParams& params,
   params_.validate();
 }
 
-std::optional<Router::NodePath> Router::shortest_node_path(
-    RouteNodeId from, RouteNodeId to, const CongestionState& congestion,
-    SearchArena<Duration>& arena, TrapId allowed_trap) const {
+std::optional<Duration> Router::search(RouteNodeId from, RouteNodeId to,
+                                       const CongestionState& congestion,
+                                       SearchArena<Duration>& arena,
+                                       TrapId allowed_trap,
+                                       std::vector<RouteNodeId>& nodes) const {
   require(from.is_valid() && to.is_valid(), "invalid route endpoints");
   if (from == to) {
-    return NodePath{{from}, 0};
+    nodes.assign(1, from);
+    return Duration{0};
   }
 
   const Position target_cell = graph_->node(to).cell;
@@ -45,14 +48,13 @@ std::optional<Router::NodePath> Router::shortest_node_path(
     arena.settle(entry.node);
 
     if (entry.node == to) {
-      NodePath result;
-      result.cost = entry.g;
+      nodes.clear();
       for (RouteNodeId n = to; n.is_valid(); n = arena.parent(n)) {
-        result.nodes.push_back(n);
+        nodes.push_back(n);
         if (n == from) break;
       }
-      std::reverse(result.nodes.begin(), result.nodes.end());
-      return result;
+      std::reverse(nodes.begin(), nodes.end());
+      return entry.g;
     }
 
     for (const RouteEdge& edge : graph_->edges(entry.node)) {
@@ -93,33 +95,59 @@ std::optional<Router::NodePath> Router::shortest_node_path(
   return std::nullopt;
 }
 
+std::optional<Router::NodePath> Router::shortest_node_path(
+    RouteNodeId from, RouteNodeId to, const CongestionState& congestion,
+    SearchArena<Duration>& arena, TrapId allowed_trap) const {
+  NodePath path;
+  const auto cost =
+      search(from, to, congestion, arena, allowed_trap, path.nodes);
+  if (!cost.has_value()) return std::nullopt;
+  path.cost = *cost;
+  return path;
+}
+
+bool Router::route_trap_to_trap(TrapId from, TrapId to,
+                                const CongestionState& congestion,
+                                SearchArena<Duration>& arena, RoutedPath& path,
+                                Duration* selection_cost) const {
+  const RouteNodeId source = graph_->trap_node(from);
+  const RouteNodeId target = graph_->trap_node(to);
+  // Exact fast fail. A trap's graph neighbours are its port cells, which are
+  // channel cells, and the search never passes through a trap. So every
+  // trap-to-trap path ends by entering a port cell through a move edge the
+  // search capacity-checks (a turn only changes orientation inside a cell
+  // already entered). When every port's segment is full no path exists, and
+  // the search would flood the whole reachable fabric just to find that out.
+  const EdgeSpan ports = graph_->edges(target);
+  const bool enclosed =
+      from != to &&
+      std::all_of(ports.begin(), ports.end(), [&](const RouteEdge& port) {
+        return at_capacity(
+            ResourceRef::Kind::Segment,
+            congestion.segment_load(graph_->node(port.to).segment));
+      });
+  const std::optional<Duration> cost =
+      enclosed ? std::nullopt
+               : search(source, target, congestion, arena, from, path.nodes);
+  if (!cost.has_value()) {
+    path.nodes.clear();
+    path.steps.clear();
+    path.resource_uses.clear();
+    return false;
+  }
+  if (selection_cost != nullptr) *selection_cost = *cost;
+  lower_path(*graph_, params_, path);
+  return true;
+}
+
 std::optional<RoutedPath> Router::route_trap_to_trap(
     TrapId from, TrapId to, const CongestionState& congestion,
     SearchArena<Duration>& arena, Duration* selection_cost) const {
-  const RouteNodeId source = graph_->trap_node(from);
-  const RouteNodeId target = graph_->trap_node(to);
-  if (from != to) {
-    // Exact fast fail. A trap's graph neighbours are its port cells, which
-    // are channel cells, and the search never passes through a trap. So
-    // every trap-to-trap path ends by entering a port cell through a move
-    // edge the search capacity-checks (a turn only changes orientation
-    // inside a cell already entered). When every port's segment is full no
-    // path exists, and the search would flood the whole reachable fabric
-    // just to find that out.
-    const EdgeSpan ports = graph_->edges(target);
-    const bool enclosed =
-        std::all_of(ports.begin(), ports.end(), [&](const RouteEdge& port) {
-          return at_capacity(
-              ResourceRef::Kind::Segment,
-              congestion.segment_load(graph_->node(port.to).segment));
-        });
-    if (enclosed) return std::nullopt;
+  RoutedPath path;
+  if (!route_trap_to_trap(from, to, congestion, arena, path, selection_cost)) {
+    return std::nullopt;
   }
-  const auto found = shortest_node_path(source, target, congestion, arena,
-                                        from);
-  if (!found.has_value()) return std::nullopt;
-  if (selection_cost != nullptr) *selection_cost = found->cost;
-  return lower_path(*graph_, found->nodes, params_);
+  return path;
 }
 
 }  // namespace qspr

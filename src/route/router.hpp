@@ -48,12 +48,20 @@ class Router {
     Duration cost = 0;
   };
 
-  /// Minimum-cost path between two traps under the given congestion. Returns
-  /// nullopt when every route is blocked by fully-loaded resources; when
-  /// every port cell of `to` is full it does so without searching. A path
-  /// from a trap to itself is empty. `arena` is the caller's reusable search
-  /// workspace (one per thread); when `selection_cost` is non-null it
-  /// receives the minimized cost of the returned path.
+  /// Minimum-cost path between two traps under the given congestion,
+  /// written into the caller's `path` (its buffers are reused). Returns
+  /// false, leaving `path` empty, when every route is blocked by fully-loaded
+  /// resources; when every port cell of `to` is full it does so without
+  /// searching. A path from a trap to itself has one node and no steps.
+  /// `arena` is the caller's reusable search workspace (one per thread);
+  /// when `selection_cost` is non-null it receives the minimized cost of the
+  /// path.
+  [[nodiscard]] bool route_trap_to_trap(
+      TrapId from, TrapId to, const CongestionState& congestion,
+      SearchArena<Duration>& arena, RoutedPath& path,
+      Duration* selection_cost = nullptr) const;
+
+  /// The same query returning a fresh path, or nullopt when no route exists.
   [[nodiscard]] std::optional<RoutedPath> route_trap_to_trap(
       TrapId from, TrapId to, const CongestionState& congestion,
       SearchArena<Duration>& arena, Duration* selection_cost = nullptr) const;
@@ -80,6 +88,15 @@ class Router {
   [[nodiscard]] const RoutingGraph& graph() const { return *graph_; }
 
  private:
+  /// The one search core behind both queries: writes the minimum-cost
+  /// vertex sequence from `from` to `to` into `nodes` and returns its cost,
+  /// or returns nullopt (leaving `nodes` as it was) when no route exists.
+  std::optional<Duration> search(RouteNodeId from, RouteNodeId to,
+                                 const CongestionState& congestion,
+                                 SearchArena<Duration>& arena,
+                                 TrapId allowed_trap,
+                                 std::vector<RouteNodeId>& nodes) const;
+
   const RoutingGraph* graph_;
   TechnologyParams params_;
   RouterOptions options_;

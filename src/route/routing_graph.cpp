@@ -131,20 +131,6 @@ void RoutingGraph::pack_edges(const std::vector<EdgeRecord>& records) {
   }
 }
 
-const RouteNode& RoutingGraph::node(RouteNodeId id) const {
-  require(id.is_valid() && id.index() < nodes_.size(),
-          "route node id out of range");
-  return nodes_[id.index()];
-}
-
-EdgeSpan RoutingGraph::edges(RouteNodeId id) const {
-  require(id.is_valid() && id.index() < nodes_.size(),
-          "route node id out of range");
-  const std::uint32_t begin = edge_offsets_[id.index()];
-  const std::uint32_t end = edge_offsets_[id.index() + 1];
-  return EdgeSpan(edge_storage_.data() + begin, end - begin);
-}
-
 RouteNodeId RoutingGraph::node_at(Position cell, Orientation o) const {
   if (!fabric_->in_bounds(cell)) return RouteNodeId::invalid();
   const std::int32_t index = node_by_cell_orientation_[cell_slot(cell, o)];

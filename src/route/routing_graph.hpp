@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/geometry.hpp"
 #include "common/ids.hpp"
 #include "fabric/fabric.hpp"
@@ -72,10 +73,20 @@ class RoutingGraph {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   /// Number of directed edges in the CSR array (twice the undirected count).
   [[nodiscard]] std::size_t edge_count() const { return edge_storage_.size(); }
-  [[nodiscard]] const RouteNode& node(RouteNodeId id) const;
+  [[nodiscard]] const RouteNode& node(RouteNodeId id) const {
+    require(id.is_valid() && id.index() < nodes_.size(),
+            "route node id out of range");
+    return nodes_[id.index()];
+  }
 
   /// Outgoing edges of `id` (the graph is symmetric).
-  [[nodiscard]] EdgeSpan edges(RouteNodeId id) const;
+  [[nodiscard]] EdgeSpan edges(RouteNodeId id) const {
+    require(id.is_valid() && id.index() < nodes_.size(),
+            "route node id out of range");
+    const std::uint32_t begin = edge_offsets_[id.index()];
+    const std::uint32_t end = edge_offsets_[id.index() + 1];
+    return EdgeSpan(edge_storage_.data() + begin, end - begin);
+  }
 
   /// Prefetches `id`'s CSR adjacency slice. Search loops call this one pop
   /// ahead (on the frontier's next likely node) so the edge walk finds its

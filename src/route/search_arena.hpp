@@ -325,17 +325,24 @@ class SearchArena {
     std::vector<HeapEntry> heap_;
     // Monotone bucket queue, indexed by the (small, bounded) integer f.
     // Only buckets in [cursor_, high_] can be non-empty: pops drain the
-    // cursor bucket before advancing, and monotone pushes never land below
-    // the cursor (asserted) — which bounds both pop scans and clears. Each
+    // cursor bucket before advancing, and pushes never land below the
+    // cursor — which bounds both pop scans and clears. Until the first pop
+    // the cursor is the smallest key pushed so far (clear_all parks it past
+    // every bucket), so the first pop starts its scan there instead of at
+    // key 0. After a pop the cursor is the popped key, and the monotone
+    // discipline (asserted) keeps every later push at or above it. Each
     // bucket is itself a tiny (g, node) min-heap: unit-cost grids pile many
     // ties into one f, and a linear min-scan per pop would go quadratic in
     // that pile (measurably slower than the binary heap); the per-bucket
     // heap keeps pops at O(log bucket) while preserving the exact
     // (f, g, node) order — every entry in a bucket shares f.
+    static constexpr std::size_t kNoCursor =
+        std::numeric_limits<std::size_t>::max();
     std::vector<std::vector<HeapEntry>> buckets_;
-    std::size_t cursor_ = 0;
+    std::size_t cursor_ = kNoCursor;
     std::size_t high_ = 0;
     std::size_t live_ = 0;
+    bool popped_ = false;
 
     void clear_all() {
       heap_.clear();
@@ -345,9 +352,10 @@ class SearchArena {
           buckets_[i].clear();
         }
       }
-      cursor_ = 0;
+      cursor_ = kNoCursor;
       high_ = 0;
       live_ = 0;
+      popped_ = false;
     }
 
     [[nodiscard]] bool empty(FrontierKind kind) const {
@@ -363,11 +371,12 @@ class SearchArena {
         case FrontierKind::Bucket: {
           const auto key = bucket_key(entry.f);
           // Monotonicity: with a consistent heuristic every push's f is at
-          // least the last popped f — and the cursor only ever advances to
-          // popped keys (a push never moves it), so keys never land below
-          // it. The frontier may transiently drain mid-expansion; later
-          // sibling pushes are bounded by the popped key, not each other.
-          assert(key >= cursor_);
+          // least the last popped f, which is where the cursor stands after
+          // a pop, so no push after the first pop moves it. The frontier
+          // may transiently drain mid-expansion; later sibling pushes are
+          // bounded by the popped key, not each other.
+          assert(!popped_ || key >= cursor_);
+          cursor_ = std::min(cursor_, key);
           if (key >= buckets_.size()) {
             buckets_.resize(std::max<std::size_t>(key + 1,
                                                   buckets_.size() * 2));
@@ -395,6 +404,7 @@ class SearchArena {
         }
         case FrontierKind::Bucket: {
           advance_cursor();
+          popped_ = true;
           auto& bucket = buckets_[cursor_];
           // All entries here share f == cursor_; the per-bucket heap pops
           // the (g, node) minimum, so the strict (f, g, node) order matches

@@ -1,20 +1,30 @@
 #include "sim/event_sim.hpp"
 
 #include <algorithm>
+#include <array>
+#include <functional>
 
 #include "common/error.hpp"
 
 namespace qspr {
 
-namespace {
-
-void erase_occupant(std::vector<QubitId>& occupants, QubitId qubit) {
-  const auto it = std::find(occupants.begin(), occupants.end(), qubit);
-  require(it != occupants.end(), "qubit not in expected trap");
-  occupants.erase(it);
+void EventSimulator::Workspace::add_occupant(TrapId trap, QubitId qubit) {
+  std::size_t& count = occupant_count[trap.index()];
+  require(count < trap_capacity, "trap holds more qubits than its capacity");
+  occupant_slots[trap.index() * trap_capacity + count++] = qubit;
 }
 
-}  // namespace
+void EventSimulator::Workspace::remove_occupant(TrapId trap, QubitId qubit) {
+  const auto first =
+      occupant_slots.begin() +
+      static_cast<std::ptrdiff_t>(trap.index() * trap_capacity);
+  std::size_t& count = occupant_count[trap.index()];
+  const auto last = first + static_cast<std::ptrdiff_t>(count);
+  const auto it = std::find(first, last, qubit);
+  require(it != last, "qubit not in expected trap");
+  std::copy(it + 1, last, it);
+  --count;
+}
 
 EventSimulator::EventSimulator(const DependencyGraph& graph,
                                const Fabric& fabric,
@@ -33,32 +43,48 @@ EventSimulator::EventSimulator(const DependencyGraph& graph,
           "routing graph was built for a different fabric");
 }
 
-void EventSimulator::initialise(RunState& state,
+void EventSimulator::initialise(Workspace& state,
                                 const Placement& initial) const {
   if (initial.qubit_count() != graph_->qubit_count()) {
     throw ValidationError("placement qubit count does not match circuit");
   }
   initial.validate(*fabric_, options_.tech.trap_capacity);
 
+  const std::size_t traps = fabric_->trap_count();
+  state.congestion.reset(fabric_->segment_count(), fabric_->junction_count());
+  state.trap_capacity =
+      static_cast<std::size_t>(options_.tech.trap_capacity);
+  state.occupant_slots.resize(traps * state.trap_capacity);
+  state.occupant_count.assign(traps, 0);
+  state.trap_reserved_by.assign(traps, InstructionId::invalid());
   state.qubit_trap.resize(graph_->qubit_count());
-  state.trap_occupants.assign(fabric_->trap_count(), {});
-  state.trap_reserved_by.assign(fabric_->trap_count(),
-                                InstructionId::invalid());
   for (std::size_t q = 0; q < graph_->qubit_count(); ++q) {
     const QubitId qubit = QubitId::from_index(q);
     const TrapId trap = initial.trap_of(qubit);
     state.qubit_trap[q] = trap;
-    state.trap_occupants[trap.index()].push_back(qubit);
+    state.add_occupant(trap, qubit);
   }
 
   const std::size_t n = graph_->node_count();
   state.remaining_preds.resize(n);
   state.pending_arrivals.assign(n, 0);
+  state.ready.clear();
+  state.busy.clear();
+  state.events.clear();
+  state.next_seq = 0;
+  state.done_count = 0;
   state.timings.assign(n, InstructionTiming{});
+  state.trace.clear();
+  state.trace.reserve(state.last_trace_size);
+  state.stats = ExecutionStats{};
+  state.pending_routes.clear();
   state.home_trap = state.qubit_trap;
   state.return_target.assign(graph_->qubit_count(), TrapId::invalid());
   state.pending_returns.assign(n, 0);
   state.gate_done.assign(n, false);
+  state.deferred_returns.clear();
+  state.retrying.clear();
+  state.blocked_routes.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = InstructionId::from_index(i);
     state.remaining_preds[i] =
@@ -67,50 +93,50 @@ void EventSimulator::initialise(RunState& state,
   }
 }
 
-void EventSimulator::become_ready(RunState& state, InstructionId id,
+void EventSimulator::become_ready(Workspace& state, InstructionId id,
                                   TimePoint now) const {
   state.timings[id.index()].ready = now;
-  state.ready.insert({rank_[id.index()], id});
+  state.ready.emplace_back(rank_[id.index()], id);
 }
 
-void EventSimulator::retry_busy(RunState& state, TimePoint /*now*/) const {
+void EventSimulator::retry_busy(Workspace& state, TimePoint /*now*/) const {
   for (const InstructionId id : state.busy) {
-    state.ready.insert({rank_[id.index()], id});
+    state.ready.emplace_back(rank_[id.index()], id);
   }
   state.busy.clear();
 }
 
-void EventSimulator::try_issue(RunState& state, TimePoint now) const {
-  // One pass in rank order. A successful issue only consumes resources, so
-  // instructions that fail here cannot become issueable until the next
-  // state-changing event; they park in the busy queue.
-  std::vector<InstructionId> candidates;
-  candidates.reserve(state.ready.size());
-  for (const auto& [rank, id] : state.ready) candidates.push_back(id);
-  for (const InstructionId id : candidates) {
-    state.ready.erase({rank_[id.index()], id});
+void EventSimulator::try_issue(Workspace& state, TimePoint now) const {
+  // One pass in (rank, id) order. A successful issue only consumes
+  // resources, so instructions that fail here cannot become issueable until
+  // the next state-changing event; they park in the busy queue. One sort
+  // orders the whole pass: (rank, id) pairs are unique, and nothing becomes
+  // ready during a pass (instructions complete only in event handlers).
+  std::sort(state.ready.begin(), state.ready.end());
+  for (const auto& [rank, id] : state.ready) {
     if (!attempt_issue(state, id, now)) {
       state.busy.push_back(id);
       ++state.stats.busy_enqueues;
     }
   }
+  state.ready.clear();
 }
 
-bool EventSimulator::attempt_issue(RunState& state, InstructionId id,
+bool EventSimulator::attempt_issue(Workspace& state, InstructionId id,
                                    TimePoint now) const {
   const Instruction& instr = graph_->instruction(id);
   return instr.is_two_qubit() ? issue_two_qubit(state, id, now)
                               : issue_one_qubit(state, id, now);
 }
 
-bool EventSimulator::issue_one_qubit(RunState& state, InstructionId id,
+bool EventSimulator::issue_one_qubit(Workspace& state, InstructionId id,
                                      TimePoint now) const {
   const Instruction& instr = graph_->instruction(id);
   const QubitId qubit = instr.target;
   const TrapId trap = state.qubit_trap[qubit.index()];
   require(trap.is_valid(), "operand qubit is in transit at issue time");
 
-  const auto& occupants = state.trap_occupants[trap.index()];
+  const auto occupants = state.occupants(trap);
   const bool alone = occupants.size() == 1 && occupants.front() == qubit;
   if (alone && !state.trap_reserved_by[trap.index()].is_valid()) {
     state.timings[id.index()].issue = now;
@@ -121,22 +147,17 @@ bool EventSimulator::issue_one_qubit(RunState& state, InstructionId id,
   // §II.B: a 1-qubit operation requires the qubit alone in a trap, so a
   // co-resident qubit must first relocate to the nearest empty trap.
   const TrapId target = find_empty_trap(state, qubit_position(state, qubit));
-  if (!target.is_valid()) return false;
-  auto path = route(state, trap, target);
-  if (!path.has_value()) return false;
+  if (!target.is_valid() || !route(state, trap, target)) return false;
 
   state.timings[id.index()].issue = now;
   state.timings[id.index()].trap = target;
   state.trap_reserved_by[target.index()] = id;
   state.pending_arrivals[id.index()] = 1;
-  for (const ResourceUse& use : path->resource_uses) {
-    state.congestion.acquire(use.resource);
-  }
-  dispatch_qubit(state, id, qubit, *path, now);
+  dispatch_qubit(state, id, qubit, now);
   return true;
 }
 
-bool EventSimulator::issue_two_qubit(RunState& state, InstructionId id,
+bool EventSimulator::issue_two_qubit(Workspace& state, InstructionId id,
                                      TimePoint now) const {
   const Instruction& instr = graph_->instruction(id);
   const QubitId a = instr.control;
@@ -169,11 +190,12 @@ bool EventSimulator::issue_two_qubit(RunState& state, InstructionId id,
   }
   if (!target.is_valid()) return false;
 
-  std::vector<QubitId> moving;
+  std::array<QubitId, 2> moving;
+  std::size_t moving_count = 0;
   for (const QubitId q : {a, b}) {
-    if (state.qubit_trap[q.index()] != target) moving.push_back(q);
+    if (state.qubit_trap[q.index()] != target) moving[moving_count++] = q;
   }
-  require(!moving.empty(), "2-qubit issue with no moving qubit");
+  require(moving_count > 0, "2-qubit issue with no moving qubit");
 
   // Commit to the target trap, then dispatch each operand independently: the
   // second route sees the first one's reservations, and an operand whose
@@ -181,58 +203,65 @@ bool EventSimulator::issue_two_qubit(RunState& state, InstructionId id,
   state.timings[id.index()].issue = now;
   state.timings[id.index()].trap = target;
   state.trap_reserved_by[target.index()] = id;
-  state.pending_arrivals[id.index()] = static_cast<int>(moving.size());
-  for (const QubitId q : moving) {
-    if (!try_dispatch_operand(state, id, q, now)) {
-      state.pending_routes.emplace_back(id, q);
+  state.pending_arrivals[id.index()] = static_cast<int>(moving_count);
+  for (std::size_t i = 0; i < moving_count; ++i) {
+    if (!try_dispatch_operand(state, id, moving[i], now)) {
+      state.pending_routes.emplace_back(id, moving[i]);
     }
   }
   return true;
 }
 
-bool EventSimulator::try_dispatch_operand(RunState& state, InstructionId id,
+bool EventSimulator::try_dispatch_operand(Workspace& state, InstructionId id,
                                           QubitId qubit, TimePoint now) const {
-  auto path = route(state, state.qubit_trap[qubit.index()],
-                    state.timings[id.index()].trap);
-  if (!path.has_value()) return false;
-  for (const ResourceUse& use : path->resource_uses) {
-    state.congestion.acquire(use.resource);
+  if (!route(state, state.qubit_trap[qubit.index()],
+             state.timings[id.index()].trap)) {
+    return false;
   }
-  dispatch_qubit(state, id, qubit, *path, now);
+  dispatch_qubit(state, id, qubit, now);
   return true;
 }
 
-void EventSimulator::retry_pending_routes(RunState& state,
+void EventSimulator::retry_pending_routes(Workspace& state,
                                           TimePoint now) const {
   if (state.pending_routes.empty()) return;
-  std::vector<std::pair<InstructionId, QubitId>> pending;
-  pending.swap(state.pending_routes);
-  for (const auto& [id, qubit] : pending) {
+  state.retrying.swap(state.pending_routes);
+  for (const auto& [id, qubit] : state.retrying) {
     if (!try_dispatch_operand(state, id, qubit, now)) {
       state.pending_routes.emplace_back(id, qubit);
     }
   }
+  state.retrying.clear();
 }
 
-std::optional<RoutedPath> EventSimulator::route(RunState& state, TrapId from,
-                                                TrapId to) const {
+bool EventSimulator::route(Workspace& state, TrapId from, TrapId to) const {
   const std::pair<TrapId, TrapId> pair{from, to};
   auto& blocked = state.blocked_routes;
   if (std::find(blocked.begin(), blocked.end(), pair) != blocked.end()) {
-    return std::nullopt;
+    return false;
   }
-  auto path =
-      router_.route_trap_to_trap(from, to, state.congestion, *state.arena);
-  if (!path.has_value()) blocked.push_back(pair);
-  return path;
+  if (!router_.route_trap_to_trap(from, to, state.congestion, state.arena,
+                                  state.path)) {
+    blocked.push_back(pair);
+    return false;
+  }
+  return true;
 }
 
-void EventSimulator::dispatch_qubit(RunState& state, InstructionId id,
-                                    QubitId qubit, const RoutedPath& path,
-                                    TimePoint now,
+void EventSimulator::push_event(Workspace& state, const Event& event) {
+  state.events.push_back(event);
+  std::push_heap(state.events.begin(), state.events.end(), std::greater<>{});
+}
+
+void EventSimulator::dispatch_qubit(Workspace& state, InstructionId id,
+                                    QubitId qubit, TimePoint now,
                                     Event::Kind arrival_kind) const {
+  const RoutedPath& path = state.path;
+  for (const ResourceUse& use : path.resource_uses) {
+    state.congestion.acquire(use.resource);
+  }
   const TrapId origin = state.qubit_trap[qubit.index()];
-  erase_occupant(state.trap_occupants[origin.index()], qubit);
+  state.remove_occupant(origin, qubit);
   state.qubit_trap[qubit.index()] = TrapId::invalid();
 
   TimePoint t = now;
@@ -261,19 +290,19 @@ void EventSimulator::dispatch_qubit(RunState& state, InstructionId id,
     event.seq = state.next_seq++;
     event.kind = Event::Kind::ResourceRelease;
     event.resource = use.resource;
-    state.events.push(event);
+    push_event(state, event);
   }
 
   Event arrival;
-  arrival.time = now + path.total_delay();
+  arrival.time = t;  // now + path.total_delay()
   arrival.seq = state.next_seq++;
   arrival.kind = arrival_kind;
   arrival.instruction = id;
   arrival.qubit = qubit;
-  state.events.push(arrival);
+  push_event(state, arrival);
 }
 
-void EventSimulator::start_gate(RunState& state, InstructionId id, TrapId trap,
+void EventSimulator::start_gate(Workspace& state, InstructionId id, TrapId trap,
                                 TimePoint now) const {
   const Instruction& instr = graph_->instruction(id);
   state.trap_reserved_by[trap.index()] = id;
@@ -295,10 +324,10 @@ void EventSimulator::start_gate(RunState& state, InstructionId id, TrapId trap,
   finished.seq = state.next_seq++;
   finished.kind = Event::Kind::GateFinished;
   finished.instruction = id;
-  state.events.push(finished);
+  push_event(state, finished);
 }
 
-void EventSimulator::finish_gate(RunState& state, InstructionId id,
+void EventSimulator::finish_gate(Workspace& state, InstructionId id,
                                  TimePoint now) const {
   state.timings[id.index()].gate_end = now;
   state.gate_done[id.index()] = true;
@@ -326,7 +355,7 @@ void EventSimulator::finish_gate(RunState& state, InstructionId id,
   }
 }
 
-void EventSimulator::complete_instruction(RunState& state, InstructionId id,
+void EventSimulator::complete_instruction(Workspace& state, InstructionId id,
                                           TimePoint now) const {
   ++state.done_count;
   for (const InstructionId succ : graph_->successors(id)) {
@@ -336,7 +365,7 @@ void EventSimulator::complete_instruction(RunState& state, InstructionId id,
   }
 }
 
-bool EventSimulator::initiate_return(RunState& state, InstructionId id,
+bool EventSimulator::initiate_return(Workspace& state, InstructionId id,
                                      QubitId qubit, TimePoint now) const {
   const TrapId origin = state.qubit_trap[qubit.index()];
   require(origin.is_valid(), "returning qubit is not parked");
@@ -345,34 +374,27 @@ bool EventSimulator::initiate_return(RunState& state, InstructionId id,
   // Preferred target is the home trap; fall back to the nearest empty trap
   // when something else claimed it in the meantime.
   TrapId target = home;
-  const bool home_free =
-      state.trap_occupants[home.index()].empty() &&
-      !state.trap_reserved_by[home.index()].is_valid();
+  const bool home_free = state.occupants(home).empty() &&
+                         !state.trap_reserved_by[home.index()].is_valid();
   if (!home_free) {
     target = find_empty_trap(state, fabric_->trap(home).position);
     if (!target.is_valid()) return false;
   }
 
-  auto path = route(state, origin, target);
-  if (!path.has_value()) return false;
+  if (!route(state, origin, target)) return false;
 
   state.trap_reserved_by[target.index()] = id;
   state.return_target[qubit.index()] = target;
-  for (const ResourceUse& use : path->resource_uses) {
-    state.congestion.acquire(use.resource);
-  }
   ++state.pending_returns[id.index()];
-  dispatch_qubit(state, id, qubit, *path, now,
-                 Event::Kind::ReturnArrived);
+  dispatch_qubit(state, id, qubit, now, Event::Kind::ReturnArrived);
   return true;
 }
 
-void EventSimulator::retry_deferred_returns(RunState& state,
+void EventSimulator::retry_deferred_returns(Workspace& state,
                                             TimePoint now) const {
   if (state.deferred_returns.empty()) return;
-  std::vector<std::pair<InstructionId, QubitId>> pending;
-  pending.swap(state.deferred_returns);
-  for (const auto& [id, qubit] : pending) {
+  state.retrying.swap(state.deferred_returns);
+  for (const auto& [id, qubit] : state.retrying) {
     // The pending_returns slot was counted when the return was deferred.
     --state.pending_returns[id.index()];
     if (!initiate_return(state, id, qubit, now)) {
@@ -380,19 +402,20 @@ void EventSimulator::retry_deferred_returns(RunState& state,
       ++state.pending_returns[id.index()];
     }
   }
+  state.retrying.clear();
 }
 
-bool EventSimulator::trap_available(const RunState& state, TrapId trap,
+bool EventSimulator::trap_available(const Workspace& state, TrapId trap,
                                     const Instruction& instr) const {
   const InstructionId holder = state.trap_reserved_by[trap.index()];
   if (holder.is_valid() && holder != instr.id) return false;
-  for (const QubitId occupant : state.trap_occupants[trap.index()]) {
+  for (const QubitId occupant : state.occupants(trap)) {
     if (!instr.uses(occupant)) return false;
   }
   return true;
 }
 
-TrapId EventSimulator::find_target_trap(const RunState& state,
+TrapId EventSimulator::find_target_trap(const Workspace& state,
                                         Position anchor,
                                         const Instruction& instr) const {
   if (options_.trap_selection == TrapSelectionPolicy::NearestToAnchor) {
@@ -422,15 +445,15 @@ TrapId EventSimulator::find_target_trap(const RunState& state,
   return best;
 }
 
-TrapId EventSimulator::find_empty_trap(const RunState& state,
+TrapId EventSimulator::find_empty_trap(const Workspace& state,
                                        Position anchor) const {
   return fabric_->find_nearest_trap(anchor, [&](TrapId trap) {
-    return state.trap_occupants[trap.index()].empty() &&
+    return state.occupants(trap).empty() &&
            !state.trap_reserved_by[trap.index()].is_valid();
   });
 }
 
-Position EventSimulator::qubit_position(const RunState& state,
+Position EventSimulator::qubit_position(const Workspace& state,
                                         QubitId qubit) const {
   const TrapId trap = state.qubit_trap[qubit.index()];
   require(trap.is_valid(), "qubit position queried while in transit");
@@ -438,22 +461,24 @@ Position EventSimulator::qubit_position(const RunState& state,
 }
 
 ExecutionResult EventSimulator::run(const Placement& initial) const {
-  SearchArena<Duration> arena;
-  return run(initial, arena);
+  Workspace workspace;
+  ExecutionResult result = run(initial, workspace);
+  result.trace.sort_by_time();
+  return result;
 }
 
 ExecutionResult EventSimulator::run(const Placement& initial,
-                                    SearchArena<Duration>& arena) const {
+                                    Workspace& state) const {
   // The arena's settle counter is monotone across its lifetime (it may be
   // shared by many runs); attribute only this run's searches to the stats.
-  const std::uint64_t settles_before = arena.settle_count();
-  RunState state(fabric_->segment_count(), fabric_->junction_count(), arena);
+  const std::uint64_t settles_before = state.arena.settle_count();
   initialise(state, initial);
   try_issue(state, 0);
 
   while (!state.events.empty()) {
-    const Event event = state.events.top();
-    state.events.pop();
+    std::pop_heap(state.events.begin(), state.events.end(), std::greater<>{});
+    const Event event = state.events.back();
+    state.events.pop_back();
     const TimePoint now = event.time;
     bool fabric_changed = false;
 
@@ -464,7 +489,7 @@ ExecutionResult EventSimulator::run(const Placement& initial,
             resource.kind, state.congestion.load(resource));
         state.congestion.release(resource);
         // Only a resource leaving capacity can reopen a route whose search
-        // failed; see RunState::blocked_routes.
+        // failed; see Workspace::blocked_routes.
         if (was_full && !router_.at_capacity(resource.kind,
                                              state.congestion.load(resource))) {
           state.blocked_routes.clear();
@@ -479,7 +504,7 @@ ExecutionResult EventSimulator::run(const Placement& initial,
         require(destination.is_valid(),
                 "arrival for an instruction with no reserved trap");
         state.qubit_trap[event.qubit.index()] = destination;
-        state.trap_occupants[destination.index()].push_back(event.qubit);
+        state.add_occupant(destination, event.qubit);
         if (!graph_->instruction(id).is_two_qubit()) {
           // A 1-qubit relocation settles the qubit in a new home.
           state.home_trap[event.qubit.index()] = destination;
@@ -500,7 +525,7 @@ ExecutionResult EventSimulator::run(const Placement& initial,
         state.trap_reserved_by[destination.index()] =
             InstructionId::invalid();
         state.qubit_trap[qubit.index()] = destination;
-        state.trap_occupants[destination.index()].push_back(qubit);
+        state.add_occupant(destination, qubit);
         state.home_trap[qubit.index()] = destination;
         if (--state.pending_returns[id.index()] == 0 &&
             state.gate_done[id.index()]) {
@@ -532,13 +557,13 @@ ExecutionResult EventSimulator::run(const Placement& initial,
 
   ExecutionResult result;
   result.initial_placement = initial;
+  state.last_trace_size = state.trace.size();
   result.trace = std::move(state.trace);
-  result.trace.sort_by_time();
   result.latency = result.trace.makespan();
   result.timings = std::move(state.timings);
   result.stats = state.stats;
   result.stats.nodes_settled =
-      static_cast<long long>(arena.settle_count() - settles_before);
+      static_cast<long long>(state.arena.settle_count() - settles_before);
   result.stats.total_routing = 0;
   result.stats.total_congestion = 0;
   for (const InstructionTiming& timing : result.timings) {

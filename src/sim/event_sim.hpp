@@ -16,9 +16,9 @@
 //   * tech.channel_capacity — QSPR exploits ion multiplexing (2), prior art 1.
 #pragma once
 
-#include <optional>
-#include <queue>
-#include <set>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "circuit/dependency_graph.hpp"
@@ -100,6 +100,8 @@ struct ExecutionResult {
 
 class EventSimulator {
  public:
+  class Workspace;
+
   /// `schedule_rank[i]` orders instruction issue among simultaneously-ready
   /// instructions: lower rank issues first. One rank per graph node.
   EventSimulator(const DependencyGraph& graph, const Fabric& fabric,
@@ -110,12 +112,13 @@ class EventSimulator {
   /// execution stalls (e.g. the fabric cannot host the circuit) and
   /// ValidationError on inconsistent inputs. Each call is an independent run
   /// over thread-confined state: one simulator may serve concurrent callers
-  /// as long as each passes its own `arena` (the reusable router search
-  /// workspace, typically owned by the worker's TrialContext).
-  ExecutionResult run(const Placement& initial,
-                      SearchArena<Duration>& arena) const;
+  /// as long as each passes its own `workspace` (typically owned by the
+  /// worker's TrialContext). The returned trace is in issue order, not time
+  /// order: a placer sorts (Trace::sort_by_time) only the run it keeps.
+  ExecutionResult run(const Placement& initial, Workspace& workspace) const;
 
-  /// Convenience overload with a one-shot arena.
+  /// Convenience overload with a one-shot workspace; the trace is sorted by
+  /// time.
   ExecutionResult run(const Placement& initial) const;
 
  private:
@@ -139,98 +142,124 @@ class EventSimulator {
     }
   };
 
-  struct RunState {
-    CongestionState congestion;
-    std::vector<TrapId> qubit_trap;                 // invalid while in transit
-    std::vector<std::vector<QubitId>> trap_occupants;
-    std::vector<InstructionId> trap_reserved_by;
-    std::vector<int> remaining_preds;
-    std::vector<int> pending_arrivals;
-    std::set<std::pair<int, InstructionId>> ready;  // (rank, id)
-    std::vector<InstructionId> busy;
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-    std::uint64_t next_seq = 0;
-    std::size_t done_count = 0;
-    std::vector<InstructionTiming> timings;
-    Trace trace;
-    ExecutionStats stats;
-    // Operands of issued instructions whose departure is blocked by channel
-    // congestion; they wait in their traps and route when resources free up
-    // (this waiting is the paper's T_congestion in the channels).
-    std::vector<std::pair<InstructionId, QubitId>> pending_routes;
-    // --- return_home_after_gate bookkeeping ---
-    std::vector<TrapId> home_trap;      // per qubit
-    std::vector<TrapId> return_target;  // per qubit, while shuttling home
-    std::vector<int> pending_returns;   // per instruction
-    std::vector<bool> gate_done;        // per instruction (gate op finished)
-    std::vector<std::pair<InstructionId, QubitId>> deferred_returns;
-    // (from, to) trap pairs whose route search failed since a segment or
-    // junction last left capacity. A failed search's reachable region is
-    // walled only by full resources and by traps, which it never crosses.
-    // Acquires only shrink that region, and only a resource leaving capacity
-    // can grow it, so until then a listed pair stays unroutable and route()
-    // answers it without searching.
-    std::vector<std::pair<TrapId, TrapId>> blocked_routes;
-    // Caller-supplied router search workspace, confined to this run.
-    SearchArena<Duration>* arena = nullptr;
-
-    RunState(std::size_t segments, std::size_t junctions,
-             SearchArena<Duration>& search_arena)
-        : congestion(segments, junctions), arena(&search_arena) {}
-  };
-
-  void initialise(RunState& state, const Placement& initial) const;
-  void become_ready(RunState& state, InstructionId id, TimePoint now) const;
-  void try_issue(RunState& state, TimePoint now) const;
-  void retry_busy(RunState& state, TimePoint now) const;
-  bool attempt_issue(RunState& state, InstructionId id, TimePoint now) const;
-  bool issue_one_qubit(RunState& state, InstructionId id, TimePoint now) const;
-  bool issue_two_qubit(RunState& state, InstructionId id, TimePoint now) const;
-  void start_gate(RunState& state, InstructionId id, TrapId trap,
+  void initialise(Workspace& state, const Placement& initial) const;
+  void become_ready(Workspace& state, InstructionId id, TimePoint now) const;
+  void try_issue(Workspace& state, TimePoint now) const;
+  void retry_busy(Workspace& state, TimePoint now) const;
+  bool attempt_issue(Workspace& state, InstructionId id, TimePoint now) const;
+  bool issue_one_qubit(Workspace& state, InstructionId id, TimePoint now) const;
+  bool issue_two_qubit(Workspace& state, InstructionId id, TimePoint now) const;
+  void start_gate(Workspace& state, InstructionId id, TrapId trap,
                   TimePoint now) const;
-  void finish_gate(RunState& state, InstructionId id, TimePoint now) const;
+  void finish_gate(Workspace& state, InstructionId id, TimePoint now) const;
   /// Releases dependents once the gate (and any pending returns) are done.
-  void complete_instruction(RunState& state, InstructionId id,
+  void complete_instruction(Workspace& state, InstructionId id,
                             TimePoint now) const;
   /// Starts (or defers) the shuttle of `qubit` back to its home trap.
-  bool initiate_return(RunState& state, InstructionId id, QubitId qubit,
+  bool initiate_return(Workspace& state, InstructionId id, QubitId qubit,
                        TimePoint now) const;
-  void retry_deferred_returns(RunState& state, TimePoint now) const;
+  void retry_deferred_returns(Workspace& state, TimePoint now) const;
   /// Attempts to route an issued instruction's operand toward its reserved
   /// target trap; on success the qubit departs.
-  bool try_dispatch_operand(RunState& state, InstructionId id, QubitId qubit,
+  bool try_dispatch_operand(Workspace& state, InstructionId id, QubitId qubit,
                             TimePoint now) const;
-  void retry_pending_routes(RunState& state, TimePoint now) const;
-  /// The simulator's one route query: Router::route_trap_to_trap, except
-  /// that a pair on state.blocked_routes fails without searching, and a
-  /// pair whose search fails joins the list.
-  std::optional<RoutedPath> route(RunState& state, TrapId from,
-                                  TrapId to) const;
-  void dispatch_qubit(RunState& state, InstructionId id, QubitId qubit,
-                      const RoutedPath& path, TimePoint now,
+  void retry_pending_routes(Workspace& state, TimePoint now) const;
+  /// The simulator's one route query: Router::route_trap_to_trap into
+  /// state.path, except that a pair on state.blocked_routes fails without
+  /// searching, and a pair whose search fails joins the list.
+  bool route(Workspace& state, TrapId from, TrapId to) const;
+  static void push_event(Workspace& state, const Event& event);
+  /// Takes the resources of state.path and sends `qubit` along it.
+  void dispatch_qubit(Workspace& state, InstructionId id, QubitId qubit,
+                      TimePoint now,
                       Event::Kind arrival_kind = Event::Kind::QubitArrived) const;
 
   /// True when `trap` can host `id`'s operation: unreserved and occupied only
   /// by operand qubits.
-  bool trap_available(const RunState& state, TrapId trap,
+  bool trap_available(const Workspace& state, TrapId trap,
                       const Instruction& instr) const;
 
   /// Target trap for `instr` near `anchor` under options_.trap_selection
   /// (invalid when no trap is available).
-  TrapId find_target_trap(const RunState& state, Position anchor,
+  TrapId find_target_trap(const Workspace& state, Position anchor,
                           const Instruction& instr) const;
 
   /// Nearest empty, unreserved trap to `anchor` (for 1-qubit relocations;
   /// invalid when none exists).
-  TrapId find_empty_trap(const RunState& state, Position anchor) const;
+  TrapId find_empty_trap(const Workspace& state, Position anchor) const;
 
-  Position qubit_position(const RunState& state, QubitId qubit) const;
+  Position qubit_position(const Workspace& state, QubitId qubit) const;
 
   const DependencyGraph* graph_;
   const Fabric* fabric_;
   std::vector<int> rank_;
   ExecutionOptions options_;
   Router router_;
+};
+
+/// Everything one run mutates, kept between runs so their buffers keep
+/// their capacity: once warm, a run allocates only the buffers of the
+/// ExecutionResult it returns. Any simulator (any circuit, fabric or
+/// options) may use a workspace for its next run; each run resets the whole
+/// state first, so nothing carries over, not even from a run that threw.
+/// Thread-confined: one workspace per thread, like the SearchArena it owns.
+class EventSimulator::Workspace {
+ private:
+  friend class EventSimulator;
+
+  /// Qubits in `trap`, in arrival order.
+  [[nodiscard]] std::span<const QubitId> occupants(TrapId trap) const {
+    return {occupant_slots.data() + trap.index() * trap_capacity,
+            occupant_count[trap.index()]};
+  }
+  void add_occupant(TrapId trap, QubitId qubit);
+  void remove_occupant(TrapId trap, QubitId qubit);
+
+  SearchArena<Duration> arena;
+  CongestionState congestion{0, 0};
+  std::vector<TrapId> qubit_trap;  // invalid while in transit
+  // Trap t's occupants fill occupant_slots[t * trap_capacity, +count).
+  std::size_t trap_capacity = 0;
+  std::vector<QubitId> occupant_slots;
+  std::vector<std::size_t> occupant_count;
+  std::vector<InstructionId> trap_reserved_by;
+  std::vector<int> remaining_preds;
+  std::vector<int> pending_arrivals;
+  // (rank, id) of ready instructions, sorted by each issue pass.
+  std::vector<std::pair<int, InstructionId>> ready;
+  std::vector<InstructionId> busy;
+  std::vector<Event> events;  // min-heap on (time, seq)
+  std::uint64_t next_seq = 0;
+  std::size_t done_count = 0;
+  // The timings and the trace move into the run's result. The next run
+  // reserves the last trace's size, so a trace costs one allocation without
+  // the workspace holding a buffer between runs.
+  std::vector<InstructionTiming> timings;
+  Trace trace;
+  std::size_t last_trace_size = 0;
+  ExecutionStats stats;
+  // Operands of issued instructions whose departure is blocked by channel
+  // congestion; they wait in their traps and route when resources free up
+  // (this waiting is the paper's T_congestion in the channels).
+  std::vector<std::pair<InstructionId, QubitId>> pending_routes;
+  // --- return_home_after_gate bookkeeping ---
+  std::vector<TrapId> home_trap;      // per qubit
+  std::vector<TrapId> return_target;  // per qubit, while shuttling home
+  std::vector<int> pending_returns;   // per instruction
+  std::vector<bool> gate_done;        // per instruction (gate op finished)
+  std::vector<std::pair<InstructionId, QubitId>> deferred_returns;
+  // The list a retry pass walks while the live list refills; empty between
+  // passes.
+  std::vector<std::pair<InstructionId, QubitId>> retrying;
+  // (from, to) trap pairs whose route search failed since a segment or
+  // junction last left capacity. A failed search's reachable region is
+  // walled only by full resources and by traps, which it never crosses.
+  // Acquires only shrink that region, and only a resource leaving capacity
+  // can grow it, so until then a listed pair stays unroutable and route()
+  // answers it without searching.
+  std::vector<std::pair<TrapId, TrapId>> blocked_routes;
+  // The last route() result.
+  RoutedPath path;
 };
 
 /// One-shot convenience wrapper.

@@ -1,7 +1,5 @@
 #include "sim/placement.hpp"
 
-#include <map>
-
 #include "common/error.hpp"
 
 namespace qspr {
@@ -26,14 +24,14 @@ bool Placement::is_complete() const {
 }
 
 void Placement::validate(const Fabric& fabric, int trap_capacity) const {
-  std::map<TrapId, int> occupancy;
+  std::vector<int> occupancy(fabric.trap_count(), 0);
   for (std::size_t q = 0; q < traps_.size(); ++q) {
     const TrapId trap = traps_[q];
     if (!trap.is_valid() || trap.index() >= fabric.trap_count()) {
       throw ValidationError("qubit " + std::to_string(q) +
                             " is not placed in a valid trap");
     }
-    if (++occupancy[trap] > trap_capacity) {
+    if (++occupancy[trap.index()] > trap_capacity) {
       throw ValidationError("trap " + std::to_string(trap.value()) +
                             " holds more than " +
                             std::to_string(trap_capacity) + " qubit(s)");

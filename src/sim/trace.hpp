@@ -34,6 +34,8 @@ struct MicroOp {
 class Trace {
  public:
   void add(MicroOp op) { ops_.push_back(op); }
+  void clear() { ops_.clear(); }
+  void reserve(std::size_t ops) { ops_.reserve(ops); }
 
   [[nodiscard]] const std::vector<MicroOp>& ops() const { return ops_; }
   [[nodiscard]] std::size_t size() const { return ops_.size(); }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/time.hpp"
@@ -73,6 +74,36 @@ TEST(FrontierQueueTest, AllKindsPopIdenticalOrderOnAdversarialTies) {
   }
 }
 
+/// One frontier operation of a scripted search: a push of (f, g) for a
+/// fresh node, or a pop (f < 0).
+struct ScriptStep {
+  Duration f;
+  Duration g;
+};
+constexpr ScriptStep kPop{-1, -1};
+
+/// Replays `searches` on one arena of `kind` (begin() before each script,
+/// the frontier drained after it) and returns every popped entry in order.
+std::vector<Entry> replay(
+    FrontierKind kind, const std::vector<std::vector<ScriptStep>>& searches) {
+  SearchArena<Duration> arena;
+  arena.set_frontier(kind);
+  std::vector<Entry> popped;
+  for (const std::vector<ScriptStep>& script : searches) {
+    arena.begin(64);
+    int node = 0;
+    for (const ScriptStep& step : script) {
+      if (step.f < 0) {
+        popped.push_back(arena.heap_pop());
+      } else {
+        arena.heap_push(step.f, step.g, RouteNodeId::from_index(node++));
+      }
+    }
+    for (const Entry& e : drain(arena)) popped.push_back(e);
+  }
+  return popped;
+}
+
 TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
   // Dijkstra-shaped interleaving: each pop may trigger pushes whose keys are
   // bounded below by the *popped* key (not by each other) — including pushes
@@ -117,6 +148,32 @@ TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
   expect_same_entries(popped[0], popped[2], "binary vs dary4");
   for (std::size_t i = 0; i + 1 < popped[0].size(); ++i) {
     EXPECT_LE(popped[0][i].f, popped[0][i + 1].f) << "monotone pop " << i;
+  }
+
+  // Scripted sequences aimed at where the bucket queue's cursor starts and
+  // moves. Every push after a pop is at least the popped key.
+  const std::vector<std::vector<std::vector<ScriptStep>>> scripts = {
+      // The first pushed key is large, then a fresh search on the same
+      // arena starts far below it.
+      {{{900, 880}, kPop, {900, 890}, {903, 895}, kPop, {905, 900}},
+       {{3, 0}, kPop, {4, 1}, {3, 2}}},
+      // Several pushes in descending key order before the first pop; the
+      // pops after it interleave with pushes at and above the popped key.
+      {{{50, 0}, {40, 0}, {30, 0}, {20, 0}, {20, 5}, kPop, {20, 9}, {45, 2},
+        kPop, kPop, {30, 7}, kPop}},
+      // The frontier drains in the middle of an expansion: each pop empties
+      // it, and the expansion then pushes siblings in descending order.
+      {{{10, 0}, kPop, {14, 1}, {12, 2}, {11, 3}, kPop, kPop, kPop, {14, 4},
+        {20, 6}, {16, 5}, kPop, kPop, {16, 7}, kPop, kPop}},
+  };
+  for (std::size_t c = 0; c < scripts.size(); ++c) {
+    const std::vector<Entry> reference =
+        replay(FrontierKind::Binary, scripts[c]);
+    const std::string label = "script " + std::to_string(c);
+    expect_same_entries(reference, replay(FrontierKind::Bucket, scripts[c]),
+                        (label + " bucket").c_str());
+    expect_same_entries(reference, replay(FrontierKind::Dary4, scripts[c]),
+                        (label + " dary4").c_str());
   }
 }
 

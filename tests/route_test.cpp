@@ -200,15 +200,38 @@ TEST_F(RouteTest, EnclosedTargetFailsWithoutSearching) {
   EXPECT_EQ(path->resource_uses.back().resource, right);
 }
 
+void expect_same_path(const RoutedPath& actual, const RoutedPath& expected) {
+  EXPECT_EQ(actual.nodes, expected.nodes);
+  ASSERT_EQ(actual.steps.size(), expected.steps.size());
+  for (std::size_t i = 0; i < expected.steps.size(); ++i) {
+    EXPECT_EQ(actual.steps[i].kind, expected.steps[i].kind) << "step " << i;
+    EXPECT_EQ(actual.steps[i].from, expected.steps[i].from) << "step " << i;
+    EXPECT_EQ(actual.steps[i].to, expected.steps[i].to) << "step " << i;
+    EXPECT_EQ(actual.steps[i].duration, expected.steps[i].duration)
+        << "step " << i;
+  }
+  ASSERT_EQ(actual.resource_uses.size(), expected.resource_uses.size());
+  for (std::size_t i = 0; i < expected.resource_uses.size(); ++i) {
+    const ResourceUse& a = actual.resource_uses[i];
+    const ResourceUse& b = expected.resource_uses[i];
+    EXPECT_EQ(a.resource, b.resource) << "use " << i;
+    EXPECT_EQ(a.enter_offset, b.enter_offset) << "use " << i;
+    EXPECT_EQ(a.exit_offset, b.exit_offset) << "use " << i;
+  }
+}
+
 /// Seeded random loads in [0, capacity] on every resource, then random trap
 /// pairs: route_trap_to_trap must agree with shortest_node_path, which
-/// keeps no shortcut, on whether a route exists and on its node sequence.
+/// keeps no shortcut, on whether a route exists, and its path must equal
+/// lower_path of that node sequence in every field. Every query writes into
+/// one RoutedPath that still holds the previous query's path.
 void expect_router_matches_reference(const Fabric& fabric, std::uint64_t seed,
                                      int trials, int pairs_per_trial) {
   const RoutingGraph graph(fabric);
   const TechnologyParams params;
   const Router router(graph, params);
   SearchArena<Duration> arena;
+  RoutedPath reused;
   Rng rng(seed);
   int enclosed = 0;
   int blocked = 0;
@@ -235,17 +258,20 @@ void expect_router_matches_reference(const Fabric& fabric, std::uint64_t seed,
       };
       const TrapId from = random_trap();
       const TrapId to = random_trap();
-      const auto fast = router.route_trap_to_trap(from, to, congestion, arena);
+      const bool found =
+          router.route_trap_to_trap(from, to, congestion, arena, reused);
       const auto reference =
           router.shortest_node_path(graph.trap_node(from), graph.trap_node(to),
                                     congestion, arena, from);
-      ASSERT_EQ(fast.has_value(), reference.has_value())
+      ASSERT_EQ(found, reference.has_value())
           << "trap " << from.value() << " -> " << to.value();
-      if (fast.has_value()) {
-        EXPECT_EQ(fast->nodes, reference->nodes);
+      if (found) {
+        expect_same_path(reused, lower_path(graph, reference->nodes, params));
         ++routed;
         continue;
       }
+      EXPECT_TRUE(reused.nodes.empty() && reused.steps.empty() &&
+                  reused.resource_uses.empty());
       ++blocked;
       bool all_ports_full = true;
       for (const TrapPort& port : fabric.trap(to).ports) {

@@ -6,10 +6,12 @@
 
 #include "circuit/dependency_graph.hpp"
 #include "common/error.hpp"
+#include "core/mapper.hpp"
 #include "core/placer.hpp"
 #include "core/scheduler.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "fabric/text_io.hpp"
+#include "qecc/codes.hpp"
 #include "qecc/random_circuit.hpp"
 #include "route/routing_graph.hpp"
 #include "sim/event_sim.hpp"
@@ -569,6 +571,144 @@ TEST(SimTraceValidator, DetectsCorruptedTraces) {
   wrong.set(b, fabric.trap_at({1, 3}));
   EXPECT_FALSE(
       validate_trace(result.trace, graph, fabric, wrong, params).empty());
+}
+
+/// Every field of a run reused through a workspace equals the fresh run's.
+/// The workspace run returns its trace in issue order; sorting it gives the
+/// one-shot run's trace.
+void expect_same_run(ExecutionResult reused, const ExecutionResult& fresh,
+                     const std::string& label) {
+  reused.trace.sort_by_time();
+  EXPECT_EQ(reused.latency, fresh.latency) << label;
+  EXPECT_EQ(reused.trace.to_string(), fresh.trace.to_string()) << label;
+  ASSERT_EQ(reused.timings.size(), fresh.timings.size()) << label;
+  for (std::size_t i = 0; i < fresh.timings.size(); ++i) {
+    const InstructionTiming& a = reused.timings[i];
+    const InstructionTiming& b = fresh.timings[i];
+    EXPECT_EQ(a.ready, b.ready) << label << " instruction " << i;
+    EXPECT_EQ(a.issue, b.issue) << label << " instruction " << i;
+    EXPECT_EQ(a.gate_start, b.gate_start) << label << " instruction " << i;
+    EXPECT_EQ(a.gate_end, b.gate_end) << label << " instruction " << i;
+    EXPECT_EQ(a.trap, b.trap) << label << " instruction " << i;
+  }
+  EXPECT_EQ(reused.stats.moves, fresh.stats.moves) << label;
+  EXPECT_EQ(reused.stats.turns, fresh.stats.turns) << label;
+  EXPECT_EQ(reused.stats.total_routing, fresh.stats.total_routing) << label;
+  EXPECT_EQ(reused.stats.total_congestion, fresh.stats.total_congestion)
+      << label;
+  EXPECT_EQ(reused.stats.busy_enqueues, fresh.stats.busy_enqueues) << label;
+  EXPECT_EQ(reused.stats.nodes_settled, fresh.stats.nodes_settled) << label;
+  EXPECT_EQ(reused.initial_placement, fresh.initial_placement) << label;
+  EXPECT_EQ(reused.final_placement, fresh.final_placement) << label;
+}
+
+TEST(SimWorkspace, ReuseCarriesNoStateBetweenRuns) {
+  // One workspace through different circuits, fabrics and options, two runs
+  // that throw part-way, and the first run again: every run must match a
+  // fresh execute_circuit, so no state leaks from one run into the next.
+  EventSimulator::Workspace workspace;
+  const Fabric paper = make_paper_fabric();
+  const RoutingGraph paper_routing(paper);
+  const DependencyGraph encoder =
+      DependencyGraph::build(make_encoder(QeccCode::Q19_1_7));
+  const Placement centre = center_placement(paper, encoder.qubit_count());
+
+  // A paper encoder under QSPR.
+  const ExecutionOptions qspr;
+  const std::vector<int> qspr_rank = make_schedule_rank(encoder, qspr.tech);
+  const EventSimulator qspr_sim(encoder, paper, paper_routing, qspr_rank,
+                                qspr);
+  const ExecutionResult qspr_fresh = execute_circuit(
+      encoder, paper, paper_routing, qspr_rank, centre, qspr);
+  expect_same_run(qspr_sim.run(centre, workspace), qspr_fresh, "QSPR");
+
+  // The same program under QUALE's capacity-1 return-home flow.
+  MapperOptions quale_mapper;
+  quale_mapper.kind = MapperKind::Quale;
+  const ExecutionOptions quale = execution_options_for(quale_mapper);
+  ASSERT_TRUE(quale.return_home_after_gate);
+  ASSERT_EQ(quale.tech.channel_capacity, 1);
+  const std::vector<int> quale_rank = make_schedule_rank(
+      encoder, quale.tech, schedule_options_for(quale_mapper));
+  const EventSimulator quale_sim(encoder, paper, paper_routing, quale_rank,
+                                 quale);
+  expect_same_run(quale_sim.run(centre, workspace),
+                  execute_circuit(encoder, paper, paper_routing, quale_rank,
+                                  centre, quale),
+                  "QUALE");
+
+  // A congestion-aware map on a smaller fabric.
+  const Fabric small = make_quale_fabric({7, 12, 4});
+  const RoutingGraph small_routing(small);
+  const DependencyGraph wide =
+      DependencyGraph::build(make_encoder(QeccCode::Q23_1_7));
+  ExecutionOptions aware;
+  aware.trap_selection = TrapSelectionPolicy::CongestionAware;
+  const std::vector<int> aware_rank = make_schedule_rank(wide, aware.tech);
+  Rng placement_rng(3);
+  const Placement scattered =
+      random_center_placement(small, wide.qubit_count(), placement_rng);
+  const EventSimulator aware_sim(wide, small, small_routing, aware_rank,
+                                 aware);
+  const ExecutionResult aware_fresh = execute_circuit(
+      wide, small, small_routing, aware_rank, scattered, aware);
+  EXPECT_GT(aware_fresh.stats.moves, 0);
+  expect_same_run(aware_sim.run(scattered, workspace), aware_fresh,
+                  "CongestionAware");
+
+  // A run that stalls part-way on a fabric split in two. a cannot leave
+  // b's trap for its 1-qubit gate (no empty trap), so that gate parks in
+  // the busy queue; b's route to c's trap fails, so b waits on the pending
+  // list and the pair (trap 0, trap 1) joins the blocked-route list.
+  const Fabric split = parse_fabric(
+      "J---J.J---J\n"
+      "|T..|.|..T|\n"
+      "J---J.J---J\n");
+  const RoutingGraph split_routing(split);
+  Program trio;
+  const QubitId a = trio.add_qubit("a");
+  const QubitId b = trio.add_qubit("b");
+  const QubitId c = trio.add_qubit("c");
+  trio.add_gate(GateKind::H, a);
+  trio.add_gate(GateKind::CX, b, c);
+  const DependencyGraph trio_graph = DependencyGraph::build(trio);
+  Placement apart(3);
+  apart.set(a, split.traps()[0].id);
+  apart.set(b, split.traps()[0].id);
+  apart.set(c, split.traps()[1].id);
+  const EventSimulator stalling(trio_graph, split, split_routing, {0, 1},
+                                ExecutionOptions{});
+  EXPECT_THROW(stalling.run(apart, workspace), SimulationError);
+
+  // A destination-fixed gate on the tile fabric whose first route query is
+  // the same trap pair, which is routable here.
+  const Fabric tile = make_quale_fabric({2, 2, 4});
+  const RoutingGraph tile_routing(tile);
+  Program duo;
+  duo.add_qubit("a");
+  duo.add_qubit("b");
+  duo.add_gate(GateKind::CX, QubitId(0), QubitId(1));
+  const DependencyGraph duo_graph = DependencyGraph::build(duo);
+  Placement neighbours(2);
+  neighbours.set(QubitId(0), tile.traps()[0].id);
+  neighbours.set(QubitId(1), tile.traps()[1].id);
+  ExecutionOptions fixed;
+  fixed.dual_move = false;
+  const EventSimulator fixed_sim(duo_graph, tile, tile_routing, {0}, fixed);
+  expect_same_run(fixed_sim.run(neighbours, workspace),
+                  execute_circuit(duo_graph, tile, tile_routing, {0},
+                                  neighbours, fixed),
+                  "destination-fixed");
+
+  // A run whose initial placement over-fills a trap.
+  Placement crowded(3);
+  for (const QubitId q : {a, b, c}) crowded.set(q, paper.traps()[0].id);
+  const EventSimulator crowding(trio_graph, paper, paper_routing, {0, 1},
+                                ExecutionOptions{});
+  EXPECT_THROW(crowding.run(crowded, workspace), ValidationError);
+
+  // The first run again.
+  expect_same_run(qspr_sim.run(centre, workspace), qspr_fresh, "QSPR again");
 }
 
 }  // namespace
