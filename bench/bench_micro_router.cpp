@@ -57,14 +57,14 @@ void BM_DijkstraNeighbourTraps(benchmark::State& state) {
 BENCHMARK(BM_DijkstraNeighbourTraps);
 
 // One integer-cost Dijkstra haul per frontier kind (0 = binary heap,
-// 1 = bucket queue, 2 = 4-ary heap). Identical pop order by contract — the
-// spread across rows is the frontier's pure constant factor.
+// 1 = bucket queue), forced through the test hook. Identical pop order by
+// contract — the spread across rows is the frontier's pure constant factor.
 void BM_FrontierQueue(benchmark::State& state) {
   const Fabric& fabric = paper_fabric();
   CongestionState congestion(fabric.segment_count(), fabric.junction_count());
   Router router(paper_routing(), TechnologyParams{});
+  force_frontier_kind(static_cast<FrontierKind>(state.range(0)));
   SearchArena<Duration> arena;
-  arena.set_frontier(static_cast<FrontierKind>(state.range(0)));
   const TrapId from = fabric.traps().front().id;
   const TrapId to = fabric.traps().back().id;
   const std::uint64_t settles_before = arena.settle_count();
@@ -72,12 +72,13 @@ void BM_FrontierQueue(benchmark::State& state) {
     auto path = router.route_trap_to_trap(from, to, congestion, arena);
     benchmark::DoNotOptimize(path);
   }
+  clear_frontier_kind_override();
   state.counters["settles_per_query"] = benchmark::Counter(
       static_cast<double>(arena.settle_count() - settles_before),
       benchmark::Counter::kAvgIterations);
   state.SetLabel(to_string(arena.frontier()));
 }
-BENCHMARK(BM_FrontierQueue)->DenseRange(0, 2);
+BENCHMARK(BM_FrontierQueue)->DenseRange(0, 1);
 
 void BM_QidgBuildAndAnalyses(benchmark::State& state) {
   const Program program = make_encoder(QeccCode::Q23_1_7);

@@ -42,7 +42,6 @@
 #include "common/json.hpp"
 #include "common/net.hpp"
 #include "common/thread_pool.hpp"
-#include "route/landmarks.hpp"
 #include "route/pathfinder.hpp"
 #include "service/batch_mapper.hpp"
 #include "service/corpus.hpp"
@@ -71,11 +70,7 @@ struct PathFinderSample {
   int max_overuse = 0;
   int total_excess = 0;
   int min_feasible_excess = 0;
-  int alt_refreshes = 0;
   Duration total_delay = 0;
-  /// Per-net final path delays, in net order — the bounded-suboptimality
-  /// assertion compares these against the exact run's, net for net.
-  std::vector<Duration> net_delays;
   PathFinderOptions options;
 };
 
@@ -107,10 +102,10 @@ std::vector<NetRequest> central_nets(const Fabric& fabric, int count,
   return nets;
 }
 
-/// Long-haul uncontended pool for the ALT suite: shuffle *every* trap on the
-/// fabric and greedily pair traps at least `min_cells` apart (Manhattan over
-/// cell coordinates), so each net crosses a large fraction of the fabric and
-/// no endpoint repeats. With this few nets the negotiation converges without
+/// Long-haul uncontended pool: shuffle *every* trap on the fabric and
+/// greedily pair traps at least `min_cells` apart (Manhattan over cell
+/// coordinates), so each net crosses a large fraction of the fabric and no
+/// endpoint repeats. With this few nets the negotiation converges without
 /// contention — the regime where per-search guarantees transfer to per-net
 /// delays.
 std::vector<NetRequest> longhaul_nets(const Fabric& fabric, int count,
@@ -212,12 +207,7 @@ PathFinderSample run_pathfinder(const std::string& name,
   sample.max_overuse = result.max_overuse;
   sample.total_excess = result.total_excess;
   sample.min_feasible_excess = result.min_feasible_excess;
-  sample.alt_refreshes = result.alt_refreshes;
   sample.total_delay = result.total_delay;
-  sample.net_delays.reserve(result.paths.size());
-  for (const RoutedPath& path : result.paths) {
-    sample.net_delays.push_back(path.total_delay());
-  }
   return sample;
 }
 
@@ -242,9 +232,7 @@ void write_sample(JsonWriter& json, const PathFinderSample& sample) {
       .field("adaptive_bound", sample.options.adaptive_bound)
       .field("adaptive_schedule", sample.options.adaptive_schedule)
       .field("bidirectional", sample.options.bidirectional)
-      .field("alt_landmarks", sample.options.alt_landmarks)
       .field("heuristic_weight", sample.options.heuristic_weight)
-      .field("alt_refreshes", sample.alt_refreshes)
       .field("total_delay_us", static_cast<long long>(sample.total_delay))
       .end_object();
 }
@@ -255,8 +243,8 @@ std::string speedup_cell(double baseline_ns, double ns) {
 
 /// Perf-gate extractor over a *parsed* baseline BENCH_routing.json: the
 /// `ns_per_query` of the sample with the given name, engine and config,
-/// looked up across every gated suite array (pathfinder_runs, alt_longhaul,
-/// frontier_queue and incremental_remap). Field order and formatting no
+/// looked up across every gated suite array (pathfinder_runs, alt_longhaul
+/// and frontier_queue). Field order and formatting no
 /// longer matter (the shared JSON reader handles both), and a malformed
 /// baseline fails the gate loudly instead of silently matching nothing.
 /// Returns a negative value when the sample is absent.
@@ -264,8 +252,8 @@ double baseline_ns_per_query(const JsonValue& baseline,
                              const std::string& name,
                              const std::string& engine,
                              const std::string& config) {
-  for (const char* suite : {"pathfinder_runs", "alt_longhaul",
-                            "frontier_queue", "incremental_remap"}) {
+  for (const char* suite :
+       {"pathfinder_runs", "alt_longhaul", "frontier_queue"}) {
     const JsonValue* runs = baseline.find(suite);
     if (runs == nullptr || !runs->is_array()) continue;
     for (const JsonValue& sample : runs->items()) {
@@ -368,11 +356,11 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------ frontier-queue ---
   // The integer-cost Router Dijkstra under each frontier kind (binary heap /
-  // monotone bucket queue / 4-ary heap) over a mixed long-haul + local
-  // workload. The kinds pop the identical (f, g, node) order, so path delays
-  // must agree exactly (asserted below); the rows measure the pure
-  // constant-factor difference. The bucket row is the PR-9 acceptance
-  // figure and every row feeds the --smoke perf gate.
+  // monotone bucket queue, forced through the test hook) over a mixed
+  // long-haul + local workload. The kinds pop the identical (f, g, node)
+  // order, so path delays must agree exactly (asserted below); the rows
+  // measure the pure constant-factor difference, and both feed the --smoke
+  // perf gate.
   {
     const Fabric fabric = make_paper_fabric();
     const RoutingGraph graph(fabric);
@@ -397,9 +385,9 @@ int main(int argc, char** argv) {
     json.key("frontier_queue").begin_array();
     Duration reference_delay = -1;
     for (const FrontierKind kind :
-         {FrontierKind::Binary, FrontierKind::Bucket, FrontierKind::Dary4}) {
+         {FrontierKind::Binary, FrontierKind::Bucket}) {
+      force_frontier_kind(kind);
       SearchArena<Duration> arena;
-      arena.set_frontier(kind);
       Duration delay_sum = 0;
       const std::uint64_t settles_before = arena.settle_count();
       const double ns_per_rep = qspr_bench::time_ns_per_rep(reps, [&] {
@@ -410,6 +398,7 @@ int main(int argc, char** argv) {
           delay_sum += path.has_value() ? path->total_delay() : -1;
         }
       });
+      clear_frontier_kind_override();
       const auto settles = static_cast<long long>(
           arena.settle_count() - settles_before);
       const double ns_per_query =
@@ -510,187 +499,17 @@ int main(int argc, char** argv) {
     json.end_array();
   }
 
-  // --------------------------------------------------- incremental remap ---
-  // Warm-start remapping speedup as a function of edit distance: a base net
-  // set is routed cold to convergence once, then each edited variant
-  // (replace d nets) is routed cold and warm (seeded via make_warm_seed from
-  // the converged prior) on identical inputs. Two contracts are enforced
-  // in-process, failing the run with exit code 6 rather than recording a
-  // silently broken table:
-  //   * empty edit (d = 0): the warm run must perform ZERO searches, keep
-  //     every seeded path, and produce node-for-node the cold run's paths
-  //     (the bit-identity contract the serve session API depends on);
-  //   * the warm run must converge wherever the cold run does.
-  // The warm rows feed the --smoke perf gate like every pathfinder suite.
-  {
-    const Fabric fabric = make_paper_fabric();
-    const RoutingGraph graph(fabric);
-    // Disjoint endpoints (structural floor 0) so the base set genuinely
-    // converges — the regime incremental sessions live in; the shared-
-    // endpoint saturated regime never converges and thus never seeds. Load
-    // 16 keeps the central corridors contested (cold runs take ~10
-    // iterations) but below saturation — past ~24 even a one-net edit
-    // shifts the equilibrium globally and every warm run degenerates to
-    // its cold-restart fallback, which benchmarks the fallback, not the
-    // warm path.
-    const int load = 16;
-    const auto base = distinct_nets(fabric, load, 11);
-    const int cold_reps = smoke ? 2 : 25;
-    const int warm_reps = smoke ? 30 : 50;
-
-    // The converged prior every warm run seeds from (routed once, untimed).
-    static PathFinderScratch prior_scratch;
-    const PathFinderResult prior = route_nets_negotiated(
-        graph, params, base, PathFinderOptions{}, prior_scratch);
-    if (!prior.converged) {
-      std::cerr << "incremental_remap: base negotiation did not converge — "
-                   "warm-start speedups against a non-converged prior are "
-                   "meaningless\n";
-      return 6;
-    }
-
-    // Replacement endpoints drawn with a different seed; a candidate equal
-    // to the net it would displace is a zero-distance edit and is skipped.
-    const auto candidates = distinct_nets(fabric, load, 97);
-
-    TextTable table({"Edit", "cold ns/rep", "warm ns/rep", "speedup",
-                     "seeded", "kept", "warm searches", "cold searches"});
-    json.key("incremental_remap").begin_array();
-    for (const int distance : {0, 1, 2, 4, 8}) {
-      std::vector<NetRequest> nets = base;
-      int replaced = 0;
-      for (std::size_t c = 0;
-           c < candidates.size() && replaced < distance; ++c) {
-        NetRequest& slot =
-            nets[nets.size() - 1 - static_cast<std::size_t>(replaced)];
-        if (candidates[c].from == slot.from && candidates[c].to == slot.to) {
-          continue;
-        }
-        slot = candidates[c];
-        ++replaced;
-      }
-      if (replaced != distance) {
-        std::cerr << "incremental_remap: only " << replaced << " of "
-                  << distance << " replacement nets found\n";
-        return 6;
-      }
-      const std::string name =
-          "incremental_remap_d" + std::to_string(distance);
-
-      static PathFinderScratch cold_scratch;
-      PathFinderResult cold;
-      const double cold_ns = qspr_bench::time_ns_per_rep(cold_reps, [&] {
-        cold = route_nets_negotiated(graph, params, nets, PathFinderOptions{},
-                                     cold_scratch);
-      });
-
-      const WarmStartSeed seed = make_warm_seed(
-          base, prior.paths, nets, prior.history, prior.final_present_factor);
-      PathFinderOptions warm_options;
-      warm_options.warm = &seed;
-      static PathFinderScratch warm_scratch;
-      PathFinderResult warm;
-      const double warm_ns = qspr_bench::time_ns_per_rep(warm_reps, [&] {
-        warm = route_nets_negotiated(graph, params, nets, warm_options,
-                                     warm_scratch);
-      });
-
-      if (cold.converged && !warm.converged) {
-        std::cerr << name << ": warm run failed to converge where the cold "
-                     "run did\n";
-        return 6;
-      }
-      if (distance == 0) {
-        bool identical = warm.searches_performed == 0 &&
-                         warm.warm_seeded == load &&
-                         warm.warm_kept == load &&
-                         warm.total_delay == cold.total_delay &&
-                         warm.paths.size() == cold.paths.size();
-        for (std::size_t i = 0; identical && i < cold.paths.size(); ++i) {
-          identical = warm.paths[i].nodes == cold.paths[i].nodes;
-        }
-        if (!identical) {
-          std::cerr << name << ": empty edit is not bit-identical to the "
-                       "cold run (searches=" << warm.searches_performed
-                    << ", kept=" << warm.warm_kept << "/" << load
-                    << ") — the warm-start identity contract is broken\n";
-          return 6;
-        }
-      }
-
-      const auto write_row = [&](const char* config, double ns_per_rep,
-                                 int repetitions,
-                                 const PathFinderResult& result) {
-        const long long queries = static_cast<long long>(nets.size()) *
-                                  result.iterations_used;
-        const double ns_per_query =
-            queries > 0 ? ns_per_rep / static_cast<double>(queries) : 0.0;
-        json.begin_object()
-            .field("name", name)
-            .field("engine", "astar_arena")
-            .field("config", std::string(config))
-            .field("edit_distance", distance)
-            .field("nets", load)
-            .field("repetitions", repetitions)
-            .field("ns_per_rep", ns_per_rep)
-            .field("ns_per_query", ns_per_query)
-            .field("speedup_vs_cold",
-                   ns_per_rep > 0.0 ? cold_ns / ns_per_rep : 0.0)
-            .field("searches_per_rep", result.searches_performed)
-            .field("iterations_used", result.iterations_used)
-            .field("converged", result.converged)
-            .field("warm_seeded", result.warm_seeded)
-            .field("warm_kept", result.warm_kept)
-            .field("warm_restarted", result.warm_restarted)
-            .field("total_delay_us",
-                   static_cast<long long>(result.total_delay))
-            .end_object();
-        PathFinderSample gate_row;
-        gate_row.name = name;
-        gate_row.engine = "astar_arena";
-        gate_row.config = config;
-        gate_row.repetitions = repetitions;
-        gate_row.ns_per_query = ns_per_query;
-        gated_samples.push_back(std::move(gate_row));
-      };
-      write_row("cold", cold_ns, cold_reps, cold);
-      write_row("warm", warm_ns, warm_reps, warm);
-
-      table.add_row({std::to_string(distance), format_fixed(cold_ns, 0),
-                     format_fixed(warm_ns, 0),
-                     speedup_cell(cold_ns, warm_ns),
-                     std::to_string(warm.warm_seeded),
-                     std::to_string(warm.warm_kept),
-                     std::to_string(warm.searches_performed),
-                     std::to_string(cold.searches_performed)});
-    }
-    json.end_array();
-    std::cout << "\nincremental remap (" << load
-              << " nets, warm seeded from the converged prior, empty-edit "
-                 "bit-identity asserted):\n"
-              << table.to_string();
-  }
-
   // -------------------------------------------------- saturated overload ---
   // Heavy contention with distinct endpoints (structural floor 0): the
   // regime where the classic loop burns its iteration cap. Each mechanism
   // of the optimized stack is toggled individually so the ablation lands in
-  // the JSON next to the baseline and the all-on stack. The alt* rows record
-  // the landmark bound honestly: under saturation the searches are walled in
-  // by *present* congestion penalties (up to present_factor_max per unit of
-  // over-use) that no admissible precomputed table may anticipate, so ALT
-  // trims settled nodes by only a few percent while paying a per-node bound
-  // evaluation — the ablation shows the win lives in the weight knob here,
-  // and in the alt_longhaul suite below for the heuristic itself.
+  // the JSON next to the baseline and the all-on stack.
   {
     const Fabric fabric = make_paper_fabric();
     const RoutingGraph graph(fabric);
     const int reps = smoke ? 1 : 5;
     const std::vector<int> loads = smoke ? std::vector<int>{24}
                                          : std::vector<int>{24, 32, 48};
-    const LandmarkTables tables = build_landmark_tables(
-        graph, static_cast<double>(params.t_move),
-        static_cast<double>(params.t_turn), 8);
 
     struct Config {
       const char* name;
@@ -705,13 +524,6 @@ int main(int argc, char** argv) {
       options.bidirectional = bidi;
       return options;
     };
-    const auto alt_with = [&tables](double weight) {
-      PathFinderOptions options;  // the all-on stack plus landmarks
-      options.alt_landmarks = tables.k();
-      options.landmarks = &tables;
-      options.heuristic_weight = weight;
-      return options;
-    };
     const std::vector<Config> configs = {
         {"baseline", baseline_options()},
         {"none", astar_with(false, false, false, false)},
@@ -720,9 +532,6 @@ int main(int argc, char** argv) {
         {"schedule", astar_with(false, false, true, false)},
         {"bidi", astar_with(false, false, false, true)},
         {"all", PathFinderOptions{}},
-        {"alt", alt_with(1.0)},
-        {"alt_w1.1", alt_with(1.1)},
-        {"alt_w1.5", alt_with(1.5)},
     };
 
     TextTable table({"Nets", "Config", "ns/query", "iters", "searches",
@@ -754,43 +563,25 @@ int main(int argc, char** argv) {
               << table.to_string();
   }
 
-  // --------------------------------------------------- ALT long-haul runs ---
-  // Where the landmark bound genuinely earns its keep: long uncontended
-  // hauls across the whole fabric, the regime where the turn-blind grid
-  // bound goes flat on equally-long detours. Unidirectional grid vs ALT on
-  // identical nets isolates the heuristic (same engine, same frontier
-  // discipline); the default bidirectional stack rides along for context.
-  // Two contracts are enforced in-process, failing the run with a distinct
-  // exit code rather than recording a silently broken table:
-  //   * ALT (w = 1.0) must settle >= 1.5x fewer nodes than the grid bound —
-  //     the tentpole acceptance, asserted on every run including --smoke;
-  //   * every weighted row's per-net delay must stay within w x the exact
-  //     row's per-net delay (the bounded-suboptimality contract; the suite
-  //     converges without contention, so the per-search bound applies
-  //     net for net).
+  // ------------------------------------------------------ long-haul runs ---
+  // Long uncontended hauls across the whole fabric, the regime where a
+  // unidirectional search settles most of the fabric before reaching the
+  // target: the unidirectional grid-bound search against the default
+  // bidirectional stack on identical nets. The suite keeps its recorded
+  // name (alt_longhaul) so both rows stay gated against BENCH_routing.json.
   {
     const Fabric fabric = make_paper_fabric();
     const RoutingGraph graph(fabric);
     const auto nets = longhaul_nets(fabric, 8, 48, 11);
     const int reps = smoke ? 30 : 300;
-    // More landmarks than the saturated ablation: long hauls benefit from
-    // directional coverage, and the table build is off the timed path.
-    const LandmarkTables tables = build_landmark_tables(
-        graph, static_cast<double>(params.t_move),
-        static_cast<double>(params.t_turn), 16);
 
     struct Config {
       const char* name;
       bool bidirectional;
-      int landmarks;
-      double weight;
     };
     const std::vector<Config> configs = {
-        {"grid_uni", false, 0, 1.0},
-        {"alt_uni", false, 16, 1.0},
-        {"grid_bidi", true, 0, 1.0},
-        {"alt_uni_w1.1", false, 16, 1.1},
-        {"alt_uni_w1.5", false, 16, 1.5},
+        {"grid_uni", false},
+        {"grid_bidi", true},
     };
 
     TextTable table({"Config", "ns/query", "settled", "delay (us)",
@@ -799,14 +590,10 @@ int main(int argc, char** argv) {
     for (const Config& config : configs) {
       PathFinderOptions options;
       options.bidirectional = config.bidirectional;
-      options.alt_landmarks = config.landmarks;
-      if (config.landmarks > 0) options.landmarks = &tables;
-      options.heuristic_weight = config.weight;
       samples.push_back(run_pathfinder("alt_longhaul", config.name, graph,
                                        params, nets, options, reps));
     }
     const PathFinderSample& grid_uni = samples[0];
-    const PathFinderSample& alt_uni = samples[1];
     json.key("alt_longhaul").begin_array();
     for (const PathFinderSample& sample : samples) {
       table.add_row({sample.config, format_fixed(sample.ns_per_query, 0),
@@ -824,125 +611,7 @@ int main(int argc, char** argv) {
       gated_samples.push_back(sample);
     }
     json.end_array();
-    std::cout << "\nALT long-haul (8 nets, >= 48 cells apart, "
-              << tables.k() << " landmarks):\n"
-              << table.to_string();
-
-    if (3 * alt_uni.nodes_settled > 2 * grid_uni.nodes_settled) {
-      std::cerr << "alt_longhaul: ALT settled " << alt_uni.nodes_settled
-                << " nodes vs grid " << grid_uni.nodes_settled
-                << " — below the required 1.5x reduction\n";
-      return 5;
-    }
-    for (const PathFinderSample& sample : samples) {
-      const double w = sample.options.heuristic_weight;
-      if (w <= 1.0 || sample.net_delays.size() != alt_uni.net_delays.size()) {
-        continue;
-      }
-      for (std::size_t i = 0; i < sample.net_delays.size(); ++i) {
-        const double bound =
-            w * static_cast<double>(alt_uni.net_delays[i]) + 1e-9;
-        if (static_cast<double>(sample.net_delays[i]) > bound) {
-          std::cerr << "alt_longhaul: " << sample.config << " net " << i
-                    << " delay " << sample.net_delays[i] << " exceeds " << w
-                    << " x exact delay " << alt_uni.net_delays[i] << "\n";
-          return 5;
-        }
-      }
-    }
-  }
-
-  // ------------------------------------------------ parallel negotiation ---
-  // Speculative intra-iteration net parallelism on the saturated_overload
-  // nets: the all-on stack at 1/2/4/8 route workers against the serial loop.
-  // The wave protocol commits speculative routes only while the live
-  // penalty landscape still matches the wave snapshot, so results are
-  // bit-identical to the serial loop at every worker count — asserted here
-  // per run ("identical"), with the commit/re-route split recorded so the
-  // acceptance rate of the speculation is visible in the trajectory.
-  {
-    const Fabric fabric = make_paper_fabric();
-    const RoutingGraph graph(fabric);
-    const int reps = smoke ? 1 : 5;
-    const std::vector<int> loads = smoke ? std::vector<int>{24}
-                                         : std::vector<int>{24, 48};
-    std::vector<int> worker_levels;
-    for (const int workers : {1, 2, 4, 8}) {
-      if (workers <= max_jobs || workers == 1) worker_levels.push_back(workers);
-    }
-
-    TextTable table({"Nets", "Route jobs", "ns/rep", "speedup", "commits",
-                     "reroutes", "identical"});
-    json.key("parallel_negotiation").begin_object();
-    json.field("fabric", "paper_45x85");
-    json.field("hardware_concurrency",
-               static_cast<long long>(ThreadPool::default_worker_count()));
-    json.key("runs").begin_array();
-    for (const int load : loads) {
-      const auto nets = distinct_nets(fabric, load, 11);
-      const std::string name =
-          "parallel_negotiation_" + std::to_string(load) + "nets";
-      static PathFinderScratch serial_scratch;
-      PathFinderResult serial;
-      const double serial_ns = qspr_bench::time_ns_per_rep(reps, [&] {
-        serial = route_nets_negotiated(graph, params, nets,
-                                       PathFinderOptions{}, serial_scratch);
-      });
-      for (const int workers : worker_levels) {
-        Executor executor(workers);
-        PathFinderScratchPool pool;
-        PathFinderScratch scratch;
-        PathFinderOptions options;
-        options.route_jobs = workers;
-        PathFinderResult result;
-        const double ns = qspr_bench::time_ns_per_rep(reps, [&] {
-          result = route_nets_negotiated(graph, params, nets, options,
-                                         scratch, executor, pool);
-        });
-        bool identical =
-            result.iterations_used == serial.iterations_used &&
-            result.converged == serial.converged &&
-            result.total_delay == serial.total_delay &&
-            result.total_excess == serial.total_excess &&
-            result.searches_performed == serial.searches_performed &&
-            result.paths.size() == serial.paths.size();
-        for (std::size_t i = 0; identical && i < serial.paths.size(); ++i) {
-          identical = result.paths[i].nodes == serial.paths[i].nodes;
-        }
-        if (!identical) {
-          std::cerr << name << ": route_jobs " << workers
-                    << " diverged from the serial loop — determinism "
-                       "contract broken\n";
-          return 4;
-        }
-        const double speedup = ns > 0.0 ? serial_ns / ns : 0.0;
-        table.add_row({std::to_string(load), std::to_string(workers),
-                       format_fixed(ns, 0), format_fixed(speedup, 2) + "x",
-                       std::to_string(result.speculative_commits),
-                       std::to_string(result.speculative_reroutes),
-                       identical ? "yes" : "NO"});
-        json.begin_object()
-            .field("name", name)
-            .field("nets", load)
-            .field("route_jobs", workers)
-            .field("repetitions", reps)
-            .field("ns_per_rep", ns)
-            .field("serial_ns_per_rep", serial_ns)
-            .field("speedup_vs_serial", speedup)
-            .field("speculative_commits", result.speculative_commits)
-            .field("speculative_reroutes", result.speculative_reroutes)
-            .field("iterations_used", result.iterations_used)
-            .field("converged", result.converged)
-            .field("total_excess", result.total_excess)
-            .field("identical_to_serial", identical)
-            .field("total_delay_us",
-                   static_cast<long long>(result.total_delay))
-            .end_object();
-      }
-    }
-    json.end_array().end_object();
-    std::cout << "\nparallel negotiation (speculative waves, "
-              << "bit-identity asserted per run):\n"
+    std::cout << "\nlong-haul (8 nets, >= 48 cells apart):\n"
               << table.to_string();
   }
 

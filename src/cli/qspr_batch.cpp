@@ -49,14 +49,6 @@ int usage(const char* argv0) {
       << "  --report           attach the PathFinder negotiation diagnostic\n"
       << "                     to every record (a `negotiation` JSONL object\n"
       << "                     per mapped program)\n"
-      << "  --route-jobs <n>   worker threads for the negotiated PathFinder\n"
-      << "                     batches of --report (speculative net\n"
-      << "                     parallelism; default 1, results identical at\n"
-      << "                     any value)\n"
-      << "  --landmarks <n>    ALT landmarks for the negotiated PathFinder\n"
-      << "                     batches of --report (default 8; 0 = grid\n"
-      << "                     bound only; tables build once per distinct\n"
-      << "                     fabric and are shared across records)\n"
       << "  --heuristic-weight <w>\n"
       << "                     bounded-suboptimal negotiated search: paths\n"
       << "                     may cost up to w x optimal (default 1.0 =\n"
@@ -163,14 +155,6 @@ int main(int argc, char** argv) {
         if (jobs < 1) throw Error("--jobs must be at least 1");
       } else if (arg == "--report") {
         map_options.negotiation_report = true;
-      } else if (arg == "--route-jobs") {
-        const int route_jobs = static_cast<int>(parse_integer(next()));
-        if (route_jobs < 1) throw Error("--route-jobs must be at least 1");
-        map_options.route_jobs = route_jobs;
-      } else if (arg == "--landmarks") {
-        const int landmarks = static_cast<int>(parse_integer(next()));
-        if (landmarks < 0) throw Error("--landmarks must be >= 0");
-        map_options.route_landmarks = landmarks;
       } else if (arg == "--heuristic-weight") {
         const double weight = parse_real(next());
         if (weight < 1.0) {

@@ -34,13 +34,6 @@ int usage(const char* argv0) {
       << "  --jobs <n>         worker threads for placement trials (default:\n"
       << "                     hardware concurrency; results are identical\n"
       << "                     at any value)\n"
-      << "  --route-jobs <n>   worker threads for the negotiated PathFinder\n"
-      << "                     batches of --report (speculative net\n"
-      << "                     parallelism; default 1, results identical at\n"
-      << "                     any value)\n"
-      << "  --landmarks <n>    ALT landmarks for the negotiated PathFinder\n"
-      << "                     batches of --report (default 8; 0 = grid\n"
-      << "                     bound only; results identical at any value)\n"
       << "  --heuristic-weight <w>\n"
       << "                     bounded-suboptimal negotiated search: paths\n"
       << "                     may cost up to w x optimal (default 1.0 =\n"
@@ -110,14 +103,6 @@ int main(int argc, char** argv) {
         const int jobs = static_cast<int>(parse_integer(next()));
         if (jobs < 1) throw Error("--jobs must be at least 1");
         options.jobs = jobs;
-      } else if (arg == "--route-jobs") {
-        const int route_jobs = static_cast<int>(parse_integer(next()));
-        if (route_jobs < 1) throw Error("--route-jobs must be at least 1");
-        options.route_jobs = route_jobs;
-      } else if (arg == "--landmarks") {
-        const int landmarks = static_cast<int>(parse_integer(next()));
-        if (landmarks < 0) throw Error("--landmarks must be >= 0");
-        options.route_landmarks = landmarks;
       } else if (arg == "--heuristic-weight") {
         const double weight = parse_real(next());
         if (weight < 1.0) {

@@ -14,30 +14,9 @@ FabricArtifacts::FabricArtifacts(const Fabric& source)
   }
 }
 
-std::shared_ptr<const LandmarkTables> FabricArtifacts::landmark_tables(
-    double t_move, double turn_cost, int k) const {
-  if (k <= 0) return nullptr;
-  const std::lock_guard<std::mutex> lock(landmark_mutex_);
-  auto& entry = landmark_tables_[{t_move, turn_cost, k}];
-  if (entry) {
-    ++landmark_stats_.hits;
-    return entry;
-  }
-  ++landmark_stats_.builds;
-  entry = std::make_shared<const LandmarkTables>(
-      build_landmark_tables(graph, t_move, turn_cost, k));
-  return entry;
-}
-
-LandmarkCacheStats FabricArtifacts::landmark_stats() const {
-  const std::lock_guard<std::mutex> lock(landmark_mutex_);
-  return landmark_stats_;
-}
-
 std::size_t FabricArtifacts::memory_bytes() const {
-  // Estimate, not an exact accounting: the dominant terms are the CSR
-  // routing graph (node records + edge storage) and the landmark tables
-  // (2 * K doubles per node per table set); container overheads are folded
+  // Estimate, not an exact accounting: the dominant term is the CSR routing
+  // graph (node records + edge storage); container overheads are folded
   // into per-element constants.
   std::size_t bytes = sizeof(FabricArtifacts);
   bytes += static_cast<std::size_t>(fabric.rows()) *
@@ -45,14 +24,6 @@ std::size_t FabricArtifacts::memory_bytes() const {
   bytes += graph.node_count() * 32 + graph.edge_count() * 8;
   bytes += traps_near_center.size() * sizeof(TrapId);
   bytes += trap_port_count.size() * sizeof(int);
-  const std::lock_guard<std::mutex> lock(landmark_mutex_);
-  for (const auto& [key, tables] : landmark_tables_) {
-    if (!tables) continue;
-    bytes += sizeof(LandmarkTables) +
-             tables->landmarks.size() * sizeof(RouteNodeId) +
-             (tables->forward.size() + tables->backward.size()) *
-                 sizeof(double);
-  }
   return bytes;
 }
 
@@ -171,19 +142,6 @@ void FabricArtifactCache::enforce_budget_locked(const FabricArtifacts* keep) {
 FabricArtifactCache::Stats FabricArtifactCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-LandmarkCacheStats FabricArtifactCache::landmark_stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  LandmarkCacheStats total;
-  for (const auto& [key, bucket] : entries_) {
-    for (const auto& entry : bucket) {
-      const LandmarkCacheStats stats = entry.artifacts->landmark_stats();
-      total.builds += stats.builds;
-      total.hits += stats.hits;
-    }
-  }
-  return total;
 }
 
 std::size_t FabricArtifactCache::size() const {

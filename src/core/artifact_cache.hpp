@@ -21,25 +21,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "fabric/fabric.hpp"
-#include "route/landmarks.hpp"
 #include "route/routing_graph.hpp"
 
 namespace qspr {
-
-/// Build/hit counters of the lazily-built landmark tables (see
-/// FabricArtifacts::landmark_tables).
-struct LandmarkCacheStats {
-  long long builds = 0;  // table sets constructed (2K Dijkstras each)
-  long long hits = 0;    // requests served from an existing table set
-};
 
 /// Immutable bundle of everything the mapping pipeline derives from one
 /// fabric. Shared const across concurrent jobs.
@@ -58,31 +48,9 @@ struct FabricArtifacts {
   /// residual over-use no router can remove).
   std::vector<int> trap_port_count;
 
-  /// Base-floor ALT landmark tables for (t_move, turn_cost, k), built on
-  /// first request and shared const afterwards — the tables depend only on
-  /// the fabric layout and those three knobs, so every job against this
-  /// fabric reuses one set. The build runs under the per-fabric mutex:
-  /// concurrent first requests (the batch common case — many programs, one
-  /// fabric) block briefly and then hit, so `builds` counts exactly one
-  /// construction per distinct key. Returns nullptr when k <= 0.
-  std::shared_ptr<const LandmarkTables> landmark_tables(double t_move,
-                                                        double turn_cost,
-                                                        int k) const;
-  [[nodiscard]] LandmarkCacheStats landmark_stats() const;
-
   /// Estimated resident bytes of this bundle: fabric grid + routing graph +
-  /// placement tables + every landmark table built so far. Landmark tables
-  /// are built lazily *after* the bundle is cached, so the estimate grows
-  /// over the bundle's lifetime — the budget enforcement recomputes it per
-  /// lookup rather than freezing an insert-time number.
+  /// placement tables.
   [[nodiscard]] std::size_t memory_bytes() const;
-
- private:
-  mutable std::mutex landmark_mutex_;
-  mutable std::map<std::tuple<double, double, int>,
-                   std::shared_ptr<const LandmarkTables>>
-      landmark_tables_;
-  mutable LandmarkCacheStats landmark_stats_;
 };
 
 /// 64-bit FNV-1a fingerprint of the fabric layout (dimensions + cell grid).
@@ -94,8 +62,8 @@ struct FabricArtifacts {
 
 /// Thread-safe fingerprint-keyed cache of FabricArtifacts with an optional
 /// LRU memory budget (set_budget_bytes). Eviction drops the cache's
-/// reference only: jobs holding a shared_ptr to an evicted bundle — and the
-/// landmark tables inside it — keep it alive until they finish.
+/// reference only: jobs holding a shared_ptr to an evicted bundle keep it
+/// alive until they finish.
 class FabricArtifactCache {
  public:
   struct Stats {
@@ -118,8 +86,6 @@ class FabricArtifactCache {
   void set_budget_bytes(std::size_t budget);
 
   [[nodiscard]] Stats stats() const;
-  /// Landmark-table build/hit counters aggregated over every cached fabric.
-  [[nodiscard]] LandmarkCacheStats landmark_stats() const;
   [[nodiscard]] std::size_t size() const;
   void clear();
 

@@ -49,60 +49,24 @@ std::vector<NetRequest> relocation_nets(const Trace& trace,
   return nets;
 }
 
-NegotiationDiagnostics diagnose_negotiation(
-    const FabricArtifacts& artifacts, const TechnologyParams& tech,
-    const Trace& trace, Executor& executor, const MapperOptions& mapper,
-    const CachedMapResult* warm, std::vector<NetRequest>* nets_out,
-    std::vector<RoutedPath>* paths_out,
-    std::vector<double>* history_out = nullptr,
-    double* present_factor_out = nullptr) {
+NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,
+                                            const TechnologyParams& tech,
+                                            const Trace& trace,
+                                            const MapperOptions& mapper) {
   NegotiationDiagnostics diagnostics;
-  diagnostics.route_jobs = mapper.route_jobs;
+  diagnostics.heuristic_weight = mapper.route_heuristic_weight;
   const RoutingGraph& routing_graph = artifacts.graph;
-  std::vector<NetRequest> nets = relocation_nets(trace, routing_graph.fabric());
+  const std::vector<NetRequest> nets =
+      relocation_nets(trace, routing_graph.fabric());
   diagnostics.nets = static_cast<int>(nets.size());
   if (nets.empty()) {
     diagnostics.converged = true;
-    diagnostics.heuristic_weight = mapper.route_heuristic_weight;
-    if (nets_out != nullptr) nets_out->clear();
-    if (paths_out != nullptr) paths_out->clear();
     return diagnostics;
   }
-  // Net-parallel negotiation on the engine's shared executor; bit-identical
-  // to the serial loop at any route_jobs / worker count, so the diagnostic
-  // never depends on how it was parallelised.
   PathFinderOptions options;
-  options.route_jobs = mapper.route_jobs;
-  options.alt_landmarks = mapper.route_landmarks;
   options.heuristic_weight = mapper.route_heuristic_weight;
-  // Landmark tables come from the per-fabric cache, so a batch of programs
-  // against one fabric pays the 2K-Dijkstra build exactly once. Tables must
-  // match the search's base costs (t_move and the turn-aware turn cost —
-  // the same expression route_nets_negotiated uses).
-  std::shared_ptr<const LandmarkTables> landmarks;
-  if (options.alt_landmarks > 0) {
-    const double turn_cost =
-        options.turn_aware ? static_cast<double>(tech.t_turn) : 0.1;
-    landmarks = artifacts.landmark_tables(static_cast<double>(tech.t_move),
-                                          turn_cost, options.alt_landmarks);
-    options.landmarks = landmarks.get();
-  }
-  // Warm start: seed from a converged prior's routed nets plus its ledger
-  // history and final present factor (the negotiation state that makes
-  // edits stable — see WarmStartSeed). Seeding only changes *how much work*
-  // the negotiation does — a prior of the identical net set converges at
-  // iteration 1 with zero searches and bit-identical paths, and an edited
-  // set re-routes only the delta.
-  WarmStartSeed seed;
-  if (warm != nullptr && warm->converged && !warm->nets.empty()) {
-    seed = make_warm_seed(warm->nets, warm->paths, nets, warm->route_history,
-                          warm->route_present_factor);
-    options.warm = &seed;
-  }
-  PathFinderScratch scratch;
-  PathFinderScratchPool pool;
-  PathFinderResult negotiated = route_nets_negotiated(
-      routing_graph, tech, nets, options, scratch, executor, pool);
+  const PathFinderResult negotiated =
+      route_nets_negotiated(routing_graph, tech, nets, options);
   diagnostics.iterations_used = negotiated.iterations_used;
   diagnostics.converged = negotiated.converged;
   diagnostics.overused_resources = negotiated.overused_resources;
@@ -111,20 +75,7 @@ NegotiationDiagnostics diagnose_negotiation(
   diagnostics.min_feasible_excess = negotiated.min_feasible_excess;
   diagnostics.searches_performed = negotiated.searches_performed;
   diagnostics.total_delay = negotiated.total_delay;
-  diagnostics.speculative_commits = negotiated.speculative_commits;
-  diagnostics.speculative_reroutes = negotiated.speculative_reroutes;
-  diagnostics.landmarks_used = negotiated.landmarks_used;
-  diagnostics.heuristic_weight = negotiated.heuristic_weight;
-  diagnostics.alt_refreshes = negotiated.alt_refreshes;
   diagnostics.nodes_settled = negotiated.nodes_settled;
-  diagnostics.warm_seeded = negotiated.warm_seeded;
-  diagnostics.warm_kept = negotiated.warm_kept;
-  if (nets_out != nullptr) *nets_out = std::move(nets);
-  if (paths_out != nullptr) *paths_out = std::move(negotiated.paths);
-  if (history_out != nullptr) *history_out = std::move(negotiated.history);
-  if (present_factor_out != nullptr) {
-    *present_factor_out = negotiated.final_present_factor;
-  }
   return diagnostics;
 }
 
@@ -223,10 +174,6 @@ void MappingEngine::set_cache_budget_bytes(std::size_t budget) {
 MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
   require(job.program != nullptr && job.fabric != nullptr,
           "MapJob needs a program and a fabric");
-  require(job.options.route_jobs >= 1,
-          "MapJob needs at least one route worker (route_jobs >= 1)");
-  require(job.options.route_landmarks >= 0,
-          "MapJob route_landmarks must be >= 0 (0 disables ALT)");
   require(job.options.route_heuristic_weight >= 1.0,
           "MapJob route_heuristic_weight must be >= 1 (1.0 is exact)");
   // A job cancelled (or expired) before staging fails here, before any
@@ -390,25 +337,11 @@ MapResult MappingEngine::finish(PendingMap pending) {
   // it includes time spent interleaved with other jobs' trials.
   result.cpu_ms = state.stopwatch.elapsed_ms();
   if (state.job.options.negotiation_report && result.trace.size() > 0) {
-    std::vector<NetRequest> nets;
-    std::vector<RoutedPath> paths;
-    std::vector<double> history;
-    double present_factor = 0.0;
     result.negotiation = diagnose_negotiation(
-        *state.artifacts, state.exec.tech, result.trace, executor_,
-        state.job.options, state.job.warm.get(), &nets, &paths, &history,
-        &present_factor);
-    result.warm_hits = result.negotiation->warm_kept;
-    result.nets_rerouted =
-        result.negotiation->nets - result.negotiation->warm_kept;
+        *state.artifacts, state.exec.tech, result.trace, state.job.options);
     if (state.job.cache_result && result.negotiation->converged) {
       auto cached = std::make_shared<CachedMapResult>();
       cached->result = result;
-      cached->nets = std::move(nets);
-      cached->paths = std::move(paths);
-      cached->route_history = std::move(history);
-      cached->route_present_factor = present_factor;
-      cached->converged = true;
       result_cache_.insert(result_key(*state.job.program, state.artifacts->fabric,
                                       state.job.options),
                            std::move(cached));

@@ -58,17 +58,9 @@ struct MapJob {
   std::string name;
   CancelToken cancel;
 
-  /// Optional warm-start prior (incremental remapping): when set,
-  /// negotiation_report is on, and the prior converged, the negotiation
-  /// diagnostic seeds from the prior's routed nets (WarmStartSeed) instead
-  /// of routing cold — unchanged nets keep their paths, only the delta is
-  /// searched. Placement and scheduling are unaffected (same determinism
-  /// contract); a null / non-converged prior is exactly a cold job.
-  std::shared_ptr<const CachedMapResult> warm;
-  /// Insert the finished result (with its negotiated nets/paths) into the
-  /// engine's ResultCache when the negotiation diagnostic ran and
-  /// converged. Off by default so batch flows keep their memory profile;
-  /// the serve session path and the incremental bench opt in.
+  /// Insert the finished result into the engine's ResultCache when the
+  /// negotiation diagnostic ran and converged. Off by default so batch
+  /// flows keep their memory profile; the serve session path opts in.
   bool cache_result = false;
 };
 
@@ -87,7 +79,7 @@ class MappingEngine {
   [[nodiscard]] int worker_count() const;
   [[nodiscard]] Executor& executor();
   [[nodiscard]] FabricArtifactCache& artifacts();
-  /// Program-level result cache (exact-resubmission hits + warm priors).
+  /// Program-level result cache (exact-resubmission hits).
   /// Lookups are never transparent: map()/finish() only *insert* (and only
   /// for jobs with cache_result set) — callers decide when a cached result
   /// may substitute for a fresh mapping via result_key()/results().find().

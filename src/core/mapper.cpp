@@ -98,8 +98,6 @@ ScheduleOptions schedule_options_for(const MapperOptions& options) {
 MapResult map_program(const Program& program, const Fabric& fabric,
                       const MapperOptions& options) {
   require(options.jobs >= 1, "mapper needs at least one worker (jobs >= 1)");
-  require(options.route_jobs >= 1,
-          "mapper needs at least one route worker (route_jobs >= 1)");
   // One-shot engine sized to what this job can actually use: trial-parallel
   // flows get min(jobs, trials) workers, single-placement flows stay on the
   // calling thread. Callers mapping many programs should hold a
@@ -113,11 +111,6 @@ MapResult map_program(const Program& program, const Fabric& fabric,
     } else if (options.placer == PlacerKind::Mvfb) {
       workers = std::min(options.jobs, std::max(1, options.mvfb_seeds));
     }
-  }
-  if (options.negotiation_report) {
-    // The negotiation diagnostic batch-routes on the same executor; give
-    // its speculative waves the workers they were asked for.
-    workers = std::max(workers, options.route_jobs);
   }
   MappingEngine engine(workers);
   MapResult result = engine.map(program, fabric, options);

@@ -44,18 +44,6 @@ struct MapperOptions {
   /// placements) concurrently. Mapping results are bit-identical at any
   /// value; must be >= 1.
   int jobs = 1;
-  /// Worker budget for the negotiated PathFinder's speculative
-  /// intra-iteration net parallelism (the wave protocol of
-  /// route/pathfinder.hpp), used wherever the flow batch-routes nets — the
-  /// negotiation diagnostic above all. Results are bit-identical at any
-  /// value; must be >= 1 (1 = serial negotiation loop).
-  int route_jobs = 1;
-  /// ALT landmark count for the negotiated PathFinder batches (the
-  /// negotiation diagnostic and the batch service). Tables are built once
-  /// per distinct fabric via FabricArtifacts::landmark_tables and shared
-  /// across jobs; 0 disables ALT (grid bound only). Results are identical
-  /// at any value — landmarks only prune the search.
-  int route_landmarks = 8;
   /// Bounded-suboptimality knob forwarded to
   /// PathFinderOptions::heuristic_weight: negotiated searches may return
   /// paths up to this factor over the optimal negotiated cost. 1.0 (the
@@ -95,26 +83,10 @@ struct NegotiationDiagnostics {
   /// Total physical delay of the negotiated batch (not part of the mapped
   /// latency; a whole-layer routing figure of merit).
   Duration total_delay = 0;
-  /// Wave-speculation observability (MapperOptions::route_jobs): these
-  /// describe *how* the identical result was computed, and are the only
-  /// fields that may differ across route_jobs values.
-  int route_jobs = 1;
-  long long speculative_commits = 0;
-  long long speculative_reroutes = 0;
-  /// ALT/quality observability (MapperOptions::route_landmarks and
-  /// ::route_heuristic_weight): landmark count the searches ran with, the
-  /// suboptimality weight, mid-negotiation potential-table refreshes, and
-  /// the nodes the searches settled (the figure ALT exists to shrink).
-  int landmarks_used = 0;
+  /// Search-quality observability (MapperOptions::route_heuristic_weight):
+  /// the suboptimality weight and the nodes the searches settled.
   double heuristic_weight = 1.0;
-  int alt_refreshes = 0;
   long long nodes_settled = 0;
-  /// Warm-start observability (engine incremental remapping): nets that
-  /// entered the negotiation pre-routed from a prior result, and how many
-  /// of those survived to convergence untouched. 0/0 on cold runs; part of
-  /// the bit-identity contract (identical at any route_jobs/frontier kind).
-  int warm_seeded = 0;
-  int warm_kept = 0;
 };
 
 struct MapResult {
@@ -149,12 +121,6 @@ struct MapResult {
   /// Present when MapperOptions::negotiation_report was set (and the flow
   /// produced a trace to diagnose).
   std::optional<NegotiationDiagnostics> negotiation;
-  /// Incremental-remapping observability. `warm_hits` counts negotiated nets
-  /// served from a warm seed without a single re-route (the whole net count
-  /// on an exact result-cache hit); `nets_rerouted` counts the nets the
-  /// negotiation actually searched. Cold mappings report 0 / all-nets.
-  int warm_hits = 0;
-  int nets_rerouted = 0;
 };
 
 /// Maps `program` onto `fabric`. Throws ValidationError / SimulationError on

@@ -46,25 +46,11 @@ std::string make_report(const MapResult& result, const Program& program,
     }
     os << "; " << n.searches_performed << " searches, batch delay "
        << n.total_delay << " us";
-    // Search-quality knobs: ALT landmark count (0 = grid bound only), the
-    // bounded-suboptimality weight, the nodes the searches settled, and any
-    // mid-negotiation potential-table refreshes.
-    os << "\n  search: " << n.landmarks_used << " landmark"
-       << (n.landmarks_used == 1 ? "" : "s") << ", heuristic weight "
+    // Search quality: the bounded-suboptimality weight and the nodes the
+    // searches settled.
+    os << "\n  search: heuristic weight "
        << format_fixed(n.heuristic_weight, 2) << ", " << n.nodes_settled
-       << " nodes settled";
-    if (n.alt_refreshes > 0) {
-      os << ", " << n.alt_refreshes << " potential refresh"
-         << (n.alt_refreshes == 1 ? "" : "es");
-    }
-    if (n.route_jobs >= 2) {
-      // How the identical result was computed: committed speculations vs
-      // commit-time re-routes of the wave protocol.
-      os << " (" << n.route_jobs << " route workers: "
-         << n.speculative_commits << " speculative commits, "
-         << n.speculative_reroutes << " re-routes)";
-    }
-    os << "\n";
+       << " nodes settled\n";
   }
 
   const DependencyGraph graph = DependencyGraph::build(program);

@@ -70,7 +70,6 @@ std::uint64_t mapper_options_fingerprint(const MapperOptions& options) {
   mix(hash, static_cast<std::uint64_t>(options.mvfb_seeds));
   mix(hash, static_cast<std::uint64_t>(options.monte_carlo_trials));
   mix(hash, options.rng_seed);
-  mix(hash, static_cast<std::uint64_t>(options.route_landmarks));
   mix(hash, double_bits(options.route_heuristic_weight));
   mix(hash, options.negotiation_report ? 1 : 0);
   mix_optional(hash, options.turn_aware);
@@ -86,13 +85,6 @@ std::size_t CachedMapResult::memory_bytes() const {
   std::size_t bytes = sizeof(CachedMapResult);
   bytes += result.trace.size() * sizeof(MicroOp);
   bytes += result.timings.size() * sizeof(InstructionTiming);
-  bytes += nets.size() * sizeof(NetRequest);
-  bytes += route_history.size() * sizeof(double);
-  for (const RoutedPath& path : paths) {
-    bytes += sizeof(RoutedPath) + path.nodes.size() * sizeof(RouteNodeId) +
-             path.steps.size() * sizeof(PathStep) +
-             path.resource_uses.size() * sizeof(ResourceUse);
-  }
   return bytes;
 }
 

@@ -1,19 +1,14 @@
-// Program-level mapping result cache: the second half of the warm-start
-// story (beside FabricArtifactCache, which shares per-fabric structures).
+// Program-level mapping result cache (beside FabricArtifactCache, which
+// shares per-fabric structures).
 //
-// A service absorbing interactive traffic sees near-duplicate circuits —
-// resubmissions, and incremental edits against an open session. The cache
-// keys on a fingerprint of the program's instruction sequence (in program
-// order, since reordering even independent gates can change the mapped
-// result), the fabric-layout fingerprint, and a
-// fingerprint of the *contractual* mapper options — the knobs that change
-// the mapped result, deliberately excluding jobs/route_jobs, which are
-// bit-identity-neutral by the PR-2 determinism contract.
-//
-// Each entry carries the MapResult plus the negotiated net list and routed
-// paths of its diagnostic batch, so an edited successor circuit can seed
-// route_nets_negotiated (WarmStartSeed) from the prior instead of routing
-// cold. Exact resubmission is a pure hit: no placement, no routing.
+// A service absorbing interactive traffic sees duplicate circuits —
+// resubmissions against an open session. The cache keys on a fingerprint of
+// the program's instruction sequence (in program order, since reordering
+// even independent gates can change the mapped result), the fabric-layout
+// fingerprint, and a fingerprint of the *contractual* mapper options — the
+// knobs that change the mapped result, deliberately excluding jobs, which
+// is bit-identity-neutral by the trial-parallel determinism contract. Exact
+// resubmission is a pure hit: no placement, no routing.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +19,6 @@
 
 #include "circuit/program.hpp"
 #include "core/mapper.hpp"
-#include "route/pathfinder.hpp"
 
 namespace qspr {
 
@@ -37,29 +31,17 @@ namespace qspr {
 
 /// Fingerprint of the MapperOptions fields that are contractual for the
 /// mapped result: kind, technology parameters, priorities, placer and trial
-/// budgets, rng_seed, route_landmarks, route_heuristic_weight,
-/// negotiation_report, and the ablation overrides. jobs/route_jobs are
-/// excluded — results are bit-identical at any value.
+/// budgets, rng_seed, route_heuristic_weight, negotiation_report, and the
+/// ablation overrides. jobs is excluded — results are bit-identical at any
+/// value.
 [[nodiscard]] std::uint64_t mapper_options_fingerprint(
     const MapperOptions& options);
 
-/// A finished mapping plus the negotiated routing state a successor can warm
-/// from. `nets`/`paths` are the parallel vectors of the negotiation
-/// diagnostic batch (empty when the job ran without negotiation_report);
-/// `converged` gates seeding — only a converged prior leaves clean
-/// occupancy worth keeping.
+/// A finished mapping, as the cache holds it.
 struct CachedMapResult {
   MapResult result;
-  std::vector<NetRequest> nets;
-  std::vector<RoutedPath> paths;
-  /// Prior negotiation state (ledger history table and final present
-  /// factor) carried into the successor's WarmStartSeed — paths alone are
-  /// unstable under edits (see WarmStartSeed).
-  std::vector<double> route_history;
-  double route_present_factor = 0.0;
-  bool converged = false;
 
-  /// Estimated resident bytes (trace, timings, nets, paths).
+  /// Estimated resident bytes (trace, timings).
   [[nodiscard]] std::size_t memory_bytes() const;
 };
 

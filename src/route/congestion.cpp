@@ -35,7 +35,6 @@ void CongestionLedger::begin_iteration(double present_factor,
 
 void CongestionLedger::acquire(std::size_t index) {
   const int occupancy = ++occupancy_[index];
-  if (speculating_) update_divergence(index, occupancy - 1, occupancy);
   if (occupancy > capacity(index) && overused_pos_[index] < 0) {
     overused_pos_[index] = static_cast<std::int32_t>(overused_.size());
     overused_.push_back(static_cast<std::uint32_t>(index));
@@ -44,7 +43,6 @@ void CongestionLedger::acquire(std::size_t index) {
 
 void CongestionLedger::release(std::size_t index) {
   const int occupancy = --occupancy_[index];
-  if (speculating_) update_divergence(index, occupancy + 1, occupancy);
   if (occupancy <= capacity(index) && overused_pos_[index] >= 0) {
     const std::int32_t pos = overused_pos_[index];
     const std::uint32_t last = overused_.back();
@@ -62,25 +60,6 @@ void CongestionLedger::release(std::size_t index) {
   }
 }
 
-void CongestionLedger::begin_speculation() {
-  speculation_base_ = occupancy_;  // copy-assign reuses capacity per wave
-  diverged_count_ = 0;
-  speculating_ = true;
-}
-
-void CongestionLedger::end_speculation() { speculating_ = false; }
-
-void CongestionLedger::update_divergence(std::size_t index, int old_occupancy,
-                                         int new_occupancy) {
-  // Penalties within one iteration depend on occupancy alone, and two
-  // occupancies price identically iff equal or both below capacity.
-  const int base = speculation_base_[index];
-  const int cap = capacity(index);
-  const bool was = old_occupancy != base && std::max(old_occupancy, base) >= cap;
-  const bool now = new_occupancy != base && std::max(new_occupancy, base) >= cap;
-  diverged_count_ += static_cast<int>(now) - static_cast<int>(was);
-}
-
 void CongestionLedger::mark_structural(
     const std::vector<std::uint32_t>& indices) {
   if (indices.empty()) return;
@@ -88,25 +67,12 @@ void CongestionLedger::mark_structural(
   for (const std::uint32_t index : indices) structural_[index] = 1;
 }
 
-void CongestionLedger::seed_history(const std::vector<double>& history) {
-  require(history.size() == history_.size(),
-          "history seed size does not match the resource table");
-  history_ = history;
-  max_history_ = 0.0;
-  for (const double value : history_) {
-    max_history_ = std::max(max_history_, value);
-  }
-}
-
 CongestionLedger::OveruseSummary CongestionLedger::charge_history(
     double history_increment) {
   OveruseSummary summary;
   summary.overused = static_cast<int>(overused_.size());
   for (const std::uint32_t index : overused_) {
-    if (!is_structural(index)) {
-      history_[index] += history_increment;
-      max_history_ = std::max(max_history_, history_[index]);
-    }
+    if (!is_structural(index)) history_[index] += history_increment;
     const int excess = occupancy_[index] - capacity(index);
     summary.max_overuse = std::max(summary.max_overuse, excess);
     summary.total_excess += excess;

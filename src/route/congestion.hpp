@@ -71,29 +71,6 @@ class CongestionLedger {
   [[nodiscard]] double history(std::size_t index) const {
     return history_[index];
   }
-  /// Largest accumulated history over all resources. History only grows
-  /// within one negotiation, so (1 + history) per-resource prices baked into
-  /// a landmark table at any point stay admissible for the rest of the run;
-  /// this maximum is the cheap growth signal the ALT refresh trigger
-  /// (PathFinderOptions::alt_refresh_threshold) compares against. Maintained
-  /// in charge_history, O(delta set).
-  [[nodiscard]] double max_history() const { return max_history_; }
-
-  /// The whole history table, in dense resource order. Exported into a
-  /// warm-start seed so a follow-up negotiation resumes the prior run's
-  /// equilibrium pressure instead of replaying the whole fight from
-  /// iteration 1 (a converged solution is only an equilibrium *under its
-  /// history*: re-routing any net without it reverts to greedy shortest
-  /// paths and the cascade destroys the seed).
-  [[nodiscard]] const std::vector<double>& history_table() const {
-    return history_;
-  }
-
-  /// Seeds the history table from a prior run's history_table() export and
-  /// recomputes max_history. Call before the first negotiation iteration;
-  /// a size mismatch (different fabric) is rejected by the caller.
-  void seed_history(const std::vector<double>& history);
-
   [[nodiscard]] bool is_overused(std::size_t index) const {
     return overused_pos_[index] >= 0;
   }
@@ -103,18 +80,6 @@ class CongestionLedger {
   /// above capacity. Uses the present factor of the current iteration.
   [[nodiscard]] double entering_penalty(std::size_t index) const {
     const int over = occupancy_[index] + 1 - capacity(index);
-    const double present =
-        over > 0 ? 1.0 + static_cast<double>(over) * present_factor_ : 1.0;
-    return present * (1.0 + history_[index]);
-  }
-
-  /// entering_penalty() as it would read after one release() of the
-  /// resource. The speculative wave workers of the parallel PathFinder use
-  /// this to price their own net's rip-up against an immutable snapshot
-  /// ledger, reproducing exactly the value the serial loop's release +
-  /// refresh sequence computes.
-  [[nodiscard]] double entering_penalty_after_release(std::size_t index) const {
-    const int over = occupancy_[index] - capacity(index);
     const double present =
         over > 0 ? 1.0 + static_cast<double>(over) * present_factor_ : 1.0;
     return present * (1.0 + history_[index]);
@@ -163,54 +128,13 @@ class CongestionLedger {
   /// set, not the whole table.
   OveruseSummary charge_history(double history_increment);
 
-  // --- speculation divergence tracking (wave protocol of the parallel
-  // --- PathFinder) ---
-  //
-  // begin_speculation() pins the *current* occupancy table as the wave
-  // snapshot base; every acquire()/release() afterwards maintains, in O(1),
-  // the set of resources whose entering penalty now *differs* from the
-  // snapshot's. Within one iteration history and the present factor are
-  // fixed, so two occupancies price identically iff they are equal or both
-  // strictly below capacity — divergence is therefore exactly
-  //     occupancy != snapshot && max(occupancy, snapshot) >= capacity,
-  // an integer test, never a floating-point comparison. diverged_count()==0
-  // means the whole penalty landscape is byte-identical to the snapshot the
-  // wave workers searched against: a speculative path can be committed as
-  // the path the serial loop would have produced. The set is self-healing
-  // (a rip-up that restores the snapshot occupancy removes the divergence),
-  // so later nets in a wave can re-qualify after an earlier conflict.
-
-  /// Starts tracking divergence against the current state. O(resources).
-  void begin_speculation();
-  /// Stops tracking (acquire/release return to their serial cost).
-  void end_speculation();
-  [[nodiscard]] bool speculating() const { return speculating_; }
-  /// Resources whose entering penalty differs from the speculation base.
-  [[nodiscard]] int diverged_count() const { return diverged_count_; }
-  /// Per-resource divergence query (the wave conflict test; only meaningful
-  /// while speculating).
-  [[nodiscard]] bool diverged(std::size_t index) const {
-    if (!speculating_) return false;
-    const int base = speculation_base_[index];
-    const int occupancy = occupancy_[index];
-    return occupancy != base && std::max(occupancy, base) >= capacity(index);
-  }
-
  private:
-  void update_divergence(std::size_t index, int old_occupancy,
-                         int new_occupancy);
-
   std::vector<int> occupancy_;
   std::vector<double> history_;
-  double max_history_ = 0.0;
   /// Position of each resource inside overused_, -1 when not over capacity.
   std::vector<std::int32_t> overused_pos_;
   std::vector<std::uint32_t> overused_;
   std::vector<std::uint8_t> structural_;  // sized lazily by mark_structural
-  /// Occupancy table pinned by begin_speculation (the wave snapshot base).
-  std::vector<int> speculation_base_;
-  int diverged_count_ = 0;
-  bool speculating_ = false;
   std::size_t segment_count_;
   int segment_capacity_;
   int junction_capacity_;

@@ -9,14 +9,6 @@
 // consistent: a move edge (weight >= t_move) lowers the bound by at most
 // t_move, and a turn edge (weight == turn_cost) by at most turn_cost, so
 // settled nodes are never re-expanded.
-//
-// The unidirectional PathFinder search combines this bound by max with the
-// ALT landmark bound (route/landmarks.hpp) when landmarks are enabled: a
-// max of admissible-and-consistent bounds is itself admissible and
-// consistent, so the stronger of the two prunes at every node without
-// giving up exactness. The grid bound stays the only potential of the
-// bidirectional frontiers — the one-sided ALT bound measurably *grows*
-// balanced bidirectional searches (see pathfinder.cpp).
 #pragma once
 
 #include <cstdlib>

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/executor.hpp"
 #include "route/heuristic.hpp"
 #include "route/search_arena.hpp"
 
@@ -82,12 +81,6 @@ void NodeWeightCache::refresh_resource(const CongestionLedger& ledger,
   }
 }
 
-void NodeWeightCache::apply_weight(std::size_t index, double weight) {
-  for (const std::uint32_t n : resource_nodes[index]) {
-    node_weight[n] = weight;
-  }
-}
-
 namespace {
 
 /// One negotiated-cost Dijkstra — the reference engine. Runs over the shared
@@ -146,16 +139,12 @@ std::optional<std::vector<RouteNodeId>> route_one_reference(
 }
 
 /// Physics of one optimized search: base move/turn selection costs plus the
-/// admissible congestion floor of the current iteration, the (already
-/// validity-checked) ALT tables, and the bounded-suboptimality weight.
+/// admissible congestion floor of the current iteration and the
+/// bounded-suboptimality weight.
 struct SearchCosts {
   double t_move = 0.0;
   double turn_cost = 0.0;
   double floor = 1.0;
-  /// ALT tables whose build floor is <= `floor` (admissible for this
-  /// search), or null for the grid bound alone. Selected per query by the
-  /// negotiation loop, never inside the search.
-  const LandmarkTables* alt = nullptr;
   /// Heuristic inflation w >= 1: the frontier is ordered by g + w*h, so the
   /// returned path costs <= w * optimal. Exactly 1.0 leaves every f-value
   /// bit-identical to the unweighted search.
@@ -182,28 +171,16 @@ bool route_one_astar(const RoutingGraph& graph,
   }
 
   const Position target_cell = graph.node(target).cell;
-  // ALT endpoint slices, hoisted: each bound evaluation reads the node's
-  // two contiguous K-vectors against these fixed target vectors.
-  const int alt_k = costs.alt ? costs.alt->k() : 0;
-  const double* target_fwd =
-      alt_k ? costs.alt->forward_row(target.index()) : nullptr;
-  const double* target_bwd =
-      alt_k ? costs.alt->backward_row(target.index()) : nullptr;
-  const auto bound = [&](RouteNodeId id, const RouteNode& node) {
-    double h = congestion_scaled_bound(node, target_cell, costs.t_move,
-                                       costs.turn_cost, costs.floor,
-                                       /*moves_end_in_trap=*/true);
-    if (alt_k) {
-      h = std::max(h, alt_lower_bound(costs.alt->forward_row(id.index()),
-                                      costs.alt->backward_row(id.index()),
-                                      target_fwd, target_bwd, alt_k));
-    }
-    return h * costs.weight;
+  const auto bound = [&](const RouteNode& node) {
+    return congestion_scaled_bound(node, target_cell, costs.t_move,
+                                   costs.turn_cost, costs.floor,
+                                   /*moves_end_in_trap=*/true) *
+           costs.weight;
   };
 
   arena.begin(graph.node_count());
   arena.relax(source, 0.0, RouteNodeId::invalid());
-  arena.heap_push(bound(source, graph.node(source)), 0.0, source);
+  arena.heap_push(bound(graph.node(source)), 0.0, source);
 
   bool reached = false;
   while (!arena.heap_empty()) {
@@ -236,8 +213,8 @@ bool route_one_astar(const RoutingGraph& graph,
       const double candidate = entry.g + weight;
       if (candidate < arena.dist(edge.to)) {
         arena.relax(edge.to, candidate, entry.node);
-        arena.heap_push(candidate + bound(edge.to, graph.node(edge.to)),
-                        candidate, edge.to);
+        arena.heap_push(candidate + bound(graph.node(edge.to)), candidate,
+                        edge.to);
       }
     }
   }
@@ -284,17 +261,6 @@ bool route_one_bidirectional(const RoutingGraph& graph,
   // inflating it would make reduced edge costs negative and break the
   // settled-frontier invariant; the suboptimality knob instead scales the
   // termination test below.
-  //
-  // The balanced potential deliberately ignores costs.alt. A stronger
-  // one-sided bound does not make balanced bidirectional search cheaper:
-  // mixing the near-exact landmark bound into either (or both) sides was
-  // measured to *grow* the settled set on long hauls — a corner-to-corner
-  // paper-fabric net settles 268 nodes with the grid potential but 601
-  // (ALT both sides), 1206 (forward only), and 518 (backward only),
-  // because the sharper potential collapses f-values along every
-  // near-optimal corridor and delays the heap-top termination test, while
-  // the same tables cut the unidirectional search 3.4x. ALT therefore
-  // focuses the unidirectional engine only.
   const auto potential = [&](const RouteNode& node) {
     const double h_forward = congestion_scaled_bound(
         node, target_cell, t_move, turn_cost, floor,
@@ -509,36 +475,19 @@ int structural_excess_floor(const RoutingGraph& graph,
   return std::max(max_single, disjoint_sum);
 }
 
-/// One wave worker's output for one net: the path it found against the wave
-/// snapshot (and its dense resource set), or routed == false when the
-/// snapshot state admits no route at all.
-struct SpeculativeNet {
-  bool routed = false;
-  RoutedPath path;
-  std::vector<std::uint32_t> resources;
-  /// Nodes the speculative search settled; added to the result only when
-  /// the path commits (the committed search *is* the serial search, so the
-  /// aggregate stays bit-identical at any route_jobs).
-  long long settled = 0;
-};
+}  // namespace
 
-PathFinderResult route_nets_negotiated_impl(
-    const RoutingGraph& graph, const TechnologyParams& params,
-    const std::vector<NetRequest>& nets, const PathFinderOptions& options,
-    PathFinderScratch& scratch, Executor* executor,
-    PathFinderScratchPool* pool) {
+PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
+                                       const TechnologyParams& params,
+                                       const std::vector<NetRequest>& nets,
+                                       const PathFinderOptions& options,
+                                       PathFinderScratch& scratch) {
   params.validate();
   require(options.max_iterations >= 1, "need at least one iteration");
   require(options.bidirectional_min_cells >= 0,
           "bidirectional_min_cells must be non-negative");
   require(options.present_factor_max > 0.0,
           "present_factor_max must be positive");
-  require(options.route_jobs >= 1, "route_jobs must be at least 1");
-  require(options.route_wave_size >= 0,
-          "route_wave_size must be non-negative");
-  require(options.alt_landmarks >= 0, "alt_landmarks must be non-negative");
-  require(options.alt_refresh_threshold > 1.0,
-          "alt_refresh_threshold must be > 1");
   require(options.heuristic_weight >= 1.0,
           "heuristic_weight must be >= 1 (1.0 is the exact search)");
 
@@ -547,6 +496,7 @@ PathFinderResult route_nets_negotiated_impl(
                           params.channel_capacity, params.junction_capacity);
   PathFinderResult result;
   result.paths.resize(nets.size());
+  result.heuristic_weight = options.heuristic_weight;
 
   const bool optimized = options.engine == PathFinderEngine::AStarArena;
   // Arena state shared across all nets and all negotiation iterations (and,
@@ -563,55 +513,6 @@ PathFinderResult route_nets_negotiated_impl(
   std::vector<std::uint8_t>& dirty = scratch.net_dirty;
   dirty.assign(nets.size(), 1);  // every net routes in iteration 1
 
-  // --- warm start: seed prior paths, dirty-list only the delta ------------
-  // Seeded nets enter pre-routed (occupancy acquired before iteration 1)
-  // and come off the worklist; a second pass re-dirties any seeded net whose
-  // path crosses a resource that is over-used under the *combined* seed
-  // occupancy (its congestion neighbourhood changed). Seeding requires the
-  // dirty worklist, so the seed is ignored without partial_ripup.
-  const WarmStartSeed* warm =
-      (options.warm != nullptr && options.partial_ripup &&
-       options.warm->paths.size() == nets.size())
-          ? options.warm
-          : nullptr;
-  std::vector<std::uint8_t> warm_kept_flags;
-  if (warm != nullptr) {
-    // Resume the prior equilibrium's pricing: without its history the
-    // dirtied delta re-routes against iteration-1 costs, undercuts the
-    // corridors the prior negotiation priced it out of, and the over-use
-    // cascade rips up the whole seed (see WarmStartSeed).
-    if (warm->history.size() == ledger.size()) {
-      ledger.seed_history(warm->history);
-    }
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      const RoutedPath& seed = warm->paths[i];
-      if (seed.nodes.empty() || nets[i].from == nets[i].to) continue;
-      if (seed.nodes.front() != graph.trap_node(nets[i].from) ||
-          seed.nodes.back() != graph.trap_node(nets[i].to)) {
-        continue;  // endpoints changed: this net routes cold
-      }
-      result.paths[i] = seed;
-      collect_resources(result.paths[i], ledger, membership,
-                        net_resources[i]);
-      for (const std::uint32_t index : net_resources[i]) {
-        ledger.acquire(index);
-      }
-      dirty[i] = 0;
-      ++result.warm_seeded;
-    }
-    warm_kept_flags.assign(nets.size(), 0);
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      if (dirty[i]) continue;
-      warm_kept_flags[i] = 1;
-      for (const std::uint32_t index : net_resources[i]) {
-        if (ledger.is_overused(index)) {
-          dirty[i] = 1;
-          break;
-        }
-      }
-    }
-  }
-
   if (options.adaptive_schedule) {
     std::vector<std::uint32_t> structural;
     result.min_feasible_excess = structural_excess_floor(
@@ -622,95 +523,61 @@ PathFinderResult route_nets_negotiated_impl(
   const SearchCosts base_costs{
       static_cast<double>(params.t_move),
       options.turn_aware ? static_cast<double>(params.t_turn) : 0.1, 1.0,
-      nullptr, options.heuristic_weight};
+      options.heuristic_weight};
   NodeWeightCache& weights = scratch.weights;
   if (optimized) weights.build(graph, ledger);
-  result.heuristic_weight = options.heuristic_weight;
 
-  // --- ALT landmark bounds (optimized engine only) ------------------------
-  // Base (floor 1) tables come from the caller (the per-fabric cache) or
-  // are built here; a history-priced rebuild over the *same* landmark set
-  // may be triggered per iteration once the accumulated congestion history
-  // outgrows the refresh threshold. History only grows within a run, so a
-  // rebuilt table stays valid for the rest of the negotiation — no
-  // per-query fallback needed.
-  const bool use_alt = optimized && options.alt_landmarks > 0;
-  const LandmarkTables* alt_base = nullptr;
-  scratch.alt_refreshed.landmarks.clear();
-  bool alt_refreshed_active = false;
-  double alt_table_strength = 1.0;
-  if (use_alt) {
-    if (options.landmarks != nullptr && !options.landmarks->empty()) {
-      alt_base = options.landmarks;
-      require(alt_base->forward.size() ==
-                  graph.node_count() * alt_base->landmarks.size(),
-              "prebuilt landmark tables do not match this graph");
-      require(alt_base->t_move == base_costs.t_move &&
-                  alt_base->turn_cost == base_costs.turn_cost,
-              "prebuilt landmark tables were built for different costs");
-      require(alt_base->floor == 1.0,
-              "prebuilt landmark tables must be base (floor 1) tables");
-    } else {
-      build_landmark_tables(graph, base_costs.t_move, base_costs.turn_cost,
-                            1.0,
-                            select_landmarks(graph, base_costs.t_move,
-                                             base_costs.turn_cost,
-                                             options.alt_landmarks, arena),
-                            arena, scratch.alt_base);
-      alt_base = &scratch.alt_base;
+  // Rips net i up, re-routes it against the *other* nets' present
+  // congestion plus the history costs, and re-inserts it. At iteration 1
+  // every occupancy set is empty, so the rip is a no-op.
+  const auto reroute_net = [&](std::size_t i) {
+    for (const std::uint32_t index : net_resources[i]) {
+      ledger.release(index);
+      if (optimized) weights.refresh_resource(ledger, index);
     }
-    result.landmarks_used = alt_base->k();
-  }
-  // Freshest valid tables. Reads only state mutated at the serial iteration
-  // start, so the wave workers may call it concurrently.
-  const auto select_alt = [&]() -> const LandmarkTables* {
-    if (!use_alt) return nullptr;
-    return alt_refreshed_active ? &scratch.alt_refreshed : alt_base;
+    ++result.searches_performed;
+    bool routed = false;
+    if (optimized) {
+      SearchCosts costs = base_costs;
+      if (options.adaptive_bound) costs.floor = ledger.penalty_floor();
+      const bool long_query =
+          options.bidirectional &&
+          manhattan_cells(graph, nets[i].from, nets[i].to) >=
+              options.bidirectional_min_cells;
+      routed = long_query
+                   ? route_one_bidirectional(graph, weights, costs,
+                                             nets[i].from, nets[i].to, arena,
+                                             node_buffer,
+                                             result.nodes_settled)
+                   : route_one_astar(graph, weights, costs, nets[i].from,
+                                     nets[i].to, arena, node_buffer,
+                                     result.nodes_settled);
+    } else {
+      auto nodes = route_one_reference(graph, params, ledger,
+                                       options.turn_aware, nets[i].from,
+                                       nets[i].to, arena,
+                                       result.nodes_settled);
+      routed = nodes.has_value();
+      if (routed) node_buffer = std::move(*nodes);
+    }
+    if (!routed) {
+      throw RoutingError("PathFinder: net " + std::to_string(i) +
+                         " has no route on this fabric");
+    }
+    result.paths[i].nodes = node_buffer;
+    lower_path(graph, params, result.paths[i]);
+    collect_resources(result.paths[i], ledger, membership, net_resources[i]);
+    for (const std::uint32_t index : net_resources[i]) {
+      ledger.acquire(index);
+      if (optimized) weights.refresh_resource(ledger, index);
+    }
   };
 
-  // --- speculative wave state (route_jobs >= 2 on an executor) ------------
-  // Speculation is an optimized-engine mechanism: the reference engine
-  // always runs the serial loop. A 1-worker executor cannot overlap
-  // anything, so it runs the serial loop too instead of paying for
-  // speculations it would mostly re-route; likewise a 1-net worklist is
-  // routed serially — the first net of a wave always commits, so there is
-  // nothing to overlap. None of these gates is observable in the result.
-  const bool speculative =
-      executor != nullptr && pool != nullptr && optimized &&
-      options.route_jobs >= 2 && executor->worker_count() >= 2;
-  const int wave_workers = speculative ? executor->worker_count() : 0;
-  if (speculative) pool->grow_to(static_cast<std::size_t>(wave_workers));
-  // Immutable per-wave copy of the ledger the workers search against;
-  // copy-assigned per wave so its buffers are reused.
-  std::optional<CongestionLedger> snapshot;
-  if (speculative) snapshot.emplace(ledger);
-  std::vector<SpeculativeNet> speculated;   // per wave slot, reused
-  std::vector<std::size_t> worklist;        // dirty net ids, in net order
-  std::vector<std::uint8_t> pool_built;     // per-negotiation weights.build
-  std::vector<std::uint8_t> wave_refreshed; // per-wave weights.refresh_all
-  if (speculative) {
-    pool_built.assign(static_cast<std::size_t>(wave_workers), 0);
-    wave_refreshed.assign(static_cast<std::size_t>(wave_workers), 0);
-  }
-
   double present_factor = options.present_factor;
-  if (warm != nullptr) {
-    // Start the schedule where the prior run left off: re-annealing from
-    // iteration-1 pricing would let the dirtied delta over-subscribe freely
-    // for several iterations, destabilising the seeded equilibrium.
-    present_factor = std::max(present_factor, warm->present_factor);
-  }
   double history_increment = options.history_increment;
   // Fewest over-used resources seen so far; partial rip-up escalates to a
-  // full sweep when iterations fail to improve on it. A cold run escalates
-  // on the first stall (the original schedule, kept bit-identical); a warm
-  // run gets several stalled iterations of patience first — it starts from
-  // a near-converged state where one wobbling corridor trips the stall test
-  // immediately, and a full sweep there rips up the entire seed to fix a
-  // two-resource conflict that local negotiation resolves on its own.
+  // full sweep when an iteration fails to improve on it.
   int best_overused = std::numeric_limits<int>::max();
-  int ripup_stalls = 0;
-  const int ripup_stall_limit = warm != nullptr ? 4 : 1;
   // Stagnation detector: consecutive iterations without any reduction of the
   // total capacity excess.
   int best_excess = std::numeric_limits<int>::max();
@@ -725,223 +592,10 @@ PathFinderResult route_nets_negotiated_impl(
       // iteration, then keep it in sync per ripped/re-inserted resource.
       weights.refresh_all(ledger, base_costs.t_move);
     }
-    if (use_alt && options.adaptive_bound) {
-      // ALT refresh trigger, evaluated only here — at the serial start of
-      // the iteration, where no wave is in flight (the tables are immutable
-      // while workers search). The trigger keys on the *history* penalty
-      // component: entering_penalty = present * (1 + history) with
-      // present >= 1, and history only grows within a run, so per-node
-      // prices t_move * (1 + history(v)) baked into the rebuilt tables stay
-      // an edge-for-edge lower bound on every later search weight. This is
-      // the congestion-aware bound for the saturated regime — there the
-      // localised penalties never move the global floor, but the charged
-      // history mass keeps climbing.
-      const double strength = 1.0 + ledger.max_history();
-      if (strength >= alt_table_strength * options.alt_refresh_threshold) {
-        scratch.alt_price.resize(graph.node_count());
-        for (std::size_t v = 0; v < scratch.alt_price.size(); ++v) {
-          const std::int32_t res = weights.node_resource[v];
-          scratch.alt_price[v] =
-              res < 0 ? base_costs.t_move
-                      : base_costs.t_move *
-                            (1.0 + ledger.history(
-                                       static_cast<std::size_t>(res)));
-        }
-        build_landmark_tables_priced(graph, base_costs.turn_cost,
-                                     scratch.alt_price, alt_base->landmarks,
-                                     arena, scratch.alt_refreshed);
-        alt_refreshed_active = true;
-        alt_table_strength = strength;
-        ++result.alt_refreshes;
-      }
-    }
-    // Incremental rip-up: each dirty net is removed from the occupancy,
-    // re-routed against the *other* nets' present congestion plus the
-    // history costs, and re-inserted. With partial_ripup off every net is
-    // dirty every iteration (the original full-sweep PathFinder loop).
-    const auto rip_net = [&](std::size_t i) {
-      for (const std::uint32_t index : net_resources[i]) {
-        ledger.release(index);
-        if (optimized) weights.refresh_resource(ledger, index);
-      }
-    };
-    // Search against the *live* ledger and record the result — the serial
-    // reference step, also the commit-time fallback of an invalidated
-    // speculation. The caller has already ripped net i.
-    const auto route_net_live = [&](std::size_t i) {
-      bool routed = false;
-      if (optimized) {
-        SearchCosts costs = base_costs;
-        if (options.adaptive_bound) costs.floor = ledger.penalty_floor();
-        costs.alt = select_alt();
-        const bool long_query =
-            options.bidirectional &&
-            manhattan_cells(graph, nets[i].from, nets[i].to) >=
-                options.bidirectional_min_cells;
-        routed = long_query
-                     ? route_one_bidirectional(graph, weights, costs,
-                                               nets[i].from, nets[i].to,
-                                               arena, node_buffer,
-                                               result.nodes_settled)
-                     : route_one_astar(graph, weights, costs, nets[i].from,
-                                       nets[i].to, arena, node_buffer,
-                                       result.nodes_settled);
-      } else {
-        auto nodes = route_one_reference(graph, params, ledger,
-                                         options.turn_aware, nets[i].from,
-                                         nets[i].to, arena,
-                                         result.nodes_settled);
-        routed = nodes.has_value();
-        if (routed) node_buffer = std::move(*nodes);
-      }
-      if (!routed) {
-        throw RoutingError("PathFinder: net " + std::to_string(i) +
-                           " has no route on this fabric");
-      }
-      result.paths[i].nodes = node_buffer;
-      lower_path(graph, params, result.paths[i]);
-      collect_resources(result.paths[i], ledger, membership,
-                        net_resources[i]);
-    };
-    const auto acquire_net = [&](std::size_t i) {
-      for (const std::uint32_t index : net_resources[i]) {
-        ledger.acquire(index);
-        if (optimized) weights.refresh_resource(ledger, index);
-      }
-    };
-
-    worklist.clear();
+    // With partial_ripup off every net is dirty every iteration (the
+    // original full-sweep PathFinder loop).
     for (std::size_t i = 0; i < nets.size(); ++i) {
-      if (dirty[i]) worklist.push_back(i);
-    }
-
-    if (!speculative || worklist.size() < 2) {
-      // The serial negotiation step. The rip is unconditional: at a cold
-      // iteration 1 every occupancy set is empty (a no-op), and a warm-
-      // seeded net that re-entered the worklist must release its seed.
-      for (const std::size_t i : worklist) {
-        rip_net(i);
-        ++result.searches_performed;
-        if (!warm_kept_flags.empty()) warm_kept_flags[i] = 0;
-        route_net_live(i);
-        acquire_net(i);
-      }
-    } else {
-      // Speculative waves: route each wave's nets concurrently against an
-      // immutable snapshot of the ledger, then commit serially in net
-      // order. A speculative path is committed only while the live penalty
-      // landscape is still byte-identical to the snapshot (no diverged
-      // resource, same admissible floor) — then the snapshot search *is*
-      // the serial search, input for input — otherwise the net re-routes on
-      // this thread against the true state, exactly as the serial loop
-      // would. Either way the committed sequence of releases, searches and
-      // acquires equals the serial loop's, so results are bit-identical at
-      // any route_jobs / worker count.
-      const auto waves = plan_speculation_waves(
-          worklist.size(), options.route_jobs, options.route_wave_size);
-      for (const auto& [wave_begin, wave_end] : waves) {
-        const std::size_t wave_len = wave_end - wave_begin;
-        *snapshot = ledger;
-        const double wave_floor = snapshot->penalty_floor();
-        ledger.begin_speculation();
-        if (speculated.size() < wave_len) speculated.resize(wave_len);
-        std::fill(wave_refreshed.begin(), wave_refreshed.end(),
-                  std::uint8_t{0});
-
-        const Executor::Job wave_job = executor->submit(
-            wave_len, [&](std::size_t k, int worker) {
-              PathFinderScratch& ws =
-                  pool->for_worker(static_cast<std::size_t>(worker));
-              if (!pool_built[worker]) {
-                ws.weights.build(graph, *snapshot);
-                pool_built[worker] = 1;
-              }
-              if (!wave_refreshed[worker]) {
-                ws.weights.refresh_all(*snapshot, base_costs.t_move);
-                wave_refreshed[worker] = 1;
-              }
-              const std::size_t i = worklist[wave_begin + k];
-              SpeculativeNet& out = speculated[k];
-              out.routed = false;
-              out.resources.clear();
-              out.settled = 0;
-              SearchCosts costs = base_costs;
-              // The worker's own rip-up, priced against the snapshot: the
-              // serial loop releases net i's old resources before its
-              // search, repricing them and min-updating the floor.
-              double floor = snapshot->penalty_floor();
-              for (const std::uint32_t index : net_resources[i]) {
-                const double penalty =
-                    snapshot->entering_penalty_after_release(index);
-                floor = std::min(floor, penalty);
-                ws.weights.apply_weight(index,
-                                        base_costs.t_move * penalty);
-              }
-              if (options.adaptive_bound) costs.floor = floor;
-              // Same selection rule the serial loop applies post-rip: on a
-              // clean commit the worker's floor equals the serial loop's,
-              // so the same tables are chosen and the search is identical.
-              costs.alt = select_alt();
-              const bool long_query =
-                  options.bidirectional &&
-                  manhattan_cells(graph, nets[i].from, nets[i].to) >=
-                      options.bidirectional_min_cells;
-              const bool routed =
-                  long_query
-                      ? route_one_bidirectional(graph, ws.weights, costs,
-                                                nets[i].from, nets[i].to,
-                                                ws.arena, ws.node_buffer,
-                                                out.settled)
-                      : route_one_astar(graph, ws.weights, costs,
-                                        nets[i].from, nets[i].to, ws.arena,
-                                        ws.node_buffer, out.settled);
-              if (routed) {
-                out.path.nodes = ws.node_buffer;
-                lower_path(graph, params, out.path);
-                collect_resources(out.path, *snapshot, ws.membership,
-                                  out.resources);
-                out.routed = true;
-              }
-              // Restore the snapshot weights for this worker's next net.
-              for (const std::uint32_t index : net_resources[i]) {
-                ws.weights.apply_weight(
-                    index,
-                    base_costs.t_move * snapshot->entering_penalty(index));
-              }
-            });
-        executor->wait(wave_job);
-
-        // Serial commit in net order.
-        for (std::size_t k = 0; k < wave_len; ++k) {
-          const std::size_t i = worklist[wave_begin + k];
-          // Decided before net i's own rip-up: the rip applies identically
-          // to the snapshot view the worker searched (it priced it in) and
-          // to the live ledger, so pre-rip equality implies post-rip
-          // equality of every search input, floor included.
-          const bool clean = ledger.diverged_count() == 0 &&
-                             ledger.penalty_floor() == wave_floor;
-          rip_net(i);
-          ++result.searches_performed;
-          if (!warm_kept_flags.empty()) warm_kept_flags[i] = 0;
-          SpeculativeNet& spec = speculated[k];
-          if (clean) {
-            if (!spec.routed) {
-              // Identical inputs: the serial search would fail too.
-              throw RoutingError("PathFinder: net " + std::to_string(i) +
-                                 " has no route on this fabric");
-            }
-            result.paths[i] = std::move(spec.path);
-            net_resources[i] = std::move(spec.resources);
-            result.nodes_settled += spec.settled;
-            ++result.speculative_commits;
-          } else {
-            route_net_live(i);
-            ++result.speculative_reroutes;
-          }
-          acquire_net(i);
-        }
-        ledger.end_speculation();
-      }
+      if (dirty[i]) reroute_net(i);
     }
 
     // Charge history on the over-use delta set (no full-table sweep).
@@ -1003,28 +657,12 @@ PathFinderResult route_nets_negotiated_impl(
       }
     }
     if (options.partial_ripup) {
-      const bool stalled = summary.overused >= best_overused;
-      ripup_stalls = stalled ? ripup_stalls + 1 : 0;
-      if (ripup_stalls >= ripup_stall_limit) {
+      if (summary.overused >= best_overused) {
         // Stagnation: the dirty subset is ping-ponging among the contested
         // corridors while clean nets pin the alternatives. Escalate to one
         // full rip-up sweep so the whole net set renegotiates, then resume
         // partial sweeps.
         std::fill(dirty.begin(), dirty.end(), std::uint8_t{1});
-        ripup_stalls = 0;
-      } else if (stalled) {
-        // Stalled but under the patience limit (warm runs only): keep the
-        // worklist local — nets crossing negotiable over-used resources —
-        // and let the charged history break the tie.
-        for (std::size_t i = 0; i < nets.size(); ++i) {
-          dirty[i] = 0;
-          for (const std::uint32_t index : net_resources[i]) {
-            if (ledger.is_overused(index) && !ledger.is_structural(index)) {
-              dirty[i] = 1;
-              break;
-            }
-          }
-        }
       } else {
         // Next iteration's worklist: exactly the nets whose current path
         // crosses a *negotiable* over-subscribed resource. Structural
@@ -1055,87 +693,10 @@ PathFinderResult route_nets_negotiated_impl(
     }
   }
 
-  if (warm != nullptr && !result.converged) {
-    // The warm attempt dug in without converging: the edit shifted the
-    // equilibrium beyond what local renegotiation absorbs (the seeded
-    // history now mostly mis-prices the new instance). Restart cold — the
-    // recursive run is bit-identical to a never-seeded call — and surface
-    // the abandoned attempt's cost in the counters instead of hiding it.
-    PathFinderOptions cold_options = options;
-    cold_options.warm = nullptr;
-    PathFinderResult cold = route_nets_negotiated_impl(
-        graph, params, nets, cold_options, scratch, executor, pool);
-    cold.searches_performed += result.searches_performed;
-    cold.nodes_settled += result.nodes_settled;
-    cold.iterations_used += result.iterations_used;
-    cold.alt_refreshes += result.alt_refreshes;
-    cold.speculative_commits += result.speculative_commits;
-    cold.speculative_reroutes += result.speculative_reroutes;
-    cold.warm_seeded = result.warm_seeded;
-    cold.warm_kept = 0;
-    cold.warm_restarted = true;
-    return cold;
-  }
-
-  result.total_delay = 0;
   for (const RoutedPath& path : result.paths) {
     result.total_delay += path.total_delay();
   }
-  for (const std::uint8_t kept : warm_kept_flags) {
-    result.warm_kept += kept;
-  }
-  // Export the negotiation state a future warm start needs to resume this
-  // equilibrium. Convergence and the adaptive breaks leave the loop before
-  // the schedule step, so present_factor holds the final iteration's value
-  // (an exhausted iteration cap leaves it one step ahead, which only firms
-  // the next warm start).
-  result.history = ledger.history_table();
-  result.final_present_factor = present_factor;
   return result;
-}
-
-}  // namespace
-
-WarmStartSeed make_warm_seed(const std::vector<NetRequest>& prior_nets,
-                             const std::vector<RoutedPath>& prior_paths,
-                             const std::vector<NetRequest>& nets,
-                             std::vector<double> prior_history,
-                             double prior_present_factor) {
-  WarmStartSeed seed;
-  seed.history = std::move(prior_history);
-  seed.present_factor = prior_present_factor;
-  seed.paths.resize(nets.size());
-  if (prior_nets.size() != prior_paths.size()) return seed;
-  std::vector<std::uint8_t> claimed(prior_nets.size(), 0);
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    for (std::size_t j = 0; j < prior_nets.size(); ++j) {
-      if (claimed[j] || prior_nets[j].from != nets[i].from ||
-          prior_nets[j].to != nets[i].to) {
-        continue;
-      }
-      seed.paths[i] = prior_paths[j];
-      claimed[j] = 1;
-      break;
-    }
-  }
-  return seed;
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> plan_speculation_waves(
-    std::size_t worklist_size, int route_jobs, int wave_size) {
-  std::vector<std::pair<std::size_t, std::size_t>> waves;
-  if (worklist_size == 0) return waves;
-  const auto jobs = static_cast<std::size_t>(std::max(1, route_jobs));
-  // Auto sizing: enough nets per snapshot to keep every worker busy a few
-  // times over, small enough that the snapshot refreshes before commits
-  // drift far from it.
-  std::size_t size =
-      wave_size > 0 ? static_cast<std::size_t>(wave_size) : 4 * jobs;
-  size = std::max<std::size_t>(size, 2);
-  for (std::size_t begin = 0; begin < worklist_size; begin += size) {
-    waves.emplace_back(begin, std::min(worklist_size, begin + size));
-  }
-  return waves;
 }
 
 PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
@@ -1143,28 +704,7 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
                                        const std::vector<NetRequest>& nets,
                                        const PathFinderOptions& options) {
   PathFinderScratch scratch;
-  return route_nets_negotiated_impl(graph, params, nets, options, scratch,
-                                    nullptr, nullptr);
-}
-
-PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
-                                       const TechnologyParams& params,
-                                       const std::vector<NetRequest>& nets,
-                                       const PathFinderOptions& options,
-                                       PathFinderScratch& scratch) {
-  return route_nets_negotiated_impl(graph, params, nets, options, scratch,
-                                    nullptr, nullptr);
-}
-
-PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
-                                       const TechnologyParams& params,
-                                       const std::vector<NetRequest>& nets,
-                                       const PathFinderOptions& options,
-                                       PathFinderScratch& scratch,
-                                       Executor& executor,
-                                       PathFinderScratchPool& pool) {
-  return route_nets_negotiated_impl(graph, params, nets, options, scratch,
-                                    &executor, &pool);
+  return route_nets_negotiated(graph, params, nets, options, scratch);
 }
 
 }  // namespace qspr

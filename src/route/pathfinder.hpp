@@ -14,22 +14,9 @@
 // rip-up), the A* bound scales with the admissible congestion penalty floor
 // so it keeps pruning when penalties dominate, and long queries run a
 // bidirectional meet-in-the-middle search over the arena's second frontier.
-// Each mechanism toggles independently via PathFinderOptions.
-//
-// With route_jobs >= 2 and an Executor, the nets *within* one iteration
-// route concurrently: the dirty worklist is partitioned into waves, each
-// wave's nets are searched speculatively against an immutable snapshot of
-// the congestion ledger (per-worker scratch from a WorkerScratchPool), and
-// results commit serially in net order. A speculative path is committed
-// only while the live ledger's penalty landscape is still byte-identical to
-// the wave snapshot (tracked by the ledger's divergence delta set plus a
-// penalty-floor equality check); otherwise the net is re-routed on the
-// committing thread against the true state — exactly what the serial loop
-// does. Commit order equals net order and every commit/re-route decision
-// depends only on committed state, so the negotiation is bit-identical to
-// the serial loop (paths, delays, diagnostics) at any route_jobs and any
-// executor worker count, by construction. Speculation applies to the
-// AStarArena engine; ReferenceDijkstra always runs the serial loop.
+// Each mechanism toggles independently via PathFinderOptions. Nets route
+// one at a time, in net order, so a negotiation is a pure function of its
+// inputs.
 //
 // The event-driven simulator routes incrementally instead (one instruction
 // at a time, Eq. 2 weights); this module provides the classic batch
@@ -37,72 +24,20 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
-#include "route/landmarks.hpp"
+#include "route/congestion.hpp"
 #include "route/path.hpp"
 #include "route/routing_graph.hpp"
 #include "route/search_arena.hpp"
 
 namespace qspr {
 
-class Executor;  // common/executor.hpp; only the parallel overload needs it
-
 struct NetRequest {
   TrapId from;
   TrapId to;
 };
-
-/// Warm-start seed for incremental remapping: one prior RoutedPath per net
-/// (aligned to the nets vector; an empty path means "route this net cold").
-/// Seeded nets enter the negotiation pre-routed — their occupancy is
-/// acquired before iteration 1 — and only nets whose endpoints changed or
-/// whose congestion neighbourhood is over-used under the combined seed
-/// occupancy go on the dirty worklist. Seeding from a *converged* prior of
-/// the same net set yields bit-identical paths with zero searches (the
-/// empty-edit identity the incremental_remap bench asserts). Paths must
-/// come from the same routing graph; endpoint mismatches are detected and
-/// those nets simply route cold.
-///
-/// Paths alone are NOT enough for a stable warm start on edits: a converged
-/// solution is only an equilibrium *under the history costs that produced
-/// it*. Re-routing even one net against a fresh ledger (zero history,
-/// iteration-1 present factor) sends it through the greedy corridors the
-/// prior negotiation priced it out of, the over-use cascades through the
-/// seeded nets, and the run either renegotiates everything from scratch or
-/// trips the stagnation detector. `history` (the prior ledger's
-/// history_table() export) and `present_factor` (the prior run's final
-/// schedule position) restore that pricing, so a small edit perturbs only
-/// its own congestion neighbourhood. Both are optional: an empty history or
-/// zero present factor falls back to cold pricing (and on an empty edit the
-/// dirty worklist is empty, so they are never consulted — the d=0
-/// bit-identity holds either way).
-struct WarmStartSeed {
-  std::vector<RoutedPath> paths;
-  /// Prior ledger history, dense resource order (PathFinderResult::history).
-  /// Ignored unless its size matches the graph's resource table.
-  std::vector<double> history;
-  /// Present factor of the prior run's final iteration
-  /// (PathFinderResult::final_present_factor). The warm negotiation starts
-  /// at max(options.present_factor, this), keeping the schedule where the
-  /// prior left off instead of re-annealing from iteration 1.
-  double present_factor = 0.0;
-};
-
-/// Aligns a prior negotiation's paths to a new net list by greedy endpoint
-/// matching: each new net takes the first unclaimed prior path with the same
-/// (from, to); unmatched nets get empty (cold) seeds. Prior nets and paths
-/// must be parallel vectors from one route_nets_negotiated call. Pass the
-/// prior result's `history` and `final_present_factor` to carry the
-/// negotiation state as well (see WarmStartSeed) — omitting them seeds paths
-/// only, which is unstable under non-empty edits.
-WarmStartSeed make_warm_seed(const std::vector<NetRequest>& prior_nets,
-                             const std::vector<RoutedPath>& prior_paths,
-                             const std::vector<NetRequest>& nets,
-                             std::vector<double> prior_history = {},
-                             double prior_present_factor = 0.0);
 
 /// Inner shortest-path engine of the negotiation loop.
 enum class PathFinderEngine : std::uint8_t {
@@ -170,33 +105,8 @@ struct PathFinderOptions {
   /// the bidirectional search; short queries stay unidirectional.
   int bidirectional_min_cells = 24;
 
-  // --- ALT landmark lower bounds + bounded-suboptimal knob (AStarArena
-  // --- only; see route/landmarks.hpp for the admissibility argument) ---
+  // --- bounded-suboptimal knob (AStarArena only) ---
 
-  /// Landmarks for the ALT triangle-inequality bound, max-combined with the
-  /// grid bound. 0 disables ALT entirely. When `landmarks` is null the
-  /// tables are built at negotiation start (K+2K Dijkstras); callers on the
-  /// hot path should pass the fabric's cached tables instead.
-  int alt_landmarks = 0;
-  /// Prebuilt base (floor 1) landmark tables for this graph, borrowed for
-  /// the duration of the call — FabricArtifactCache::landmark_tables() is
-  /// the intended source. Ignored unless alt_landmarks > 0; must match the
-  /// graph and the search's t_move/turn costs.
-  const LandmarkTables* landmarks = nullptr;
-  /// Refresh trigger for the congestion-aware ALT tables: when an iteration
-  /// starts with (1 + max accumulated history) >= (strength of the current
-  /// tables) * threshold, the tables are rebuilt over the per-node history
-  /// prices t_move * (1 + history(v)) (same landmark set — rebuilds are
-  /// deterministic). History only grows within a run, so rebuilt tables
-  /// stay admissible for the rest of the negotiation regardless of trigger
-  /// timing; larger thresholds mean fewer (2K-Dijkstra) rebuilds. Requires
-  /// adaptive_bound; must be > 1. The default is deliberately conservative:
-  /// on the saturated bench loads the *present* penalty (factor up to
-  /// present_factor_max) dominates the baked-in history prices, so eager
-  /// rebuilds cut settled nodes by only a few percent while their Dijkstra
-  /// cost roughly doubles the negotiation wall time — 4.0 keeps refreshes
-  /// to runs whose history has genuinely ramped (max history >= 3).
-  double alt_refresh_threshold = 4.0;
   /// Bounded-suboptimal search: A* orders the frontier by g + w*h instead
   /// of g + h (and the bidirectional termination scales accordingly), so
   /// each inner search returns a path of cost <= w * optimal. 1.0 is exact
@@ -204,26 +114,6 @@ struct PathFinderOptions {
   /// trades bounded path-quality slack for fewer expansions on saturated
   /// loads. Applies to AStarArena; ReferenceDijkstra has no heuristic.
   double heuristic_weight = 1.0;
-
-  // --- speculative intra-iteration parallelism (executor overload only) ---
-
-  /// Worker budget for routing one iteration's dirty nets concurrently.
-  /// 1 keeps the serial loop; >= 2 enables wave speculation when the
-  /// executor overload is used (AStarArena engine only). Results are
-  /// bit-identical at any value.
-  int route_jobs = 1;
-  /// Nets per speculation wave (0 = auto: 4 * route_jobs, minimum 2). Only
-  /// affects how much work is speculated per snapshot, never the result.
-  int route_wave_size = 0;
-
-  // --- warm start (incremental remapping) ---
-
-  /// Prior paths to seed the negotiation from, borrowed for the duration of
-  /// the call (see WarmStartSeed). Ignored when null, when the seed is not
-  /// aligned to the nets vector, or when partial_ripup is off — without the
-  /// dirty worklist every net re-routes anyway and a partial seed would
-  /// perturb iteration 1's acquire order relative to the cold run.
-  const WarmStartSeed* warm = nullptr;
 };
 
 struct PathFinderResult {
@@ -239,59 +129,13 @@ struct PathFinderResult {
   /// never go below it; converged implies it is 0.
   int min_feasible_excess = 0;
   /// Inner shortest-path searches actually performed; with partial rip-up
-  /// this is <= nets * iterations_used (clean nets are skipped). Counted in
-  /// serial-equivalent terms: a committed speculative route counts as the
-  /// one search the serial loop would have run (extra speculative work is
-  /// reported separately below).
+  /// this is <= nets * iterations_used (clean nets are skipped).
   long long searches_performed = 0;
-  /// Nodes settled (accepted heap pops) across all counted searches — the
-  /// heuristic-quality metric the ALT ablation records. Counted in the same
-  /// serial-equivalent terms as searches_performed, so it is bit-identical
-  /// at any route_jobs.
+  /// Nodes settled (accepted heap pops) across all searches — the
+  /// heuristic-quality metric.
   long long nodes_settled = 0;
-  /// Landmarks the ALT bound actually used (0 when ALT was off).
-  int landmarks_used = 0;
-  /// Floored rebuilds of the ALT tables triggered by the refresh threshold.
-  int alt_refreshes = 0;
   /// Echo of options.heuristic_weight (1.0 = exact search).
   double heuristic_weight = 1.0;
-
-  // --- warm-start observability (0 on cold runs; deterministic for a
-  // --- fixed seed, identical at any route_jobs / frontier kind) ---
-
-  /// Nets that entered the negotiation pre-routed from the warm seed.
-  int warm_seeded = 0;
-  /// Seeded nets whose prior path survived the whole negotiation untouched
-  /// (never ripped up and re-searched). warm_kept == warm_seeded == nets on
-  /// an empty edit against a converged prior.
-  int warm_kept = 0;
-  /// True when the warm attempt failed to converge and the negotiation was
-  /// restarted cold (see route_nets_negotiated). The returned paths are then
-  /// bit-identical to a cold run's; searches_performed and iterations_used
-  /// include the abandoned attempt, so the wasted work stays visible.
-  bool warm_restarted = false;
-  /// Final history table of the run's ledger (dense resource order) — feed
-  /// it into the next WarmStartSeed to resume this negotiation's equilibrium
-  /// pressure. Always populated (cold runs too; size == resource count).
-  std::vector<double> history;
-  /// Present factor of the final iteration actually run; pairs with
-  /// `history` in the next WarmStartSeed.
-  double final_present_factor = 0.0;
-
-  // --- wave-speculation observability (not part of the bit-identity
-  // --- contract: 0 under the serial loop, deterministic for a fixed
-  // --- route_jobs/wave size and executor width >= 2, but different across
-  // --- route_jobs values). The two counters partition the *speculated*
-  // --- searches: commits + reroutes <= searches_performed, with equality
-  // --- only when every iteration's worklist actually ran as waves
-  // --- (iterations with a single dirty net fall back to the serial step
-  // --- and count in neither bucket). ---
-
-  /// Nets whose snapshot-routed path was committed as-is.
-  long long speculative_commits = 0;
-  /// Nets whose speculation was invalidated by an earlier commit in the
-  /// same wave and were re-routed serially at commit time.
-  long long speculative_reroutes = 0;
 };
 
 /// Per-node negotiated move weights of the optimized engine, kept in sync
@@ -307,9 +151,6 @@ class NodeWeightCache {
   void build(const RoutingGraph& graph, const CongestionLedger& ledger);
   void refresh_all(const CongestionLedger& ledger, double t_move);
   void refresh_resource(const CongestionLedger& ledger, std::size_t index);
-  /// Overrides one resource's move weight directly (the wave workers price
-  /// their own net's rip-up against an immutable snapshot this way).
-  void apply_weight(std::size_t index, double weight);
 
   std::vector<std::int32_t> node_resource;  // dense ledger index or -1
   std::vector<double> node_weight;          // t_move * entering_penalty
@@ -334,40 +175,11 @@ struct PathFinderScratch {
   std::vector<int> trap_demand;
   /// Ledger-synchronised per-node move weights of the optimized engine.
   NodeWeightCache weights;
-  /// Base (floor 1) ALT tables built here when options.alt_landmarks > 0
-  /// but no prebuilt tables were passed; rebuilt per negotiation (the
-  /// scratch may serve different graphs across calls).
-  LandmarkTables alt_base;
-  /// History-priced ALT rebuild of the current negotiation (refresh
-  /// trigger); reset at negotiation start, shared read-only by the wave
-  /// workers.
-  LandmarkTables alt_refreshed;
-  /// Per-node price buffer of the history-priced rebuilds.
-  std::vector<double> alt_price;
 };
-
-/// Per-worker scratch of the speculative wave workers. Like a single
-/// scratch, one pool belongs to one negotiation context at a time; size it
-/// to the executor's worker_count().
-using PathFinderScratchPool = WorkerScratchPool<PathFinderScratch>;
-
-/// Contiguous [begin, end) wave chunks, in net order, over a dirty worklist
-/// of `worklist_size` nets. wave_size 0 selects the auto size
-/// (4 * route_jobs, minimum 2). Exposed for the wave-partition unit tests.
-std::vector<std::pair<std::size_t, std::size_t>> plan_speculation_waves(
-    std::size_t worklist_size, int route_jobs, int wave_size);
 
 /// Routes all nets with negotiated congestion. Nets with from == to receive
 /// empty paths. Throws RoutingError when some net has no route at all
 /// (disconnected fabric).
-///
-/// Warm-start robustness: a warm-seeded negotiation that fails to converge
-/// is restarted cold once (warm_restarted in the result), so seeding can
-/// slow a pathological edit down but never costs convergence — a warm run
-/// converges whenever the cold run would. Near a converged prior the
-/// fallback never fires; it exists for edits that shift the equilibrium
-/// globally (e.g. on a saturated fabric), where no local negotiation can
-/// absorb the delta.
 PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
                                        const TechnologyParams& params,
                                        const std::vector<NetRequest>& nets,
@@ -379,18 +191,5 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
                                        const std::vector<NetRequest>& nets,
                                        const PathFinderOptions& options,
                                        PathFinderScratch& scratch);
-
-/// As above, routing each iteration's dirty nets speculatively on
-/// `executor` when options.route_jobs >= 2 (see the wave protocol in the
-/// file comment). Bit-identical to the serial overloads at any route_jobs
-/// and worker count. The pool is grown to executor.worker_count() on entry;
-/// callable from inside an executor job (waves become nested sub-jobs).
-PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
-                                       const TechnologyParams& params,
-                                       const std::vector<NetRequest>& nets,
-                                       const PathFinderOptions& options,
-                                       PathFinderScratch& scratch,
-                                       Executor& executor,
-                                       PathFinderScratchPool& pool);
 
 }  // namespace qspr

@@ -10,32 +10,25 @@
 //
 // Layout: per-node state is a single struct-of-records array (dist, parent,
 // and one interleaved stamp+settled word), so touching / relaxing / settling
-// a node costs one cache line instead of four. The frontier is pluggable
-// (FrontierKind): a monotone bucket queue for integer Duration costs, a
-// 4-ary heap for double congestion costs, and the original std::push_heap
-// binary heap kept as the reference implementation. All three pop the exact
-// same (f, g, node) total order — entries are pairwise distinct because
-// pushes happen only on strict dist improvement — so the choice is purely a
-// constant-factor knob: searches are bit-identical across kinds (asserted by
-// tests/frontier_queue_test.cpp and the fuzz differential).
+// a node costs one cache line instead of four. The frontier is chosen by cost
+// type (FrontierKind): a monotone bucket queue for integer Duration costs and
+// a std::push_heap binary heap for double congestion costs. Both pop the
+// exact same (f, g, node) total order — entries are pairwise distinct because
+// pushes happen only on strict dist improvement — so searches are
+// bit-identical across kinds (asserted by tests/frontier_queue_test.cpp and
+// the fuzz differential, which force each kind through one test-only hook).
 //
-// The arena is shared by the incremental Router (integer Duration costs),
-// the PathFinder negotiated search (double congestion costs), and the ALT
-// landmark-table builders (route/landmarks.hpp), whose 2K+K Dijkstras per
-// fabric reuse one double arena across every source — hence the cost-type
-// template. Not thread-safe; one arena per searching thread.
+// The arena is shared by the incremental Router (integer Duration costs) and
+// the PathFinder negotiated search (double congestion costs) — hence the
+// cost-type template. Not thread-safe; one arena per searching thread.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <limits>
-#include <memory>
-#include <optional>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -45,54 +38,32 @@
 namespace qspr {
 
 /// Which priority structure backs a SearchArena's frontier.
-///   Binary — std::push_heap/pop_heap binary heap (reference).
-///   Bucket — monotone bucket queue keyed by integer f; legal only for
-///            integer costs under a consistent heuristic (popped keys never
-///            decrease). Requests for Bucket on a floating-point arena are
-///            resolved to Dary4.
-///   Dary4  — 4-ary implicit heap; fewer levels and better cache locality
-///            per sift than the binary heap, valid for any cost type.
-enum class FrontierKind : std::uint8_t { Binary, Bucket, Dary4 };
+///   Binary — std::push_heap/pop_heap binary heap; the default for
+///            floating-point costs.
+///   Bucket — monotone bucket queue keyed by integer f; the default for
+///            integer costs, legal only under a consistent heuristic
+///            (popped keys never decrease). Bucket on a floating-point
+///            arena resolves to Binary.
+enum class FrontierKind : std::uint8_t { Binary, Bucket };
 
 [[nodiscard]] constexpr const char* to_string(FrontierKind kind) {
   switch (kind) {
     case FrontierKind::Binary: return "binary";
     case FrontierKind::Bucket: return "bucket";
-    case FrontierKind::Dary4: return "dary4";
   }
   return "?";
 }
 
-[[nodiscard]] inline std::optional<FrontierKind> frontier_kind_from_name(
-    std::string_view name) {
-  if (name == "binary") return FrontierKind::Binary;
-  if (name == "bucket") return FrontierKind::Bucket;
-  if (name == "dary" || name == "dary4") return FrontierKind::Dary4;
-  return std::nullopt;
-}
-
 namespace detail {
-/// Process-global frontier override (-1 = none). Set programmatically by
-/// tests/benches via force_frontier_kind, or once from QSPR_FRONTIER_QUEUE.
+/// Process-global frontier override (-1 = none), set by force_frontier_kind.
 inline std::atomic<int>& frontier_override() {
   static std::atomic<int> value{-1};
   return value;
 }
-
-[[nodiscard]] inline int frontier_env_request() {
-  static const int parsed = [] {
-    const char* env = std::getenv("QSPR_FRONTIER_QUEUE");
-    if (env == nullptr) return -1;
-    const auto kind = frontier_kind_from_name(env);
-    return kind ? static_cast<int>(*kind) : -1;
-  }();
-  return parsed;
-}
 }  // namespace detail
 
-/// Forces every arena (from its next begin()) onto one frontier kind.
-/// Test/bench hook; production selection is the per-cost default or the
-/// QSPR_FRONTIER_QUEUE environment variable.
+/// Test hook: forces every arena — including the ones inside simulator
+/// workspaces — onto one frontier kind from its next begin().
 inline void force_frontier_kind(FrontierKind kind) {
   detail::frontier_override().store(static_cast<int>(kind),
                                     std::memory_order_relaxed);
@@ -101,21 +72,15 @@ inline void clear_frontier_kind_override() {
   detail::frontier_override().store(-1, std::memory_order_relaxed);
 }
 
-/// The frontier an arena of the given cost class uses absent a per-arena
-/// pin: override > environment > (Bucket for integers, Dary4 for doubles).
-/// Bucket on a floating-point arena resolves to Dary4 — bucket indexing
-/// requires integer keys.
+/// The frontier an arena of the given cost class uses: the forced kind if
+/// any, else Bucket for integers and Binary for doubles. Bucket on a
+/// floating-point arena resolves to Binary — bucket indexing requires
+/// integer keys.
 [[nodiscard]] inline FrontierKind default_frontier_kind(bool integer_cost) {
-  int requested = detail::frontier_override().load(std::memory_order_relaxed);
-  if (requested < 0) requested = detail::frontier_env_request();
-  if (requested >= 0) {
-    const auto kind = static_cast<FrontierKind>(requested);
-    if (kind == FrontierKind::Bucket && !integer_cost) {
-      return FrontierKind::Dary4;
-    }
-    return kind;
-  }
-  return integer_cost ? FrontierKind::Bucket : FrontierKind::Dary4;
+  const int forced =
+      detail::frontier_override().load(std::memory_order_relaxed);
+  if (forced >= 0 && integer_cost) return static_cast<FrontierKind>(forced);
+  return integer_cost ? FrontierKind::Bucket : FrontierKind::Binary;
 }
 
 template <typename Cost>
@@ -152,9 +117,7 @@ class SearchArena {
       wipe_stamps();
       generation_ = 1;
     }
-    if (!kind_pinned_) {
-      kind_ = default_frontier_kind(!std::is_floating_point_v<Cost>);
-    }
+    kind_ = default_frontier_kind(!std::is_floating_point_v<Cost>);
     forward_.clear_all();
   }
 
@@ -168,15 +131,7 @@ class SearchArena {
     backward_.clear_all();
   }
 
-  /// Pins this arena to one frontier kind (begin() stops consulting the
-  /// global default). Bucket on a floating-point arena resolves to Dary4.
-  void set_frontier(FrontierKind kind) {
-    if constexpr (std::is_floating_point_v<Cost>) {
-      if (kind == FrontierKind::Bucket) kind = FrontierKind::Dary4;
-    }
-    kind_ = kind;
-    kind_pinned_ = true;
-  }
+  /// The frontier kind resolved at the last begin().
   [[nodiscard]] FrontierKind frontier() const { return kind_; }
 
   /// Unique nodes settled over this arena's lifetime (monotone; sample a
@@ -316,11 +271,10 @@ class SearchArena {
     for (NodeState& s : state_b_) s.tag = 0;
   }
 
-  /// One frontier: heap storage shared by Binary/Dary4, bucket array for
-  /// Bucket. All three implementations pop the strict (f, g, node) minimum;
-  /// entries are pairwise distinct (pushes only on strict improvement), so
-  /// the pop sequence — and therefore the search — is identical across
-  /// kinds.
+  /// One frontier: heap storage for Binary, bucket array for Bucket. Both
+  /// pop the strict (f, g, node) minimum; entries are pairwise distinct
+  /// (pushes only on strict improvement), so the pop sequence — and
+  /// therefore the search — is identical across kinds.
   struct Frontier {
     std::vector<HeapEntry> heap_;
     // Monotone bucket queue, indexed by the (small, bounded) integer f.
@@ -388,9 +342,6 @@ class SearchArena {
           ++live_;
           return;
         }
-        case FrontierKind::Dary4:
-          dary_push(entry);
-          return;
       }
     }
 
@@ -408,15 +359,13 @@ class SearchArena {
           auto& bucket = buckets_[cursor_];
           // All entries here share f == cursor_; the per-bucket heap pops
           // the (g, node) minimum, so the strict (f, g, node) order matches
-          // the whole-frontier heaps exactly.
+          // the binary heap exactly.
           std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
           const HeapEntry top = bucket.back();
           bucket.pop_back();
           --live_;
           return top;
         }
-        case FrontierKind::Dary4:
-          return dary_pop();
       }
       return HeapEntry{};  // unreachable
     }
@@ -447,38 +396,6 @@ class SearchArena {
     void advance_cursor() {
       while (buckets_[cursor_].empty()) ++cursor_;
     }
-
-    void dary_push(HeapEntry entry) {
-      heap_.push_back(entry);
-      std::size_t i = heap_.size() - 1;
-      while (i > 0) {
-        const std::size_t parent = (i - 1) >> 2;
-        if (!(heap_[parent] > heap_[i])) break;
-        std::swap(heap_[parent], heap_[i]);
-        i = parent;
-      }
-    }
-
-    HeapEntry dary_pop() {
-      const HeapEntry top = heap_.front();
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      const std::size_t n = heap_.size();
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first = (i << 2) + 1;
-        if (first >= n) break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + 4, n);
-        for (std::size_t child = first + 1; child < last; ++child) {
-          if (heap_[best] > heap_[child]) best = child;
-        }
-        if (!(heap_[i] > heap_[best])) break;
-        std::swap(heap_[i], heap_[best]);
-        i = best;
-      }
-      return top;
-    }
   };
 
   std::vector<NodeState> state_;
@@ -486,7 +403,6 @@ class SearchArena {
   std::uint64_t settles_ = 0;
   FrontierKind kind_ =
       default_frontier_kind(!std::is_floating_point_v<Cost>);
-  bool kind_pinned_ = false;
   Frontier forward_;
   // Backward-frontier twin state (bidirectional searches only); shares
   // generation_ so one begin_dual invalidates both sides in O(1).
@@ -521,37 +437,6 @@ class StampedSet {
  private:
   std::vector<std::uint32_t> stamp_;
   std::uint32_t generation_ = 0;
-};
-
-/// Pool of per-worker scratch objects indexed by an Executor worker id.
-/// Slots live behind stable unique_ptrs, so growing the pool never moves a
-/// scratch another worker is using, and two workers never share a cache line
-/// through adjacent slots. Confinement contract: slot `w` is only ever
-/// touched by the thread currently acting as worker `w` of one owning
-/// context — a pool must not be shared by two *concurrent* parallel calls
-/// (hold one pool per negotiation context, exactly like a single scratch).
-template <typename Scratch>
-class WorkerScratchPool {
- public:
-  WorkerScratchPool() = default;
-  explicit WorkerScratchPool(std::size_t workers) { grow_to(workers); }
-
-  /// Ensures at least `workers` slots exist; existing slots are preserved
-  /// (their warmed allocations survive across batches).
-  void grow_to(std::size_t workers) {
-    while (slots_.size() < workers) {
-      slots_.push_back(std::make_unique<Scratch>());
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
-
-  [[nodiscard]] Scratch& for_worker(std::size_t worker) {
-    return *slots_[worker];
-  }
-
- private:
-  std::vector<std::unique_ptr<Scratch>> slots_;
 };
 
 }  // namespace qspr

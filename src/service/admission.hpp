@@ -27,20 +27,18 @@
 
 namespace qspr {
 
-/// Server-scoped incremental-remapping session (the `session_open` API).
+/// Server-scoped editing session (the `session_open` API).
 /// Ownership split: the poll thread owns the registry and the `busy` flag
-/// (one in-flight map per session); the circuit text and warm prior are
-/// written only by the mapper thread running the session's admitted map and
-/// read by the poll thread after its completion is delivered — the admission
-/// queue and completion queue mutexes order those hand-offs, so the fields
-/// themselves need no lock.
+/// (one in-flight map per session); the circuit text is written only by the
+/// mapper thread running the session's admitted map and read by the poll
+/// thread after its completion is delivered — the admission queue and
+/// completion queue mutexes order those hand-offs, so the field itself needs
+/// no lock.
 struct ServeSession {
   std::string name;    ///< wire id ("s<N>")
   std::string fabric;  ///< fabric spec, fixed at session_open
   /// Full QASM text of the circuit after the last successful map.
   std::string qasm;
-  /// Last converged mapping: the warm-start seed for the next edit.
-  std::shared_ptr<const CachedMapResult> prior;
   /// Poll-thread-only: a map for this session is queued or running.
   bool busy = false;
 };

@@ -200,7 +200,7 @@ std::string batch_record_json(const BatchJobRecord& record) {
     json.field("nodes_settled", result.stats.nodes_settled);
     if (result.negotiation.has_value()) {
       // Per-job PathFinder negotiation diagnostic (negotiation_report /
-      // qspr_batch --report), bit-identical at any route_jobs.
+      // qspr_batch --report).
       const NegotiationDiagnostics& n = *result.negotiation;
       json.key("negotiation").begin_object();
       json.field("nets", n.nets);
@@ -212,12 +212,7 @@ std::string batch_record_json(const BatchJobRecord& record) {
       json.field("min_feasible_excess", n.min_feasible_excess);
       json.field("searches", n.searches_performed);
       json.field("batch_delay_us", static_cast<long long>(n.total_delay));
-      json.field("route_jobs", n.route_jobs);
-      json.field("speculative_commits", n.speculative_commits);
-      json.field("speculative_reroutes", n.speculative_reroutes);
-      json.field("landmarks_used", n.landmarks_used);
       json.field("heuristic_weight", n.heuristic_weight);
-      json.field("alt_refreshes", n.alt_refreshes);
       json.field("nodes_settled", n.nodes_settled);
       json.end_object();
     }

@@ -1,5 +1,6 @@
 #include "service/request_codec.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -167,7 +168,12 @@ ServeRequest parse_serve_request(std::string_view frame,
   }
   // "m": 0 means "use the service default", matching the documented
   // absent-field semantics (the range floor admits it; only m > 0 applies).
+  // A fractional count would truncate (0.5 to zero trials), so it is a bad
+  // request rather than a silently different map.
   const double m = number_field(root, "m", 0.0, 0.0, 1e6);
+  if (m != std::floor(m)) {
+    throw Error("request field 'm' must be an integer");
+  }
   if (m > 0.0) {
     request.options.mvfb_seeds = static_cast<int>(m);
     request.options.monte_carlo_trials = static_cast<int>(m);
@@ -182,13 +188,8 @@ ServeRequest parse_serve_request(std::string_view frame,
     request.options.rng_seed =
         static_cast<std::uint64_t>(value > kSeedMax ? kSeedMax : value);
   }
-  // Search-quality knobs of the negotiation diagnostic (absent = the
-  // service defaults): ALT landmark count and the bounded-suboptimality
-  // weight (1.0 keeps the exact search).
-  if (root.find("landmarks") != nullptr) {
-    request.options.route_landmarks = static_cast<int>(
-        number_field(root, "landmarks", 0.0, 0.0, 1024.0));
-  }
+  // Bounded-suboptimality weight of the negotiation diagnostic (absent =
+  // the service default; 1.0 keeps the exact search).
   request.options.route_heuristic_weight =
       number_field(root, "heuristic_weight",
                    request.options.route_heuristic_weight, 1.0, 16.0);
@@ -252,8 +253,6 @@ std::string serve_result_json(const std::string& id, const MapResult& result,
   json.field("nodes_settled", result.stats.nodes_settled);
   json.field("queue_ms", queue_ms);
   json.field("map_ms", map_ms);
-  json.field("warm_hits", result.warm_hits);
-  json.field("nets_rerouted", result.nets_rerouted);
   json.field("result_fp", map_result_fingerprint(result));
   json.end_object();
   return json.str();

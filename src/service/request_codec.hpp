@@ -103,7 +103,7 @@ struct ServeRequest {
   /// 0 = server default.
   double deadline_ms = 0.0;
   /// Mapping options parsed from the request (mapper/placer/m/seed/
-  /// route_jobs/report), applied over the server's defaults.
+  /// heuristic_weight), applied over the server's defaults.
   MapperOptions options;
 };
 
@@ -127,9 +127,7 @@ struct CodecLimits {
 [[nodiscard]] std::string map_result_fingerprint(const MapResult& result);
 
 /// Response builders; each returns one JSON line (no trailing newline).
-/// `session` (when non-empty) echoes the session the mapping ran under; the
-/// result line always carries warm_hits / nets_rerouted (0 / all-nets for a
-/// cold mapping, see MapResult).
+/// `session` (when non-empty) echoes the session the mapping ran under.
 [[nodiscard]] std::string serve_result_json(const std::string& id,
                                             const MapResult& result,
                                             double queue_ms, double map_ms,

@@ -169,16 +169,13 @@ std::string MappingServer::process_ticket(ServeTicket& ticket) {
           MappingEngine::result_key(program, *fabric, ticket.request.options);
       if (std::shared_ptr<const CachedMapResult> cached =
               engine_.results().find(key)) {
-        MapResult result = cached->result;
-        result.warm_hits = static_cast<int>(cached->nets.size());
-        result.nets_rerouted = 0;
         session->qasm = ticket.request.qasm;
-        session->prior = cached;
         const double map_ms =
             ms_between(started, std::chrono::steady_clock::now());
         metrics_.count_completed();
         retry_estimator_.observe_request_ms(map_ms);
-        return serve_result_json(id, result, queue_ms, map_ms, session_name);
+        return serve_result_json(id, cached->result, queue_ms, map_ms,
+                                 session_name);
       }
     }
 
@@ -188,19 +185,10 @@ std::string MappingServer::process_ticket(ServeTicket& ticket) {
     job.options = ticket.request.options;
     job.name = id;
     job.cancel = token;
-    if (session != nullptr) {
-      job.warm = session->prior;
-      job.cache_result = true;
-    }
+    job.cache_result = session != nullptr;
     MapResult result = engine_.finish(engine_.begin(job));
-    if (session != nullptr) {
-      // Remember the circuit and (when the negotiation converged) the
-      // cached prior the next edit warms from. finish() inserted it under
-      // the same key this thread computes.
-      session->qasm = ticket.request.qasm;
-      session->prior = engine_.results().find(
-          MappingEngine::result_key(program, *fabric, job.options));
-    }
+    // Remember the circuit the session's next qasm_append edits.
+    if (session != nullptr) session->qasm = ticket.request.qasm;
     const double map_ms =
         ms_between(started, std::chrono::steady_clock::now());
     metrics_.count_completed();
@@ -547,8 +535,8 @@ void MappingServer::handle_map(Connection& conn, ServeRequest&& request) {
     }
     // The session pins the fabric; per-request fabric is ignored inside it.
     request.fabric = session->fabric;
-    // Warm-start seeding and the result cache live behind the negotiation
-    // diagnostic, so session maps always run it.
+    // The result cache only stores converged negotiation diagnostics, so
+    // session maps always run the diagnostic.
     request.options.negotiation_report = true;
   }
   if (request.fabric.empty()) request.fabric = options_.default_fabric;
@@ -691,7 +679,7 @@ std::string MappingServer::stats_json(const std::string& id) {
                          : 0.0);
   json.field("artifact_evictions", cache.evictions);
   json.field("artifact_bytes", static_cast<long long>(cache.bytes));
-  // Program-level result cache (warm-start sessions): hit/eviction and
+  // Program-level result cache (sessions): hit/eviction and
   // resident-byte counters, so an operator can see both halves of the
   // --cache-budget-mb budget working.
   const ResultCache::Stats results = engine_.results().stats();
@@ -704,11 +692,6 @@ std::string MappingServer::stats_json(const std::string& id) {
   json.field("cache_budget_bytes",
              static_cast<long long>(options_.cache_budget_bytes));
   json.field("open_sessions", static_cast<long long>(sessions_.size()));
-  // ALT landmark tables built/reused across the cached fabrics (reporting
-  // requests trigger the build; builds stay at one per distinct fabric).
-  const LandmarkCacheStats landmarks = engine_.artifacts().landmark_stats();
-  json.field("landmark_builds", landmarks.builds);
-  json.field("landmark_hits", landmarks.hits);
   json.field("p50_trial_cpu_ms", snap.p50_trial_cpu_ms);
   json.field("p99_trial_cpu_ms", snap.p99_trial_cpu_ms);
   json.field("latency_samples", snap.latency_samples);

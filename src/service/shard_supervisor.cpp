@@ -710,8 +710,8 @@ void ShardSupervisor::route_map(Client& client, const ServeRequest& request,
   }
   int target;
   if (!request.session.empty()) {
-    // Session frames follow the session, not the fabric: the warm prior
-    // lives in exactly one worker's ResultCache. No affinity entry means
+    // Session frames follow the session, not the fabric: its circuit
+    // lives in exactly one worker. No affinity entry means
     // the session never opened here or died with its shard — tell the
     // client to reopen rather than guessing a shard.
     const auto it = session_shards_.find(request.session);

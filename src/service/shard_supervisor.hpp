@@ -32,14 +32,14 @@
 //
 // Routing: requests hash by fabric spec (FNV-1a 64 of the canonical spec,
 // "" == "paper") to a shard, so every request against one fabric lands on
-// the worker whose artifact/landmark caches are already warm. The hash is
+// the worker whose artifact cache is already warm. The hash is
 // a pure function — routing is stable across worker restarts.
 //
 // Sessions: a `session_open` routes by fabric like a map; the worker's
 // reply names the session ("s<shard>.<n>", fleet-unique) and the
 // supervisor records session -> shard affinity from it. Frames carrying a
 // `session` then route by that affinity, byte-verbatim like everything
-// else — the session's warm prior lives in that worker's ResultCache.
+// else — the session's circuit and cached results live in that worker.
 // Session state dies with its worker: a crash drops the affinity entries,
 // and a session frame that can no longer reach its shard (or was
 // re-dispatched to a sibling after a death) gets an explicit

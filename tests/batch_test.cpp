@@ -222,38 +222,6 @@ TEST(FabricArtifactCache, BuildsOncePerDistinctFabricLayout) {
   EXPECT_EQ(engine.artifacts().size(), 2u);
 }
 
-TEST(FabricArtifactCache, LandmarkTablesBuildOncePerDistinctFabric) {
-  // The ALT landmark tables ride in the same per-fabric artifact entry as
-  // the CSR graph: a whole batch over one fabric layout pays exactly one
-  // table build (2K+K Dijkstras), every other job takes the cache hit.
-  const std::vector<Program> corpus = mixed_corpus();
-  const Fabric fabric_a1 = make_quale_fabric({4, 4, 4});
-  const Fabric fabric_a2 = make_quale_fabric({4, 4, 4});  // same layout
-  const Fabric fabric_b = make_quale_fabric({6, 11, 4});
-
-  MappingEngine engine(2);
-  MapperOptions options = monte_carlo_options();  // route_landmarks = 8
-  options.negotiation_report = true;  // the diagnostics pass consumes tables
-  engine.map(corpus[0], fabric_a1, options);
-  engine.map(corpus[1], fabric_a2, options);
-  engine.map(corpus[2], fabric_a1, options);
-  EXPECT_EQ(engine.artifacts().landmark_stats().builds, 1);
-  EXPECT_EQ(engine.artifacts().landmark_stats().hits, 2);
-
-  engine.map(corpus[0], fabric_b, options);
-  EXPECT_EQ(engine.artifacts().landmark_stats().builds, 2);
-
-  // A multi-program batch over one fabric also pays a single build.
-  MappingEngine batch_engine(4);
-  BatchMapper batch(batch_engine);
-  const BatchResult result =
-      batch.run(manifest_for(corpus, fabric_a1, options));
-  EXPECT_EQ(result.summary.failed, 0);
-  EXPECT_EQ(batch_engine.artifacts().landmark_stats().builds, 1);
-  EXPECT_EQ(batch_engine.artifacts().landmark_stats().hits,
-            static_cast<long long>(corpus.size()) - 1);
-}
-
 TEST(FabricArtifactCache, WarmHitsMatchColdBuilds) {
   const std::vector<Program> corpus = mixed_corpus();
   const Fabric fabric = make_quale_fabric({4, 4, 4});

@@ -1,5 +1,5 @@
-// LRU memory-budget enforcement of the two warm-start caches: the
-// per-fabric artifact cache and the program-level result cache. Both follow
+// LRU memory-budget enforcement of the engine's two caches: the per-fabric
+// artifact cache and the program-level result cache. Both follow
 // the same contract: set_budget_bytes(0) is unlimited, eviction is
 // least-recently-used, and the entry the current operation returns/inserts
 // is never evicted (a budget smaller than one entry degrades to a cache of
@@ -67,23 +67,27 @@ TEST(FabricArtifactCacheTest, TinyBudgetDegradesToCacheOfOne) {
 
 TEST(FabricArtifactCacheTest, EvictedBundleSurvivesThroughHeldReference) {
   FabricArtifactCache cache;
-  const auto held = cache.get(make_quale_fabric({2, 2, 3}));
-  const auto tables = held->landmark_tables(6.0, 1.0, 2);
-  ASSERT_NE(tables, nullptr);
+  const Fabric fabric = make_quale_fabric({2, 2, 3});
+  const auto held = cache.get(fabric);
+  const std::size_t nodes = held->graph.node_count();
+  ASSERT_GT(nodes, 0u);
   cache.set_budget_bytes(1);
   (void)cache.get(make_paper_fabric());  // evicts the held bundle
-  // Eviction drops the cache's reference only: the bundle and its landmark
-  // tables stay valid for jobs still holding them.
+  EXPECT_GE(cache.stats().evictions, 1);
+  // Eviction drops the cache's reference only: the bundle and its routing
+  // graph stay valid for jobs still holding them.
   EXPECT_GT(held->memory_bytes(), 0u);
-  EXPECT_EQ(held->landmark_tables(6.0, 1.0, 2).get(), tables.get());
+  EXPECT_EQ(held->graph.node_count(), nodes);
+  EXPECT_EQ(&held->graph.fabric(), &held->fabric);
+  EXPECT_TRUE(same_fabric_layout(held->fabric, fabric));
 }
 
 std::shared_ptr<const CachedMapResult> entry_of_bytes(std::size_t extra) {
   auto entry = std::make_shared<CachedMapResult>();
-  // route_history is counted by memory_bytes, so it makes a convenient
-  // size dial for eviction tests.
-  entry->route_history.assign(extra / sizeof(double), 0.0);
-  entry->converged = true;
+  // The result's timings are counted by memory_bytes, so they make a
+  // convenient size dial for eviction tests.
+  constexpr std::size_t kTiming = sizeof(InstructionTiming);
+  entry->result.timings.resize((extra + kTiming - 1) / kTiming);
   return entry;
 }
 
@@ -146,9 +150,9 @@ TEST(ResultCacheTest, ZeroBudgetIsUnlimited) {
   EXPECT_EQ(cache.stats().evictions, 0);
 }
 
-TEST(ResultCacheTest, MemoryBytesCountsNegotiationState) {
-  // The warm-start negotiation state rides in every cached result; the
-  // budget must see it or a history-heavy cache blows past its cap.
+TEST(ResultCacheTest, MemoryBytesCountsTheResult) {
+  // The budget must see the mapped result's bulk, or a cache of large
+  // results blows past its cap.
   const auto lean = entry_of_bytes(0);
   const auto heavy = entry_of_bytes(1 << 16);
   EXPECT_GE(heavy->memory_bytes(),

@@ -1,9 +1,9 @@
-// Frontier-queue equivalence: the three SearchArena frontier kinds (binary
-// heap, monotone bucket queue, 4-ary heap) must pop the exact same strict
-// (f, g, node) order on every workload the searches can generate — which is
-// what makes the frontier a pure constant-factor knob with bit-identical
-// routing results. Also covers the bucket queue's monotone discipline, the
-// generation-wrap reuse path, and the floating-point Bucket->Dary4 fallback.
+// Frontier-queue equivalence: the two SearchArena frontier kinds (binary
+// heap, monotone bucket queue) must pop the exact same strict (f, g, node)
+// order on every workload the searches can generate — which is what makes
+// the frontier choice invisible in routing results. Also covers the bucket
+// queue's monotone discipline, the generation-wrap reuse path, the test-only
+// override, and the floating-point Bucket->Binary fallback.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,8 +20,15 @@ namespace {
 
 using Entry = SearchArena<Duration>::HeapEntry;
 
-constexpr FrontierKind kKinds[] = {FrontierKind::Binary, FrontierKind::Bucket,
-                                   FrontierKind::Dary4};
+constexpr FrontierKind kKinds[] = {FrontierKind::Binary, FrontierKind::Bucket};
+
+/// Forces `kind` onto every arena's next begin() for the guard's lifetime.
+struct ForcedFrontier {
+  explicit ForcedFrontier(FrontierKind kind) { force_frontier_kind(kind); }
+  ~ForcedFrontier() { clear_frontier_kind_override(); }
+  ForcedFrontier(const ForcedFrontier&) = delete;
+  ForcedFrontier& operator=(const ForcedFrontier&) = delete;
+};
 
 /// Drains `arena`'s forward frontier into a vector.
 std::vector<Entry> drain(SearchArena<Duration>& arena) {
@@ -40,7 +47,7 @@ void expect_same_entries(const std::vector<Entry>& a,
   }
 }
 
-TEST(FrontierQueueTest, AllKindsPopIdenticalOrderOnAdversarialTies) {
+TEST(FrontierQueueTest, BothKindsPopIdenticalOrderOnAdversarialTies) {
   // Heavy equal-f and equal-(f, g) collisions: the whole batch shares three
   // f values and repeats g values, so only the (f, g, node) tie-break can
   // order it. Entries are pairwise distinct, exactly like real pushes
@@ -58,8 +65,8 @@ TEST(FrontierQueueTest, AllKindsPopIdenticalOrderOnAdversarialTies) {
   std::vector<std::vector<Entry>> popped;
   for (const FrontierKind kind : kKinds) {
     for (const std::vector<Entry>& order : {batch, reversed}) {
+      const ForcedFrontier forced(kind);
       SearchArena<Duration> arena;
-      arena.set_frontier(kind);
       arena.begin(batch.size());
       for (const Entry& e : order) arena.heap_push(e.f, e.g, e.node);
       popped.push_back(drain(arena));
@@ -86,8 +93,8 @@ constexpr ScriptStep kPop{-1, -1};
 /// the frontier drained after it) and returns every popped entry in order.
 std::vector<Entry> replay(
     FrontierKind kind, const std::vector<std::vector<ScriptStep>>& searches) {
+  const ForcedFrontier forced(kind);
   SearchArena<Duration> arena;
-  arena.set_frontier(kind);
   std::vector<Entry> popped;
   for (const std::vector<ScriptStep>& script : searches) {
     arena.begin(64);
@@ -111,8 +118,8 @@ TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
   // constrains the bucket queue's cursor discipline.
   std::vector<std::vector<Entry>> popped;
   for (const FrontierKind kind : kKinds) {
+    const ForcedFrontier forced(kind);
     SearchArena<Duration> arena;
-    arena.set_frontier(kind);
     arena.begin(4096);
     std::uint64_t lcg = 12345;
     const auto next = [&lcg](std::uint64_t bound) {
@@ -145,7 +152,6 @@ TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
   }
   ASSERT_GT(popped[0].size(), 1000u) << "workload died early; reseed the LCG";
   expect_same_entries(popped[0], popped[1], "binary vs bucket");
-  expect_same_entries(popped[0], popped[2], "binary vs dary4");
   for (std::size_t i = 0; i + 1 < popped[0].size(); ++i) {
     EXPECT_LE(popped[0][i].f, popped[0][i + 1].f) << "monotone pop " << i;
   }
@@ -172,8 +178,6 @@ TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
     const std::string label = "script " + std::to_string(c);
     expect_same_entries(reference, replay(FrontierKind::Bucket, scripts[c]),
                         (label + " bucket").c_str());
-    expect_same_entries(reference, replay(FrontierKind::Dary4, scripts[c]),
-                        (label + " dary4").c_str());
   }
 }
 
@@ -193,8 +197,8 @@ TEST(FrontierQueueTest, RouterPathsIdenticalAcrossKinds) {
     std::vector<RoutedPath> paths;
     std::vector<Duration> costs;
     for (const FrontierKind kind : kKinds) {
+      const ForcedFrontier forced(kind);
       SearchArena<Duration> arena;
-      arena.set_frontier(kind);
       Duration cost = 0;
       const auto path = router.route_trap_to_trap(
           traps[i], traps[i + 1], congestion, arena, &cost);
@@ -203,40 +207,45 @@ TEST(FrontierQueueTest, RouterPathsIdenticalAcrossKinds) {
       costs.push_back(cost);
     }
     EXPECT_EQ(paths[0].nodes, paths[1].nodes) << "bucket, query " << i;
-    EXPECT_EQ(paths[0].nodes, paths[2].nodes) << "dary4, query " << i;
     EXPECT_EQ(costs[0], costs[1]) << "query " << i;
-    EXPECT_EQ(costs[0], costs[2]) << "query " << i;
   }
 }
 
 TEST(FrontierQueueTest, ForcedKindOverrideAppliesAtNextBegin) {
-  SearchArena<Duration> arena;
+  SearchArena<Duration> integer_arena;
+  SearchArena<double> double_arena;
+  integer_arena.begin(8);
+  double_arena.begin(8);
+  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Bucket);
+  EXPECT_EQ(double_arena.frontier(), FrontierKind::Binary);
+
   force_frontier_kind(FrontierKind::Binary);
-  arena.begin(8);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Binary);
-  force_frontier_kind(FrontierKind::Dary4);
-  arena.begin(8);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Dary4);
+  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Bucket);  // not yet
+  integer_arena.begin(8);
+  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Binary);
+
+  // Clearing restores bucket for integer costs and binary for doubles, again
+  // from the next begin().
   clear_frontier_kind_override();
-  arena.begin(8);  // back to the integer-cost default
-  EXPECT_EQ(arena.frontier(), FrontierKind::Bucket);
-  // A pinned arena stops consulting the global override entirely.
-  force_frontier_kind(FrontierKind::Binary);
-  arena.set_frontier(FrontierKind::Bucket);
-  arena.begin(8);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Bucket);
-  clear_frontier_kind_override();
+  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Binary);  // not yet
+  integer_arena.begin(8);
+  double_arena.begin(8);
+  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Bucket);
+  EXPECT_EQ(double_arena.frontier(), FrontierKind::Binary);
 }
 
-TEST(FrontierQueueTest, BucketOnFloatingPointArenaResolvesToDary4) {
-  // Bucket indexing needs integer keys; a double arena silently falls back.
+TEST(FrontierQueueTest, ForcedBucketOnFloatingPointArenaResolvesToBinary) {
+  // Bucket indexing needs integer keys; a double arena falls back.
+  const ForcedFrontier forced(FrontierKind::Bucket);
   SearchArena<double> arena;
-  arena.set_frontier(FrontierKind::Bucket);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Dary4);
   arena.begin(8);
+  EXPECT_EQ(arena.frontier(), FrontierKind::Binary);
   arena.heap_push(1.5, 1.5, RouteNodeId::from_index(0));
   arena.heap_push(0.5, 0.5, RouteNodeId::from_index(1));
   EXPECT_EQ(arena.heap_pop().node, RouteNodeId::from_index(1));
+  SearchArena<Duration> integer_arena;
+  integer_arena.begin(8);
+  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Bucket);
 }
 
 TEST(FrontierQueueTest, GenerationWrapReuseStaysCorrect) {

@@ -1,10 +1,10 @@
 // Differential fuzz harness over the whole mapping stack: seeded random
-// programs driven through map_program under every parallelism configuration
-// — serial, trial-parallel (jobs), net-parallel (route_jobs), both, and the
-// batch service — asserting bit-identical MapResults (latency, trace,
-// placements) and identical negotiation diagnostics across all of them.
-// Speculative parallelism is exactly the kind of change that silently
-// breaks the determinism contract; this suite pins it stack-wide.
+// programs driven through map_program serially, trial-parallel (jobs), under
+// each forced frontier kind, and through the batch service — asserting
+// bit-identical MapResults (latency, trace, placements) and identical
+// negotiation diagnostics across all of them. Parallelism and search data
+// structures are exactly the kind of change that silently breaks the
+// determinism contract; this suite pins it stack-wide.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,13 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/mapper.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "qecc/random_circuit.hpp"
-#include "route/pathfinder.hpp"
 #include "route/search_arena.hpp"
 #include "service/batch_mapper.hpp"
 
@@ -75,8 +73,7 @@ void expect_identical(const MapResult& reference, const MapResult& other,
   EXPECT_EQ(reference.initial_placement, other.initial_placement) << label;
   EXPECT_EQ(reference.final_placement, other.final_placement) << label;
   EXPECT_EQ(trace_hash(reference), trace_hash(other)) << label;
-  // Negotiation diagnostics: every contractual field must agree; only the
-  // route_jobs / speculative_* observability fields may differ.
+  // Negotiation diagnostics: every field must agree.
   ASSERT_EQ(reference.negotiation.has_value(), other.negotiation.has_value())
       << label;
   if (reference.negotiation.has_value()) {
@@ -91,8 +88,6 @@ void expect_identical(const MapResult& reference, const MapResult& other,
     EXPECT_EQ(a.min_feasible_excess, b.min_feasible_excess) << label;
     EXPECT_EQ(a.searches_performed, b.searches_performed) << label;
     EXPECT_EQ(a.nodes_settled, b.nodes_settled) << label;
-    EXPECT_EQ(a.landmarks_used, b.landmarks_used) << label;
-    EXPECT_EQ(a.alt_refreshes, b.alt_refreshes) << label;
     EXPECT_EQ(a.heuristic_weight, b.heuristic_weight) << label;
     EXPECT_EQ(a.total_delay, b.total_delay) << label;
   }
@@ -102,36 +97,21 @@ TEST(FuzzDifferential, AllParallelConfigsMatchSerialAcrossSeededPrograms) {
   const std::vector<Fabric> fabrics = make_fabrics();
   const std::vector<FuzzCase> cases = make_cases();
 
-  // Serial reference per case, then every parallel configuration against it.
-  std::vector<MapResult> serial;
-  serial.reserve(cases.size());
-  for (const FuzzCase& fuzz : cases) {
-    MapperOptions options = fuzz.options;
-    options.jobs = 1;
-    options.route_jobs = 1;
-    serial.push_back(
-        map_program(fuzz.program, fabrics[fuzz.fabric], options));
-  }
-
-  struct Config {
-    const char* name;
-    int jobs;
-    int route_jobs;
-  };
-  const std::vector<Config> configs = {
-      {"trial_parallel", 4, 1},
-      {"net_parallel", 1, 4},
-      {"trial_and_net_parallel", 4, 4},
-  };
-  for (const Config& config : configs) {
+  // The exact negotiated search and the bounded-suboptimal one (w = 1.5):
+  // each must stay bit-identical between the serial and trial-parallel runs.
+  for (const double weight : {1.0, 1.5}) {
     for (std::size_t c = 0; c < cases.size(); ++c) {
       MapperOptions options = cases[c].options;
-      options.jobs = config.jobs;
-      options.route_jobs = config.route_jobs;
-      const MapResult result =
+      options.route_heuristic_weight = weight;
+      options.jobs = 1;
+      const MapResult serial =
           map_program(cases[c].program, fabrics[cases[c].fabric], options);
-      expect_identical(serial[c], result,
-                       std::string(config.name) + "/case" + std::to_string(c));
+      options.jobs = 4;
+      const MapResult parallel =
+          map_program(cases[c].program, fabrics[cases[c].fabric], options);
+      expect_identical(serial, parallel,
+                       std::string(weight == 1.0 ? "exact" : "w1.5") +
+                           "/trial_parallel/case" + std::to_string(c));
     }
   }
 }
@@ -145,13 +125,12 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
   for (const FuzzCase& fuzz : cases) {
     MapperOptions options = fuzz.options;
     options.jobs = 1;
-    options.route_jobs = 1;
     serial.push_back(
         map_program(fuzz.program, fabrics[fuzz.fabric], options));
   }
 
-  // The whole case set as one batch on a shared 4-worker engine, with
-  // net-parallel negotiation diagnostics enabled per job.
+  // The whole case set as one batch on a shared 4-worker engine, with the
+  // negotiation diagnostic enabled per job.
   std::vector<BatchJob> manifest;
   for (const FuzzCase& fuzz : cases) {
     BatchJob job;
@@ -159,7 +138,6 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
     job.program = &fuzz.program;
     job.fabric = &fabrics[fuzz.fabric];
     job.options = fuzz.options;
-    job.options.route_jobs = 2;
     manifest.push_back(std::move(job));
   }
   MappingEngine engine(4);
@@ -176,10 +154,11 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
 }
 
 TEST(FuzzDifferential, FrontierKindsBitIdenticalAcrossParallelismConfigs) {
-  // The frontier queue (binary heap / bucket queue / 4-ary heap) is a pure
-  // constant-factor knob: forcing each kind across the whole corpus must
-  // reproduce the reference binary-heap result bit for bit — serial and
-  // under combined trial+net parallelism, diagnostics included. This is the
+  // The frontier queue (binary heap / bucket queue) never shows in results:
+  // forcing bucket across the whole corpus — the Router's integer arenas
+  // inside the simulator workspaces take it, the PathFinder's double arenas
+  // resolve it to binary — must reproduce the forced-binary result bit for
+  // bit, serial and trial-parallel, diagnostics included. This is the
   // stack-level twin of tests/frontier_queue_test.cpp.
   struct OverrideGuard {
     ~OverrideGuard() { clear_frontier_kind_override(); }
@@ -194,179 +173,21 @@ TEST(FuzzDifferential, FrontierKindsBitIdenticalAcrossParallelismConfigs) {
   for (const FuzzCase& fuzz : cases) {
     MapperOptions options = fuzz.options;
     options.jobs = 1;
-    options.route_jobs = 1;
     reference.push_back(
         map_program(fuzz.program, fabrics[fuzz.fabric], options));
   }
 
-  for (const FrontierKind kind :
-       {FrontierKind::Bucket, FrontierKind::Dary4}) {
-    force_frontier_kind(kind);
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-      for (const int jobs : {1, 4}) {
-        MapperOptions options = cases[c].options;
-        options.jobs = jobs;
-        options.route_jobs = jobs;
-        const MapResult result =
-            map_program(cases[c].program, fabrics[cases[c].fabric], options);
-        expect_identical(reference[c], result,
-                         std::string(to_string(kind)) + "/jobs" +
-                             std::to_string(jobs) + "/case" +
-                             std::to_string(c));
-      }
-    }
-  }
-}
-
-TEST(FuzzDifferential, WarmStartIdentityAcrossParallelismAndFrontiers) {
-  // Warm-start contract, fuzzed: seeding a negotiation from its own
-  // converged result (an empty edit) must reproduce the cold paths bit for
-  // bit with zero searches — at every route_jobs and frontier kind, since
-  // sessions replay against whatever configuration the server runs.
-  struct OverrideGuard {
-    ~OverrideGuard() { clear_frontier_kind_override(); }
-  } guard;
-
-  const std::vector<Fabric> fabrics = make_fabrics();
-  const TechnologyParams params;
-  Executor executor(4);
-  PathFinderScratchPool pool;
-
-  for (int c = 0; c < 24; ++c) {
-    const Fabric& fabric = fabrics[static_cast<std::size_t>(c % 2)];
-    const RoutingGraph graph(fabric);
-    // Random net batch over random distinct traps.
-    Rng rng(4000 + static_cast<std::uint64_t>(c));
-    const auto traps = fabric.traps_by_distance(fabric.center());
-    std::vector<NetRequest> nets;
-    for (int n = 0; n < 4 + c % 8; ++n) {
-      const TrapId from = traps[rng.uniform_index(traps.size())];
-      const TrapId to = traps[rng.uniform_index(traps.size())];
-      if (from != to) nets.push_back({from, to});
-    }
-    if (nets.empty()) continue;
-
-    PathFinderScratch scratch;
-    const PathFinderResult cold =
-        route_nets_negotiated(graph, params, nets, {}, scratch);
-    if (!cold.converged) continue;  // only converged priors seed
-
-    const WarmStartSeed seed = make_warm_seed(
-        nets, cold.paths, nets, cold.history, cold.final_present_factor);
-    PathFinderOptions warm_options;
-    warm_options.warm = &seed;
-    for (const FrontierKind kind :
-         {FrontierKind::Binary, FrontierKind::Bucket, FrontierKind::Dary4}) {
-      force_frontier_kind(kind);
-      for (const int route_jobs : {1, 4}) {
-        warm_options.route_jobs = route_jobs;
-        PathFinderScratch warm_scratch;
-        const PathFinderResult warm = route_nets_negotiated(
-            graph, params, nets, warm_options, warm_scratch, executor, pool);
-        const std::string label = "case" + std::to_string(c) + "/" +
-                                  to_string(kind) + "/jobs" +
-                                  std::to_string(route_jobs);
-        EXPECT_TRUE(warm.converged) << label;
-        EXPECT_EQ(warm.searches_performed, 0) << label;
-        EXPECT_EQ(warm.warm_kept, static_cast<int>(nets.size())) << label;
-        EXPECT_FALSE(warm.warm_restarted) << label;
-        EXPECT_EQ(warm.total_delay, cold.total_delay) << label;
-        ASSERT_EQ(warm.paths.size(), cold.paths.size()) << label;
-        for (std::size_t i = 0; i < cold.paths.size(); ++i) {
-          EXPECT_EQ(warm.paths[i].nodes, cold.paths[i].nodes)
-              << label << "/net" << i;
-        }
-      }
-    }
-    clear_frontier_kind_override();
-
-    // Perturbed edit: replace one net and require the robustness contract —
-    // the warm run converges wherever the cold run does (via the internal
-    // fallback when the edit shifts the equilibrium globally).
-    std::vector<NetRequest> edited = nets;
-    const TrapId from = traps[rng.uniform_index(traps.size())];
-    const TrapId to = traps[rng.uniform_index(traps.size())];
-    if (from == to) continue;
-    edited.back() = {from, to};
-    const PathFinderResult cold_edit =
-        route_nets_negotiated(graph, params, edited, {}, scratch);
-    const WarmStartSeed edit_seed = make_warm_seed(
-        nets, cold.paths, edited, cold.history, cold.final_present_factor);
-    PathFinderOptions edit_options;
-    edit_options.warm = &edit_seed;
-    PathFinderScratch edit_scratch;
-    const PathFinderResult warm_edit = route_nets_negotiated(
-        graph, params, edited, edit_options, edit_scratch);
-    if (cold_edit.converged) {
-      EXPECT_TRUE(warm_edit.converged) << "edit/case" << c;
-    }
-  }
-}
-
-TEST(FuzzDifferential, AltUnitWeightMatchesGridAcrossParallelismConfigs) {
-  // ALT landmarks at heuristic_weight = 1.0 are an exact-search
-  // implementation detail: across the whole fuzz corpus the mapped output
-  // (latency, placements, trace hash) must be identical to the grid
-  // heuristic, and the ALT-enabled run itself must stay bit-identical
-  // across every parallelism configuration — including the diagnostics.
-  const std::vector<Fabric> fabrics = make_fabrics();
-  const std::vector<FuzzCase> cases = make_cases();
-
+  force_frontier_kind(FrontierKind::Bucket);
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    MapperOptions grid = cases[c].options;
-    grid.jobs = 1;
-    grid.route_jobs = 1;
-    grid.route_landmarks = 0;
-    const MapResult grid_serial =
-        map_program(cases[c].program, fabrics[cases[c].fabric], grid);
-
-    MapperOptions alt = grid;
-    alt.route_landmarks = 8;
-    alt.route_heuristic_weight = 1.0;
-    const MapResult alt_serial =
-        map_program(cases[c].program, fabrics[cases[c].fabric], alt);
-
-    const std::string label = "alt_vs_grid/case" + std::to_string(c);
-    EXPECT_EQ(grid_serial.latency, alt_serial.latency) << label;
-    EXPECT_EQ(grid_serial.initial_placement, alt_serial.initial_placement)
-        << label;
-    EXPECT_EQ(grid_serial.final_placement, alt_serial.final_placement)
-        << label;
-    EXPECT_EQ(trace_hash(grid_serial), trace_hash(alt_serial)) << label;
-    ASSERT_TRUE(alt_serial.negotiation.has_value()) << label;
-    EXPECT_EQ(alt_serial.negotiation->landmarks_used, 8) << label;
-    EXPECT_EQ(alt_serial.negotiation->heuristic_weight, 1.0) << label;
-
-    struct Config {
-      const char* name;
-      int jobs;
-      int route_jobs;
-    };
-    for (const Config& config : {Config{"trial_parallel", 4, 1},
-                                 Config{"net_parallel", 1, 4},
-                                 Config{"trial_and_net_parallel", 4, 4}}) {
-      MapperOptions options = alt;
-      options.jobs = config.jobs;
-      options.route_jobs = config.route_jobs;
+    for (const int jobs : {1, 4}) {
+      MapperOptions options = cases[c].options;
+      options.jobs = jobs;
       const MapResult result =
           map_program(cases[c].program, fabrics[cases[c].fabric], options);
-      expect_identical(alt_serial, result,
-                       std::string("alt/") + config.name + "/case" +
+      expect_identical(reference[c], result,
+                       "bucket/jobs" + std::to_string(jobs) + "/case" +
                            std::to_string(c));
     }
-
-    // The bounded-suboptimal knob must not break the parallel determinism
-    // contract either: w = 1.5 serial equals w = 1.5 net-parallel.
-    MapperOptions weighted = alt;
-    weighted.route_heuristic_weight = 1.5;
-    const MapResult weighted_serial =
-        map_program(cases[c].program, fabrics[cases[c].fabric], weighted);
-    MapperOptions weighted_parallel = weighted;
-    weighted_parallel.route_jobs = 4;
-    const MapResult weighted_net = map_program(
-        cases[c].program, fabrics[cases[c].fabric], weighted_parallel);
-    expect_identical(weighted_serial, weighted_net,
-                     "alt_w1.5/net_parallel/case" + std::to_string(c));
   }
 }
 

@@ -1,34 +1,28 @@
-// Minimal downstream program: build a fabric, precompute ALT landmark
-// tables, and route one net through the negotiated PathFinder — touching
-// enough of the public surface (fabric, routing graph, landmarks, options)
-// that a packaging break in headers, link line or the exported target shows
-// up as a compile/link/run failure rather than passing vacuously.
+// Minimal downstream program: build a fabric and route one net through the
+// negotiated PathFinder — touching enough of the public surface (fabric,
+// routing graph, options, result) that a packaging break in headers, link
+// line or the exported target shows up as a compile/link/run failure rather
+// than passing vacuously.
 #include <cstdio>
 
 #include "fabric/quale_fabric.hpp"
-#include "route/landmarks.hpp"
 #include "route/pathfinder.hpp"
 
 int main() {
   const qspr::Fabric fabric = qspr::make_quale_fabric({2, 2, 4});
   const qspr::RoutingGraph graph(fabric);
   const qspr::TechnologyParams params;
-  const qspr::LandmarkTables tables = qspr::build_landmark_tables(
-      graph, static_cast<double>(params.t_move),
-      static_cast<double>(params.t_turn), 4);
 
-  qspr::PathFinderOptions options;
-  options.alt_landmarks = tables.k();
-  options.landmarks = &tables;
+  const qspr::PathFinderOptions options;
   const auto traps = fabric.traps_by_distance(fabric.center());
   const qspr::PathFinderResult result = qspr::route_nets_negotiated(
       graph, params, {{traps.front(), traps.back()}}, options);
 
-  std::printf("consumer: routed 1 net, delay %lld us, %d landmarks\n",
+  std::printf("consumer: routed 1 net, delay %lld us, %lld searches\n",
               static_cast<long long>(result.total_delay),
-              result.landmarks_used);
-  return result.paths.size() == 1 && result.landmarks_used == tables.k() &&
-                 result.converged
+              result.searches_performed);
+  return result.paths.size() == 1 && result.converged &&
+                 result.total_delay > 0
              ? 0
              : 1;
 }

@@ -1,14 +1,16 @@
 // Wire-codec regressions for qspr_serve's newline-delimited JSON protocol.
 // The FrameReader CRLF cases and the "m"/"seed" range cases are regression
 // tests: each failed before its fix (CR counted against the frame cap; m=0
-// rejected instead of meaning "server default"; seeds above 2^53 silently
-// rounded by the double-typed JSON reader).
+// rejected instead of meaning "server default"; a fractional m truncated to
+// a different trial count, 0.5 to a map that could only fail; seeds above
+// 2^53 silently rounded by the double-typed JSON reader).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/result_cache.hpp"
 #include "service/request_codec.hpp"
 
 namespace qspr {
@@ -109,8 +111,42 @@ TEST_F(ParseRequestTest, MZeroMeansServerDefault) {
 }
 
 TEST_F(ParseRequestTest, NegativeMIsRejected) {
-  EXPECT_THROW(parse(R"({"type":"map","id":"r1","qasm":"q","m":-1})"),
-               Error);
+  for (const char* m : {"-1", "0.5", "2.7"}) {
+    const std::string frame =
+        std::string(R"({"type":"map","id":"r1","qasm":"q","m":)") + m + "}";
+    EXPECT_THROW(parse(frame), Error) << "m = " << m;
+  }
+}
+
+TEST_F(ParseRequestTest, HeuristicWeightAppliesInsideItsRange) {
+  defaults_.route_heuristic_weight = 1.25;
+  EXPECT_EQ(parse(R"({"type":"map","id":"r1","qasm":"q"})")
+                .options.route_heuristic_weight,
+            1.25);
+  const std::string head =
+      R"({"type":"map","id":"r1","qasm":"q","heuristic_weight":)";
+  for (const double weight : {1.0, 1.5, 16.0}) {
+    EXPECT_EQ(parse(head + std::to_string(weight) + "}")
+                  .options.route_heuristic_weight,
+              weight);
+  }
+  for (const char* weight : {"0.5", "0.999", "16.5", "\"1.5\""}) {
+    EXPECT_THROW(parse(head + weight + "}"), Error)
+        << "heuristic_weight = " << weight;
+  }
+}
+
+TEST_F(ParseRequestTest, OldClientLandmarksFieldIsIgnored) {
+  // Older clients may still send the removed "landmarks" knob; like every
+  // other unknown field, it changes nothing.
+  const ServeRequest plain =
+      parse(R"({"type":"map","id":"r1","qasm":"q","m":3,"seed":2})");
+  const ServeRequest with_landmarks = parse(
+      R"({"type":"map","id":"r1","qasm":"q","m":3,"seed":2,"landmarks":4})");
+  EXPECT_EQ(mapper_options_fingerprint(with_landmarks.options),
+            mapper_options_fingerprint(plain.options));
+  EXPECT_NO_THROW(parse(
+      R"({"type":"map","id":"r1","qasm":"q","landmarks":"bogus"})"));
 }
 
 TEST_F(ParseRequestTest, SeedRoundTripsUpTo2To53AndClampsAbove) {

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fabric/linear_fabric.hpp"
 #include "fabric/quale_fabric.hpp"
@@ -117,23 +118,29 @@ TEST(SearchDeterminismTest, RepeatedRunsProduceIdenticalPaths) {
 }
 
 TEST(SearchDeterminismTest, PathFinderScratchReuseDoesNotPerturbResults) {
-  // One PathFinderScratch reused across batches (the per-worker ownership
-  // pattern) must negotiate exactly like a fresh scratch per batch.
-  const Fabric fabric = make_quale_fabric({3, 3, 4});
-  const RoutingGraph graph(fabric);
+  // One PathFinderScratch reused across batches — on different fabrics too
+  // (the per-worker ownership pattern) — must negotiate exactly like a
+  // fresh scratch per batch.
   const TechnologyParams params;
   PathFinderScratch shared;
-  for (const std::uint64_t seed : {2u, 9u, 31u}) {
-    const auto nets = random_nets(fabric, 8, seed);
-    const PathFinderResult reused =
-        route_nets_negotiated(graph, params, nets, {}, shared);
-    const PathFinderResult fresh = route_nets_negotiated(graph, params, nets);
-    ASSERT_EQ(reused.paths.size(), fresh.paths.size());
-    for (std::size_t i = 0; i < reused.paths.size(); ++i) {
-      EXPECT_EQ(reused.paths[i].nodes, fresh.paths[i].nodes) << "net " << i;
+  for (const auto& dims :
+       {QualeFabricParams{3, 3, 4}, QualeFabricParams{4, 4, 4}}) {
+    const Fabric fabric = make_quale_fabric(dims);
+    const RoutingGraph graph(fabric);
+    for (const std::uint64_t seed : {2u, 9u, 31u}) {
+      const auto nets = random_nets(fabric, 8, seed);
+      const PathFinderResult reused =
+          route_nets_negotiated(graph, params, nets, {}, shared);
+      const PathFinderResult fresh =
+          route_nets_negotiated(graph, params, nets);
+      ASSERT_EQ(reused.paths.size(), fresh.paths.size());
+      for (std::size_t i = 0; i < reused.paths.size(); ++i) {
+        EXPECT_EQ(reused.paths[i].nodes, fresh.paths[i].nodes) << "net " << i;
+      }
+      EXPECT_EQ(reused.total_delay, fresh.total_delay);
+      EXPECT_EQ(reused.iterations_used, fresh.iterations_used);
+      EXPECT_EQ(reused.nodes_settled, fresh.nodes_settled);
     }
-    EXPECT_EQ(reused.total_delay, fresh.total_delay);
-    EXPECT_EQ(reused.iterations_used, fresh.iterations_used);
   }
 }
 
@@ -258,6 +265,66 @@ TEST(BidirectionalSearchTest, NegotiatedBatchesStayLegalAndConverge) {
     EXPECT_TRUE(bidi.converged) << "seed " << seed;
     EXPECT_EQ(bidi.total_delay, uni.total_delay) << "seed " << seed;
   }
+}
+
+TEST(HeuristicWeightTest, ExplicitUnitWeightIsBitIdenticalToDefault) {
+  // heuristic_weight = 1.0 multiplies every f-value by 1.0, an IEEE no-op,
+  // so the search trajectory, paths and counters equal the default run's.
+  const Fabric fabric = make_quale_fabric({4, 4, 4});
+  const RoutingGraph graph(fabric);
+  const TechnologyParams params;
+  for (const std::uint64_t seed : {1u, 7u, 23u}) {
+    const auto nets = random_nets(fabric, 12, seed);
+    PathFinderOptions weighted;
+    weighted.heuristic_weight = 1.0;  // explicit, same value
+    const PathFinderResult a = route_nets_negotiated(graph, params, nets);
+    const PathFinderResult b =
+        route_nets_negotiated(graph, params, nets, weighted);
+    ASSERT_EQ(a.paths.size(), b.paths.size());
+    for (std::size_t i = 0; i < a.paths.size(); ++i) {
+      EXPECT_EQ(a.paths[i].nodes, b.paths[i].nodes) << "net " << i;
+    }
+    EXPECT_EQ(a.total_delay, b.total_delay);
+    EXPECT_EQ(a.iterations_used, b.iterations_used);
+    EXPECT_EQ(a.nodes_settled, b.nodes_settled);
+  }
+}
+
+TEST(HeuristicWeightTest, UncontendedDelaysBoundedByWeight) {
+  // One net at a time, no congestion: the negotiated cost equals the
+  // physical delay, so each weighted path's delay must stay within w times
+  // the exact search's. The corner haul runs the bidirectional search.
+  const Fabric fabric = make_paper_fabric();
+  const RoutingGraph graph(fabric);
+  const TechnologyParams params;
+  std::vector<NetRequest> pairs = {
+      {fabric.traps().front().id, fabric.traps().back().id},
+  };
+  const auto random = random_nets(fabric, 12, 53);
+  pairs.insert(pairs.end(), random.begin(), random.end());
+  for (const double w : {1.1, 1.5}) {
+    PathFinderOptions weighted;
+    weighted.heuristic_weight = w;
+    for (const NetRequest& net : pairs) {
+      const PathFinderResult exact =
+          route_nets_negotiated(graph, params, {net});
+      const PathFinderResult sub =
+          route_nets_negotiated(graph, params, {net}, weighted);
+      EXPECT_LE(static_cast<double>(sub.total_delay),
+                w * static_cast<double>(exact.total_delay) + 1e-9)
+          << "w=" << w << " " << net.from << " -> " << net.to;
+    }
+  }
+}
+
+TEST(HeuristicWeightTest, RejectsWeightBelowOne) {
+  const Fabric fabric = make_quale_fabric({2, 2, 4});
+  const RoutingGraph graph(fabric);
+  PathFinderOptions options;
+  options.heuristic_weight = 0.9;
+  EXPECT_THROW(route_nets_negotiated(graph, TechnologyParams{},
+                                     random_nets(fabric, 2, 1), options),
+               Error);
 }
 
 TEST(CsrGraphTest, EdgeSpansCoverSymmetricGraph) {
