@@ -41,7 +41,6 @@
 #include "common/executor.hpp"
 #include "common/json.hpp"
 #include "common/net.hpp"
-#include "common/thread_pool.hpp"
 #include "route/pathfinder.hpp"
 #include "service/batch_mapper.hpp"
 #include "service/corpus.hpp"
@@ -672,7 +671,7 @@ int main(int argc, char** argv) {
     json.key("parallel_scaling").begin_object();
     json.field("code", "[[7,1,3]]");
     json.field("hardware_concurrency",
-               static_cast<long long>(ThreadPool::default_worker_count()));
+               static_cast<long long>(Executor::default_worker_count()));
     json.key("runs").begin_array();
     for (const Flow& flow : flows) {
       double serial_ms = 0.0;
@@ -726,7 +725,7 @@ int main(int argc, char** argv) {
     }
     json.end_array().end_object();
     std::cout << "\nparallel scaling ([[7,1,3]], "
-              << ThreadPool::default_worker_count()
+              << Executor::default_worker_count()
               << " hardware threads):\n"
               << table.to_string();
   }
@@ -783,7 +782,7 @@ int main(int argc, char** argv) {
     json.end_array();
     json.field("sequential_wall_ms", sequential_ms);
     json.field("hardware_concurrency",
-               static_cast<long long>(ThreadPool::default_worker_count()));
+               static_cast<long long>(Executor::default_worker_count()));
     json.key("runs").begin_array();
     for (const int workers : job_levels) {
       MappingEngine engine(workers);

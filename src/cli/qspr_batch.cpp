@@ -150,6 +150,7 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw Error("missing value for " + arg);
         return argv[++i];
       };
+      if (apply_mapper_flag(arg, next, map_options)) continue;
       if (arg == "--jobs") {
         jobs = static_cast<int>(parse_integer(next()));
         if (jobs < 1) throw Error("--jobs must be at least 1");
@@ -161,23 +162,6 @@ int main(int argc, char** argv) {
           throw Error("--heuristic-weight must be >= 1 (1.0 is exact)");
         }
         map_options.route_heuristic_weight = weight;
-      } else if (arg == "--mapper") {
-        const std::string name = next();
-        const auto kind = mapper_kind_from_name(name);
-        if (!kind.has_value()) throw Error("unknown mapper: " + name);
-        map_options.kind = *kind;
-      } else if (arg == "--placer") {
-        const std::string name = next();
-        const auto placer = placer_kind_from_name(name);
-        if (!placer.has_value()) throw Error("unknown placer: " + name);
-        map_options.placer = *placer;
-      } else if (arg == "--m") {
-        const int m = static_cast<int>(parse_integer(next()));
-        map_options.mvfb_seeds = m;
-        map_options.monte_carlo_trials = m;
-      } else if (arg == "--seed") {
-        map_options.rng_seed =
-            static_cast<std::uint64_t>(parse_integer(next()));
       } else if (arg == "--fabric") {
         fabric = parse_fabric_file(next());
       } else if (arg == "--output") {

@@ -14,7 +14,7 @@
 
 #include "circuit/dot.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
+#include "common/executor.hpp"
 #include "core/mapper.hpp"
 #include "core/qspr.hpp"
 
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   try {
     std::optional<Program> program;
     MapperOptions options;
-    options.jobs = ThreadPool::default_worker_count();
+    options.jobs = Executor::default_worker_count();
     std::optional<Fabric> fabric;
     bool dump_trace = false;
     bool dump_dot = false;
@@ -78,27 +78,12 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw Error("missing value for " + arg);
         return argv[++i];
       };
+      if (apply_mapper_flag(arg, next, options)) continue;
       if (arg == "--code") {
         const std::string name = next();
         const auto code = code_by_name(name);
         if (!code.has_value()) throw Error("unknown code: " + name);
         program = make_encoder(*code);
-      } else if (arg == "--mapper") {
-        const std::string name = next();
-        const auto kind = mapper_kind_from_name(name);
-        if (!kind.has_value()) throw Error("unknown mapper: " + name);
-        options.kind = *kind;
-      } else if (arg == "--placer") {
-        const std::string name = next();
-        const auto placer = placer_kind_from_name(name);
-        if (!placer.has_value()) throw Error("unknown placer: " + name);
-        options.placer = *placer;
-      } else if (arg == "--m") {
-        const int m = static_cast<int>(parse_integer(next()));
-        options.mvfb_seeds = m;
-        options.monte_carlo_trials = m;
-      } else if (arg == "--seed") {
-        options.rng_seed = static_cast<std::uint64_t>(parse_integer(next()));
       } else if (arg == "--jobs") {
         const int jobs = static_cast<int>(parse_integer(next()));
         if (jobs < 1) throw Error("--jobs must be at least 1");

@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw Error("missing value for " + arg);
         return argv[++i];
       };
+      if (apply_mapper_flag(arg, next, options.default_options)) continue;
       if (arg == "--host") {
         options.host = next();
       } else if (arg == "--port") {
@@ -151,23 +152,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--fabric") {
         options.default_fabric = next();
         parse_fabric_file(options.default_fabric);  // fail fast, not at req 1
-      } else if (arg == "--mapper") {
-        const std::string name = next();
-        const auto kind = mapper_kind_from_name(name);
-        if (!kind.has_value()) throw Error("unknown mapper: " + name);
-        options.default_options.kind = *kind;
-      } else if (arg == "--placer") {
-        const std::string name = next();
-        const auto placer = placer_kind_from_name(name);
-        if (!placer.has_value()) throw Error("unknown placer: " + name);
-        options.default_options.placer = *placer;
-      } else if (arg == "--m") {
-        const int m = static_cast<int>(parse_integer(next()));
-        options.default_options.mvfb_seeds = m;
-        options.default_options.monte_carlo_trials = m;
-      } else if (arg == "--seed") {
-        options.default_options.rng_seed =
-            static_cast<std::uint64_t>(parse_integer(next()));
       } else if (arg == "--quiet") {
         quiet = true;
       } else if (arg == "--help" || arg == "-h") {

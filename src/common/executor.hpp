@@ -10,10 +10,10 @@
 // and runs every job strictly in index order — the serial reference the
 // parallel runs are tested bit-identical against).
 //
-// Determinism is the caller's contract, exactly as it was for the original
-// ThreadPool: a body's outputs must depend only on its index, never on which
-// worker ran it or in what order. Failures are captured *per job*: a body
-// that throws abandons only its own job's unclaimed indices, and wait()
+// Determinism is the caller's contract: a body's outputs must depend only on
+// its index, never on which worker ran it or in what order. Failures are
+// captured *per job*: a body that throws abandons only its own job's
+// unclaimed indices, and wait()
 // rethrows the exception thrown by the lowest index of that job — other
 // in-flight jobs are unaffected (the fault-isolation hinge of the batch
 // mapping service).

@@ -7,12 +7,7 @@ namespace qspr {
 FabricArtifacts::FabricArtifacts(const Fabric& source)
     : fabric(source),
       graph(fabric),
-      traps_near_center(fabric.traps_by_distance(fabric.center())) {
-  trap_port_count.reserve(fabric.trap_count());
-  for (const Trap& trap : fabric.traps()) {
-    trap_port_count.push_back(static_cast<int>(trap.ports.size()));
-  }
-}
+      traps_near_center(fabric.traps_by_distance(fabric.center())) {}
 
 std::size_t FabricArtifacts::memory_bytes() const {
   // Estimate, not an exact accounting: the dominant term is the CSR routing
@@ -23,7 +18,6 @@ std::size_t FabricArtifacts::memory_bytes() const {
            static_cast<std::size_t>(fabric.cols());
   bytes += graph.node_count() * 32 + graph.edge_count() * 8;
   bytes += traps_near_center.size() * sizeof(TrapId);
-  bytes += trap_port_count.size() * sizeof(int);
   return bytes;
 }
 

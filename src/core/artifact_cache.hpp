@@ -2,11 +2,10 @@
 // across jobs.
 //
 // Every mapping job derives the same heavyweight structures from its fabric:
-// the CSR routing graph (the dominant build), the traps-by-distance-to-
-// center table the placers draw initial placements from, and the per-trap
-// port-capacity table behind the PathFinder's structural-excess floor. A
-// batch service mapping many programs against few fabrics should build them
-// once per *distinct* fabric and share them const across jobs — which is
+// the CSR routing graph (the dominant build) and the traps-by-distance-to-
+// center table the placers draw initial placements from. A batch service
+// mapping many programs against few fabrics should build them once per
+// *distinct* fabric and share them const across jobs — which is
 // sound because PR 2 made every consumer (Router, EventSimulator,
 // PathFinder) const-callable over shared graphs, with all mutable search
 // state thread-confined in per-worker arenas.
@@ -43,10 +42,6 @@ struct FabricArtifacts {
   /// All traps ordered by Manhattan distance from the fabric center — the
   /// table every center/random-center placement draws from (paper §I).
   std::vector<TrapId> traps_near_center;
-  /// Per-trap access-port count: the port-capacity input of the structural
-  /// excess floor (a trap with endpoint demand above port capacity forces
-  /// residual over-use no router can remove).
-  std::vector<int> trap_port_count;
 
   /// Estimated resident bytes of this bundle: fabric grid + routing graph +
   /// placement tables.

@@ -156,20 +156,6 @@ MappingEngine::~MappingEngine() = default;
 int MappingEngine::worker_count() const { return executor_.worker_count(); }
 Executor& MappingEngine::executor() { return executor_; }
 FabricArtifactCache& MappingEngine::artifacts() { return cache_; }
-ResultCache& MappingEngine::results() { return result_cache_; }
-
-ResultCache::Key MappingEngine::result_key(const Program& program,
-                                           const Fabric& fabric,
-                                           const MapperOptions& options) {
-  return ResultCache::Key{program_fingerprint(program),
-                          fabric_fingerprint(fabric),
-                          mapper_options_fingerprint(options)};
-}
-
-void MappingEngine::set_cache_budget_bytes(std::size_t budget) {
-  cache_.set_budget_bytes(budget == 0 ? 0 : budget / 2);
-  result_cache_.set_budget_bytes(budget == 0 ? 0 : budget / 2);
-}
 
 MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
   require(job.program != nullptr && job.fabric != nullptr,
@@ -339,13 +325,6 @@ MapResult MappingEngine::finish(PendingMap pending) {
   if (state.job.options.negotiation_report && result.trace.size() > 0) {
     result.negotiation = diagnose_negotiation(
         *state.artifacts, state.exec.tech, result.trace, state.job.options);
-    if (state.job.cache_result && result.negotiation->converged) {
-      auto cached = std::make_shared<CachedMapResult>();
-      cached->result = result;
-      result_cache_.insert(result_key(*state.job.program, state.artifacts->fabric,
-                                      state.job.options),
-                           std::move(cached));
-    }
   }
   return result;
 }

@@ -8,8 +8,8 @@
 //     from many jobs at once, interleaved round-robin so a large circuit
 //     cannot starve the queue;
 //   * a FabricArtifactCache of read-only per-fabric structures (CSR routing
-//     graph, traps-by-center placement table, port-capacity table) built
-//     once per distinct fabric and shared const across jobs.
+//     graph, traps-by-center placement table) built once per distinct
+//     fabric and shared const across jobs.
 //
 // A MapJob names one program + fabric + per-job options (including the RNG
 // seed); jobs preserve the PR-2 determinism contract individually: a job's
@@ -37,7 +37,6 @@
 #include "common/executor.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/mapper.hpp"
-#include "core/result_cache.hpp"
 
 namespace qspr {
 
@@ -57,11 +56,6 @@ struct MapJob {
   MapperOptions options;
   std::string name;
   CancelToken cancel;
-
-  /// Insert the finished result into the engine's ResultCache when the
-  /// negotiation diagnostic ran and converged. Off by default so batch
-  /// flows keep their memory profile; the serve session path opts in.
-  bool cache_result = false;
 };
 
 class MappingEngine {
@@ -79,20 +73,6 @@ class MappingEngine {
   [[nodiscard]] int worker_count() const;
   [[nodiscard]] Executor& executor();
   [[nodiscard]] FabricArtifactCache& artifacts();
-  /// Program-level result cache (exact-resubmission hits).
-  /// Lookups are never transparent: map()/finish() only *insert* (and only
-  /// for jobs with cache_result set) — callers decide when a cached result
-  /// may substitute for a fresh mapping via result_key()/results().find().
-  [[nodiscard]] ResultCache& results();
-  /// The cache key of (program, fabric, options) — program instruction
-  /// sequence fingerprint + fabric layout fingerprint + contractual options
-  /// fingerprint.
-  [[nodiscard]] static ResultCache::Key result_key(const Program& program,
-                                                   const Fabric& fabric,
-                                                   const MapperOptions& options);
-  /// One budget for both engine caches (artifacts + results), split evenly.
-  /// 0 = unlimited.
-  void set_cache_budget_bytes(std::size_t budget);
 
   /// A job staged by begin(): setup done, placement trials in flight on the
   /// shared executor. Destroying an unfinished PendingMap drains its trials
@@ -134,7 +114,6 @@ class MappingEngine {
  private:
   Executor executor_;
   FabricArtifactCache cache_;
-  ResultCache result_cache_;
 };
 
 }  // namespace qspr

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "core/engine.hpp"
 
 namespace qspr {
@@ -30,6 +31,32 @@ std::optional<PlacerKind> placer_kind_from_name(std::string_view name) {
   if (name == "mc") return PlacerKind::MonteCarlo;
   if (name == "center") return PlacerKind::Center;
   return std::nullopt;
+}
+
+bool apply_mapper_flag(std::string_view flag,
+                       const std::function<std::string()>& value,
+                       MapperOptions& options) {
+  if (flag == "--mapper") {
+    const std::string name = value();
+    const auto kind = mapper_kind_from_name(name);
+    if (!kind.has_value()) throw Error("unknown mapper: " + name);
+    options.kind = *kind;
+  } else if (flag == "--placer") {
+    const std::string name = value();
+    const auto placer = placer_kind_from_name(name);
+    if (!placer.has_value()) throw Error("unknown placer: " + name);
+    options.placer = *placer;
+  } else if (flag == "--m") {
+    const long long m = parse_integer(value());
+    if (m < 1) throw Error("--m must be at least 1");
+    options.mvfb_seeds = static_cast<int>(m);
+    options.monte_carlo_trials = static_cast<int>(m);
+  } else if (flag == "--seed") {
+    options.rng_seed = static_cast<std::uint64_t>(parse_integer(value()));
+  } else {
+    return false;
+  }
+  return true;
 }
 
 ExecutionOptions execution_options_for(const MapperOptions& options) {

@@ -12,6 +12,7 @@
 //                 critical path with gate delays only.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -130,12 +131,21 @@ MapResult map_program(const Program& program, const Fabric& fabric,
 
 [[nodiscard]] std::string to_string(MapperKind kind);
 
-/// CLI-name parsers shared by qspr_map and qspr_batch: "qspr" | "quale" |
+/// Name parsers shared by the CLIs and the serve codec: "qspr" | "quale" |
 /// "qpos" | "baseline", and "mvfb" | "mc" | "center". nullopt when unknown.
 [[nodiscard]] std::optional<MapperKind> mapper_kind_from_name(
     std::string_view name);
 [[nodiscard]] std::optional<PlacerKind> placer_kind_from_name(
     std::string_view name);
+
+/// Applies `flag` to `options` when it is one of the mapper flags qspr_map,
+/// qspr_batch and qspr_serve share — --mapper, --placer, --m (MVFB seeds
+/// and MC trials) or --seed — reading its value through `value`. Returns
+/// false for any other flag. Throws qspr::Error on an unknown name, a
+/// malformed number or an --m below 1.
+bool apply_mapper_flag(std::string_view flag,
+                       const std::function<std::string()>& value,
+                       MapperOptions& options);
 
 /// The execution options (routing/physics policy) a mapper kind implies,
 /// after applying the ablation overrides.

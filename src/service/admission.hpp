@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "core/result_cache.hpp"
 #include "service/request_codec.hpp"
 
 namespace qspr {

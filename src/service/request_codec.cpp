@@ -78,6 +78,44 @@ double number_field(const JsonValue& object, std::string_view key,
   return number;
 }
 
+std::uint64_t result_fingerprint(const MapResult& result) {
+  // FNV-1a 64: process-stable (unlike std::hash), so a client in another
+  // process can reproduce it from its own map_program run.
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix_bytes = [&hash](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  const auto mix_i64 = [&](long long v) { mix_bytes(&v, sizeof(v)); };
+  const auto mix_placement = [&](const Placement& placement) {
+    mix_i64(static_cast<long long>(placement.qubit_count()));
+    for (std::size_t q = 0; q < placement.qubit_count(); ++q) {
+      mix_i64(placement.trap_of(QubitId::from_index(q)).value());
+    }
+  };
+  mix_i64(static_cast<long long>(result.latency));
+  mix_i64(static_cast<long long>(result.ideal_latency));
+  mix_i64(result.placement_runs);
+  mix_placement(result.initial_placement);
+  mix_placement(result.final_placement);
+  const std::string trace = result.trace.to_string();
+  mix_bytes(trace.data(), trace.size());
+  return hash;
+}
+
+std::string hex_fingerprint(std::uint64_t hash) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<std::size_t>(i)] = kHex[hash & 0xf];
+    hash >>= 4;
+  }
+  return out;
+}
+
 }  // namespace
 
 ServeRequest parse_serve_request(std::string_view frame,
@@ -197,41 +235,27 @@ ServeRequest parse_serve_request(std::string_view frame,
 }
 
 std::string map_result_fingerprint(const MapResult& result) {
-  // FNV-1a 64: process-stable (unlike std::hash), so a client in another
-  // process can reproduce it from its own map_program run.
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto mix_bytes = [&hash](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ull;
-    }
-  };
-  const auto mix_i64 = [&](long long v) { mix_bytes(&v, sizeof(v)); };
-  const auto mix_placement = [&](const Placement& placement) {
-    mix_i64(static_cast<long long>(placement.qubit_count()));
-    for (std::size_t q = 0; q < placement.qubit_count(); ++q) {
-      mix_i64(placement.trap_of(QubitId::from_index(q)).value());
-    }
-  };
-  mix_i64(static_cast<long long>(result.latency));
-  mix_i64(static_cast<long long>(result.ideal_latency));
-  mix_i64(result.placement_runs);
-  mix_placement(result.initial_placement);
-  mix_placement(result.final_placement);
-  const std::string trace = result.trace.to_string();
-  mix_bytes(trace.data(), trace.size());
-
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[hash & 0xf];
-    hash >>= 4;
-  }
-  return out;
+  return hex_fingerprint(result_fingerprint(result));
 }
 
-std::string serve_result_json(const std::string& id, const MapResult& result,
+MapReply map_reply(const MapResult& result) {
+  MapReply reply;
+  reply.mapper = result.kind;
+  reply.latency_us = static_cast<long long>(result.latency);
+  reply.ideal_latency_us = static_cast<long long>(result.ideal_latency);
+  reply.routing_us = static_cast<long long>(result.stats.total_routing);
+  reply.congestion_us = static_cast<long long>(result.stats.total_congestion);
+  reply.moves = result.stats.moves;
+  reply.turns = result.stats.turns;
+  reply.placement_runs = result.placement_runs;
+  reply.trial_cpu_ms = result.trial_cpu_ms;
+  reply.setup_ms = result.setup_ms;
+  reply.nodes_settled = result.stats.nodes_settled;
+  reply.result_fp = result_fingerprint(result);
+  return reply;
+}
+
+std::string serve_result_json(const std::string& id, const MapReply& reply,
                               double queue_ms, double map_ms,
                               const std::string& session) {
   JsonWriter json;
@@ -239,23 +263,28 @@ std::string serve_result_json(const std::string& id, const MapResult& result,
   json.field("id", id);
   json.field("ok", true);
   if (!session.empty()) json.field("session", session);
-  json.field("mapper", to_string(result.kind));
-  json.field("latency_us", static_cast<long long>(result.latency));
-  json.field("ideal_latency_us", static_cast<long long>(result.ideal_latency));
-  json.field("routing_us", static_cast<long long>(result.stats.total_routing));
-  json.field("congestion_us",
-             static_cast<long long>(result.stats.total_congestion));
-  json.field("moves", result.stats.moves);
-  json.field("turns", result.stats.turns);
-  json.field("placement_runs", result.placement_runs);
-  json.field("trial_cpu_ms", result.trial_cpu_ms);
-  json.field("setup_ms", result.setup_ms);
-  json.field("nodes_settled", result.stats.nodes_settled);
+  json.field("mapper", to_string(reply.mapper));
+  json.field("latency_us", reply.latency_us);
+  json.field("ideal_latency_us", reply.ideal_latency_us);
+  json.field("routing_us", reply.routing_us);
+  json.field("congestion_us", reply.congestion_us);
+  json.field("moves", reply.moves);
+  json.field("turns", reply.turns);
+  json.field("placement_runs", reply.placement_runs);
+  json.field("trial_cpu_ms", reply.trial_cpu_ms);
+  json.field("setup_ms", reply.setup_ms);
+  json.field("nodes_settled", reply.nodes_settled);
   json.field("queue_ms", queue_ms);
   json.field("map_ms", map_ms);
-  json.field("result_fp", map_result_fingerprint(result));
+  json.field("result_fp", hex_fingerprint(reply.result_fp));
   json.end_object();
   return json.str();
+}
+
+std::string serve_result_json(const std::string& id, const MapResult& result,
+                              double queue_ms, double map_ms,
+                              const std::string& session) {
+  return serve_result_json(id, map_reply(result), queue_ms, map_ms, session);
 }
 
 std::string serve_session_json(const std::string& id,

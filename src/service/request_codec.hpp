@@ -121,13 +121,40 @@ struct CodecLimits {
                                                const MapperOptions& defaults);
 
 /// Process-stable FNV-1a fingerprint of a MapResult's contractual fields
-/// (latency, placements, trace). Two results are bit-identical exactly when
-/// their fingerprints match, so a client can compare a served result
-/// against a local map_program run without shipping the trace.
+/// (latency, placements, trace), as 16 hex digits. Two results are
+/// bit-identical exactly when their fingerprints match, so a client can
+/// compare a served result against a local map_program run without shipping
+/// the trace.
 [[nodiscard]] std::string map_result_fingerprint(const MapResult& result);
+
+/// What a successful map reply says about its result: every result field
+/// serve_result_json writes, with the fingerprint computed once. Fixed-size
+/// (no trace, no placements), so a cache of replies costs the same per entry
+/// whatever the circuit.
+struct MapReply {
+  MapperKind mapper = MapperKind::Qspr;
+  long long latency_us = 0;
+  long long ideal_latency_us = 0;
+  long long routing_us = 0;
+  long long congestion_us = 0;
+  long long moves = 0;
+  long long turns = 0;
+  int placement_runs = 0;
+  double trial_cpu_ms = 0.0;
+  double setup_ms = 0.0;
+  long long nodes_settled = 0;
+  std::uint64_t result_fp = 0;  ///< map_result_fingerprint, unformatted
+};
+
+[[nodiscard]] MapReply map_reply(const MapResult& result);
 
 /// Response builders; each returns one JSON line (no trailing newline).
 /// `session` (when non-empty) echoes the session the mapping ran under.
+/// The MapResult form builds the MapReply and writes it.
+[[nodiscard]] std::string serve_result_json(const std::string& id,
+                                            const MapReply& reply,
+                                            double queue_ms, double map_ms,
+                                            const std::string& session = "");
 [[nodiscard]] std::string serve_result_json(const std::string& id,
                                             const MapResult& result,
                                             double queue_ms, double map_ms,

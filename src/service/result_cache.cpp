@@ -1,6 +1,6 @@
-#include "core/result_cache.hpp"
+#include "service/result_cache.hpp"
 
-#include <limits>
+#include "core/artifact_cache.hpp"
 
 namespace qspr {
 
@@ -81,33 +81,30 @@ std::uint64_t mapper_options_fingerprint(const MapperOptions& options) {
   return hash;
 }
 
-std::size_t CachedMapResult::memory_bytes() const {
-  std::size_t bytes = sizeof(CachedMapResult);
-  bytes += result.trace.size() * sizeof(MicroOp);
-  bytes += result.timings.size() * sizeof(InstructionTiming);
-  return bytes;
+ResultCache::Key ResultCache::key_of(const Program& program,
+                                     const Fabric& fabric,
+                                     const MapperOptions& options) {
+  return Key{program_fingerprint(program), fabric_fingerprint(fabric),
+             mapper_options_fingerprint(options)};
 }
 
-std::shared_ptr<const CachedMapResult> ResultCache::find(const Key& key) {
+std::optional<MapReply> ResultCache::find(const Key& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
-    return nullptr;
+    return std::nullopt;
   }
   ++stats_.hits;
   it->second.last_used = ++tick_;
-  return it->second.cached;
+  return it->second.reply;
 }
 
-void ResultCache::insert(const Key& key,
-                         std::shared_ptr<const CachedMapResult> entry) {
-  if (!entry) return;
+void ResultCache::insert(const Key& key, const MapReply& reply) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const CachedMapResult* keep = entry.get();
-  entries_[key] = Entry{std::move(entry), ++tick_};
+  entries_[key] = Entry{reply, ++tick_};
   ++stats_.insertions;
-  enforce_budget_locked(keep);
+  enforce_budget_locked(&key);
 }
 
 void ResultCache::set_budget_bytes(std::size_t budget) {
@@ -116,29 +113,22 @@ void ResultCache::set_budget_bytes(std::size_t budget) {
   enforce_budget_locked(nullptr);
 }
 
-void ResultCache::enforce_budget_locked(const CachedMapResult* keep) {
-  std::size_t total = 0;
-  for (const auto& [key, entry] : entries_) {
-    total += entry.cached->memory_bytes();
-  }
-  while (budget_bytes_ > 0 && total > budget_bytes_) {
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    const Key* victim = nullptr;
-    for (const auto& [key, entry] : entries_) {
-      if (entry.cached.get() == keep) continue;
-      if (entry.last_used < oldest) {
-        oldest = entry.last_used;
-        victim = &key;
+void ResultCache::enforce_budget_locked(const Key* keep) {
+  while (budget_bytes_ > 0 && entries_.size() * entry_bytes() > budget_bytes_) {
+    auto victim = entries_.end();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (keep != nullptr && it->first == *keep) continue;
+      if (victim == entries_.end() ||
+          it->second.last_used < victim->second.last_used) {
+        victim = it;
       }
     }
-    if (victim == nullptr) break;  // only the protected entry remains
-    const auto it = entries_.find(*victim);
-    total -= it->second.cached->memory_bytes();
-    entries_.erase(it);
+    if (victim == entries_.end()) break;  // only the protected entry remains
+    entries_.erase(victim);
     ++stats_.evictions;
   }
-  stats_.bytes = total;
   stats_.entries = entries_.size();
+  stats_.bytes = entries_.size() * entry_bytes();
 }
 
 ResultCache::Stats ResultCache::stats() const {
@@ -149,12 +139,6 @@ ResultCache::Stats ResultCache::stats() const {
 std::size_t ResultCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
-}
-
-void ResultCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  stats_ = Stats{};
 }
 
 }  // namespace qspr

@@ -1,5 +1,6 @@
-// Program-level mapping result cache (beside FabricArtifactCache, which
-// shares per-fabric structures).
+// Program-level result cache of the mapping daemon, owned by MappingServer
+// beside the engine's FabricArtifactCache (which shares per-fabric
+// structures).
 //
 // A service absorbing interactive traffic sees duplicate circuits —
 // resubmissions against an open session. The cache keys on a fingerprint of
@@ -9,16 +10,22 @@
 // knobs that change the mapped result, deliberately excluding jobs, which
 // is bit-identity-neutral by the trial-parallel determinism contract. Exact
 // resubmission is a pure hit: no placement, no routing.
+//
+// An entry is the reply, not the mapped result: a MapReply holds the fields
+// serve_result_json writes and the fingerprint computed once, so every
+// entry costs the same few bytes whatever the circuit, and a hit writes the
+// reply the miss wrote, apart from the request id and the timings.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "circuit/program.hpp"
 #include "core/mapper.hpp"
+#include "fabric/fabric.hpp"
+#include "service/request_codec.hpp"
 
 namespace qspr {
 
@@ -37,19 +44,11 @@ namespace qspr {
 [[nodiscard]] std::uint64_t mapper_options_fingerprint(
     const MapperOptions& options);
 
-/// A finished mapping, as the cache holds it.
-struct CachedMapResult {
-  MapResult result;
-
-  /// Estimated resident bytes (trace, timings).
-  [[nodiscard]] std::size_t memory_bytes() const;
-};
-
-/// Thread-safe LRU result cache keyed on (program, fabric, options)
+/// Thread-safe LRU cache of map replies keyed on (program, fabric, options)
 /// fingerprints, with the same memory-budget semantics as
 /// FabricArtifactCache: set_budget_bytes(0) = unlimited; eviction never
-/// drops the entry the current operation returns/inserts, so a budget
-/// smaller than one entry degrades to a cache of one.
+/// drops the entry the current insert writes, so a budget smaller than one
+/// entry degrades to a cache of one.
 class ResultCache {
  public:
   struct Key {
@@ -65,25 +64,32 @@ class ResultCache {
     long long misses = 0;
     long long insertions = 0;
     long long evictions = 0;
-    /// Estimated resident bytes at the last find/insert.
+    /// Estimated resident bytes (entries x entry_bytes()).
     std::size_t bytes = 0;
     std::size_t entries = 0;
   };
 
-  /// nullptr on miss (counted).
-  [[nodiscard]] std::shared_ptr<const CachedMapResult> find(const Key& key);
+  /// The key of mapping `program` onto `fabric` under `options`.
+  [[nodiscard]] static Key key_of(const Program& program, const Fabric& fabric,
+                                  const MapperOptions& options);
+
+  /// Estimated resident bytes of one entry — the same for every circuit.
+  [[nodiscard]] static constexpr std::size_t entry_bytes() {
+    return sizeof(Key) + sizeof(Entry);
+  }
+
+  /// nullopt on miss (counted).
+  [[nodiscard]] std::optional<MapReply> find(const Key& key);
 
   /// Inserts (or replaces) the entry for `key` and enforces the budget,
   /// never evicting the entry just inserted.
-  void insert(const Key& key,
-              std::shared_ptr<const CachedMapResult> entry);
+  void insert(const Key& key, const MapReply& reply);
 
   /// LRU memory budget in bytes (0 = unlimited, the default).
   void set_budget_bytes(std::size_t budget);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t size() const;
-  void clear();
 
  private:
   struct KeyHash {
@@ -96,13 +102,13 @@ class ResultCache {
   };
 
   struct Entry {
-    std::shared_ptr<const CachedMapResult> cached;
+    MapReply reply;
     std::uint64_t last_used = 0;
   };
 
   /// Caller holds mutex_. Evicts LRU entries (never `keep`) until the
   /// estimated total fits the budget.
-  void enforce_budget_locked(const CachedMapResult* keep);
+  void enforce_budget_locked(const Key* keep);
 
   mutable std::mutex mutex_;
   std::unordered_map<Key, Entry, KeyHash> entries_;

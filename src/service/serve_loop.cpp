@@ -1,6 +1,7 @@
 #include "service/serve_loop.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -30,22 +31,15 @@ RetryEstimatorOptions retry_options(const ServeOptions& options) {
 /// Poll-thread-only connection state. `pending` maps an in-flight map
 /// request id to its ticket, which is where client cancels and disconnect /
 /// drain cancellation find the CancelSource to fire.
-struct MappingServer::Connection {
-  Connection(std::uint64_t id_in, FileDescriptor fd_in,
-             std::size_t max_frame_bytes)
-      : id(id_in), fd(std::move(fd_in)), reader(max_frame_bytes) {}
+struct MappingServer::Connection : NdjsonConnection {
+  Connection(std::uint64_t id_in, FileDescriptor fd,
+             const ServeOptions& options)
+      : NdjsonConnection(std::move(fd), options.max_frame_bytes,
+                         options.max_outbox_bytes),
+        id(id_in) {}
 
   std::uint64_t id;
-  FileDescriptor fd;
-  FrameReader reader;
-  std::string outbox;
-  std::size_t outbox_at = 0;
-  bool read_closed = false;       // orderly EOF: no more requests
-  bool close_after_flush = false; // closed for cause once the outbox drains
-  bool broken = false;            // destroy immediately, drop the outbox
   std::unordered_map<std::string, std::shared_ptr<ServeTicket>> pending;
-
-  [[nodiscard]] bool outbox_empty() const { return outbox_at >= outbox.size(); }
 };
 
 MappingServer::MappingServer(ServeOptions options)
@@ -57,7 +51,9 @@ MappingServer::MappingServer(ServeOptions options)
   require(options_.mapper_threads >= 1, "qspr_serve needs >= 1 mapper thread");
   require(options_.max_connections >= 1, "qspr_serve needs >= 1 connection");
   codec_limits_.max_frame_bytes = options_.max_frame_bytes;
-  engine_.set_cache_budget_bytes(options_.cache_budget_bytes);
+  const std::size_t half = options_.cache_budget_bytes / 2;
+  engine_.artifacts().set_budget_bytes(half);
+  results_.set_budget_bytes(half);
 }
 
 MappingServer::~MappingServer() {
@@ -161,21 +157,21 @@ std::string MappingServer::process_ticket(ServeTicket& ticket) {
     const std::string session_name = session != nullptr ? session->name : "";
 
     // Session fast path: an exact resubmission (same circuit, fabric,
-    // options) is served straight from the program-level result cache —
-    // no placement, no routing. Stateless maps never consult the cache, so
-    // their behaviour (and memory profile) is unchanged.
+    // options) is answered from the result cache — no placement, no
+    // routing — with the reply the first map wrote. Every successful
+    // session map is inserted under the key looked up here. Stateless maps
+    // never consult the cache, so their behaviour (and memory profile) is
+    // unchanged.
+    std::optional<ResultCache::Key> key;
     if (session != nullptr) {
-      const ResultCache::Key key =
-          MappingEngine::result_key(program, *fabric, ticket.request.options);
-      if (std::shared_ptr<const CachedMapResult> cached =
-              engine_.results().find(key)) {
+      key = ResultCache::key_of(program, *fabric, ticket.request.options);
+      if (const std::optional<MapReply> hit = results_.find(*key)) {
         session->qasm = ticket.request.qasm;
         const double map_ms =
             ms_between(started, std::chrono::steady_clock::now());
         metrics_.count_completed();
         retry_estimator_.observe_request_ms(map_ms);
-        return serve_result_json(id, cached->result, queue_ms, map_ms,
-                                 session_name);
+        return serve_result_json(id, *hit, queue_ms, map_ms, session_name);
       }
     }
 
@@ -185,17 +181,20 @@ std::string MappingServer::process_ticket(ServeTicket& ticket) {
     job.options = ticket.request.options;
     job.name = id;
     job.cancel = token;
-    job.cache_result = session != nullptr;
-    MapResult result = engine_.finish(engine_.begin(job));
-    // Remember the circuit the session's next qasm_append edits.
-    if (session != nullptr) session->qasm = ticket.request.qasm;
+    const MapResult result = engine_.finish(engine_.begin(job));
+    const MapReply reply = map_reply(result);
+    if (key.has_value()) {
+      results_.insert(*key, reply);
+      // Remember the circuit the session's next qasm_append edits.
+      session->qasm = ticket.request.qasm;
+    }
     const double map_ms =
         ms_between(started, std::chrono::steady_clock::now());
     metrics_.count_completed();
     metrics_.record_trial_cpu_ms(result.trial_cpu_ms);
     metrics_.record_map_work(result.setup_ms, result.stats.nodes_settled);
     retry_estimator_.observe_request_ms(map_ms);
-    return serve_result_json(id, result, queue_ms, map_ms, session_name);
+    return serve_result_json(id, reply, queue_ms, map_ms, session_name);
   } catch (const CancelledError& e) {
     // Cancelled mid-mapping: the thread was still occupied for that long,
     // so the sample belongs in the drain-rate estimate.
@@ -237,9 +236,7 @@ int MappingServer::serve() {
   const auto reap = [&] {
     scratch_ids.clear();
     for (const auto& [id, conn] : connections_) {
-      const bool flushed = conn->outbox_empty();
-      if (conn->broken || (conn->close_after_flush && flushed) ||
-          (conn->read_closed && flushed && conn->pending.empty())) {
+      if (conn->finished(/*replies_owed=*/!conn->pending.empty())) {
         scratch_ids.push_back(id);
       }
     }
@@ -275,11 +272,7 @@ int MappingServer::serve() {
     }
     const std::size_t first_conn_entry = entries.size();
     for (const auto& [id, conn] : connections_) {
-      PollEntry entry;
-      entry.fd = conn->fd.get();
-      entry.want_read = !conn->read_closed && !conn->close_after_flush;
-      entry.want_write = !conn->outbox_empty();
-      entries.push_back(entry);
+      entries.push_back(conn->poll_entry());
       entry_conn.push_back(id);
     }
 
@@ -304,11 +297,13 @@ int MappingServer::serve() {
       if (it == connections_.end()) continue;
       Connection& conn = *it->second;
       if (entries[i].broken) {
-        conn.broken = true;
+        conn.mark_broken();
         continue;
       }
       if (entries[i].readable) read_from(conn);
-      if (entries[i].writable && !conn.outbox_empty()) flush_outbox(conn);
+      if (entries[i].writable && !conn.outbox_empty() && !conn.flush()) {
+        metrics_.count_connection_failed();
+      }
     }
 
     reap();
@@ -330,7 +325,7 @@ bool MappingServer::quiescent() {
     if (!completions_.empty()) return false;
   }
   for (const auto& [id, conn] : connections_) {
-    if (conn->broken) continue;  // dropped regardless
+    if (conn->broken()) continue;  // dropped regardless
     if (!conn->pending.empty() || !conn->outbox_empty()) return false;
   }
   return true;
@@ -352,46 +347,27 @@ void MappingServer::accept_clients() {
     }
     const std::uint64_t id = next_connection_id_++;
     connections_.emplace(
-        id, std::make_unique<Connection>(id, std::move(client),
-                                         options_.max_frame_bytes));
+        id, std::make_unique<Connection>(id, std::move(client), options_));
     metrics_.count_connection_opened();
   }
 }
 
 void MappingServer::read_from(Connection& conn) {
-  char buffer[16384];
-  std::vector<std::string> frames;
-  while (!conn.close_after_flush && !conn.broken) {
-    const IoResult io = read_some(conn.fd.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::WouldBlock) return;
-    if (io.status == IoStatus::Closed) {
-      // Orderly EOF. A non-empty partial frame is a mid-message disconnect:
-      // the truncated request is dropped (never half-parsed), and only this
-      // connection winds down.
-      conn.read_closed = true;
-      return;
-    }
-    if (io.status == IoStatus::Error) {
-      conn.broken = true;
-      metrics_.count_connection_failed();
-      return;
-    }
-    frames.clear();
-    if (!conn.reader.feed(std::string_view(buffer, io.bytes), frames)) {
-      // Frame over the byte cap: resynchronising inside it is guesswork, so
-      // answer once and close. Frames completed before the overflow still
-      // get handled below.
-      metrics_.count_bad_request();
-      enqueue_reply(conn,
-                    serve_error_json("", "oversized",
-                                     "frame exceeds max_frame_bytes; closing"));
-      conn.close_after_flush = true;
-    }
-    for (const std::string& frame : frames) {
-      if (frame.empty()) continue;  // blank keep-alive lines are free
-      handle_frame(conn, frame);
-      if (conn.close_after_flush || conn.broken) break;
-    }
+  // An orderly EOF needs nothing here: a partial trailing frame is a
+  // mid-message disconnect, dropped unparsed, and only this connection
+  // winds down once its replies are out.
+  const NdjsonConnection::ReadEnd end =
+      conn.read([&](std::string& frame) { handle_frame(conn, frame); });
+  if (end == NdjsonConnection::ReadEnd::Error) {
+    metrics_.count_connection_failed();
+  } else if (end == NdjsonConnection::ReadEnd::Oversized) {
+    // Frame over the byte cap: resynchronising inside it is guesswork, so
+    // answer once and close. Frames completed before it were handled.
+    metrics_.count_bad_request();
+    enqueue_reply(conn, serve_error_json("", "oversized",
+                                         "frame exceeds max_frame_bytes; "
+                                         "closing"));
+    conn.close_after_flush();
   }
 }
 
@@ -535,8 +511,11 @@ void MappingServer::handle_map(Connection& conn, ServeRequest&& request) {
     }
     // The session pins the fabric; per-request fabric is ignored inside it.
     request.fabric = session->fabric;
-    // The result cache only stores converged negotiation diagnostics, so
-    // session maps always run the diagnostic.
+    // Session maps still run the negotiation diagnostic, although no reply
+    // field carries it. Without it session maps ran 3x faster in a trial,
+    // which nearly doubled mapbench serve_sessions' peak RSS, because the
+    // harness keeps every reply sample; dropping it waits until mapbench
+    // keeps per-pass summaries instead.
     request.options.negotiation_report = true;
   }
   if (request.fabric.empty()) request.fabric = options_.default_fabric;
@@ -570,40 +549,9 @@ void MappingServer::handle_map(Connection& conn, ServeRequest&& request) {
   metrics_.count_accepted();
 }
 
-void MappingServer::enqueue_reply(Connection& conn, std::string line) {
-  if (conn.broken) return;
-  const std::size_t buffered = conn.outbox.size() - conn.outbox_at;
-  if (buffered + line.size() + 1 > options_.max_outbox_bytes) {
-    // Reader slower than the bound: cut it rather than buffer unboundedly.
-    conn.broken = true;
-    metrics_.count_connection_failed();
-    return;
-  }
-  // Compact the consumed prefix opportunistically before growing.
-  if (conn.outbox_at > 0 && conn.outbox_at == conn.outbox.size()) {
-    conn.outbox.clear();
-    conn.outbox_at = 0;
-  }
-  conn.outbox.append(line);
-  conn.outbox.push_back('\n');
-  flush_outbox(conn);
-}
-
-void MappingServer::flush_outbox(Connection& conn) {
-  while (conn.outbox_at < conn.outbox.size()) {
-    const IoResult io = write_some(
-        conn.fd.get(), std::string_view(conn.outbox).substr(conn.outbox_at));
-    if (io.status == IoStatus::Ok) {
-      conn.outbox_at += io.bytes;
-      continue;
-    }
-    if (io.status == IoStatus::WouldBlock) return;  // poll for POLLOUT
-    conn.broken = true;
-    metrics_.count_connection_failed();
-    return;
-  }
-  conn.outbox.clear();
-  conn.outbox_at = 0;
+void MappingServer::enqueue_reply(Connection& conn, std::string_view line) {
+  // A reader slower than max_outbox_bytes is cut rather than buffered.
+  if (!conn.broken() && !conn.queue(line)) metrics_.count_connection_failed();
 }
 
 void MappingServer::deliver_completions() {
@@ -619,7 +567,7 @@ void MappingServer::deliver_completions() {
     const auto it = connections_.find(done.connection);
     if (it == connections_.end()) continue;  // client gone: reply dropped
     it->second->pending.erase(done.request_id);
-    enqueue_reply(*it->second, std::move(done.line));
+    enqueue_reply(*it->second, done.line);
   }
 }
 
@@ -682,7 +630,7 @@ std::string MappingServer::stats_json(const std::string& id) {
   // Program-level result cache (sessions): hit/eviction and
   // resident-byte counters, so an operator can see both halves of the
   // --cache-budget-mb budget working.
-  const ResultCache::Stats results = engine_.results().stats();
+  const ResultCache::Stats results = results_.stats();
   json.field("result_hits", results.hits);
   json.field("result_misses", results.misses);
   json.field("result_insertions", results.insertions);

@@ -36,7 +36,9 @@
 #include "common/net.hpp"
 #include "core/engine.hpp"
 #include "service/admission.hpp"
+#include "service/ndjson_connection.hpp"
 #include "service/request_codec.hpp"
+#include "service/result_cache.hpp"
 
 namespace qspr {
 
@@ -72,8 +74,8 @@ struct ServeOptions {
   /// Fabric spec used when a request names none ("" = paper fabric).
   std::string default_fabric;
   MapperOptions default_options;
-  /// Combined memory budget for the engine's fabric-artifact and
-  /// program-result caches (split evenly; 0 = unlimited). Surfaced on the
+  /// Combined memory budget for the engine's fabric-artifact cache and the
+  /// server's result cache (split evenly; 0 = unlimited). Surfaced on the
   /// qspr_serve CLI as --cache-budget-mb; evictions show up in `stats`.
   std::size_t cache_budget_bytes = 0;
   /// Test hook: when set, admitted maps block at the gate before mapping
@@ -127,8 +129,7 @@ class MappingServer {
   void handle_map(Connection& conn, ServeRequest&& request);
   void handle_session_open(Connection& conn, const ServeRequest& request);
   void handle_session_close(Connection& conn, const ServeRequest& request);
-  void enqueue_reply(Connection& conn, std::string line);
-  void flush_outbox(Connection& conn);
+  void enqueue_reply(Connection& conn, std::string_view line);
   void deliver_completions();
   void destroy_connection(std::uint64_t id);
   [[nodiscard]] std::string stats_json(const std::string& id);
@@ -139,6 +140,9 @@ class MappingServer {
   ServeOptions options_;
   CodecLimits codec_limits_;
   MappingEngine engine_;
+  /// Session maps' replies, keyed on (program, fabric, options). Only the
+  /// mapper threads look up and insert; the poll thread reads its stats.
+  ResultCache results_;
   FabricSource fabrics_;
   AdmissionQueue queue_;
   ServeMetrics metrics_;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -17,6 +18,9 @@
 namespace qspr {
 
 namespace {
+
+/// Frame cap of a control lane, which carries only health replies.
+constexpr std::size_t kControlFrameBytes = 1 << 16;
 
 double ms_between(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
@@ -133,24 +137,6 @@ int shard_for_fabric(const std::string& spec, int shard_count) {
 // ---------------------------------------------------------------------------
 // Internal structures.
 
-/// One upstream NDJSON connection from a specific client to a specific
-/// shard. Frames forward byte-verbatim in both directions, so the worker's
-/// replies need no id rewriting — and closing the lane is exactly a client
-/// disconnect from the worker's point of view (it cancels that
-/// connection's in-flight work), which is how client death propagates.
-struct ShardSupervisor::Lane {
-  explicit Lane(std::size_t max_frame_bytes) : reader(max_frame_bytes) {}
-
-  FileDescriptor fd;
-  bool connecting = false;
-  bool broken = false;
-  FrameReader reader;
-  std::string outbox;  // frames buffered until the connect completes
-  std::size_t outbox_at = 0;
-
-  [[nodiscard]] bool outbox_empty() const { return outbox_at >= outbox.size(); }
-};
-
 /// What the supervisor owes a reply for: one accepted map frame, its
 /// original bytes (for re-dispatch), and how many worker deaths it has
 /// already survived.
@@ -161,18 +147,19 @@ struct ShardSupervisor::ParkedFrame {
   int attempts = 0;
 };
 
-struct ShardSupervisor::Client {
-  Client(std::uint64_t id_in, FileDescriptor fd_in, std::size_t max_frame)
-      : id(id_in), fd(std::move(fd_in)), reader(max_frame) {}
+/// One client connection and its upstream lanes, one per shard it has
+/// talked to. Frames forward byte-verbatim in both directions, so the
+/// worker's replies need no id rewriting — and closing a lane is exactly a
+/// client disconnect from the worker's point of view (it cancels that
+/// connection's in-flight work), which is how client death propagates.
+struct ShardSupervisor::Client : NdjsonConnection {
+  Client(std::uint64_t id_in, FileDescriptor fd,
+         const ShardSupervisorOptions& options)
+      : NdjsonConnection(std::move(fd), options.max_frame_bytes,
+                         options.max_outbox_bytes),
+        id(id_in) {}
 
   std::uint64_t id;
-  FileDescriptor fd;
-  FrameReader reader;
-  std::string outbox;
-  std::size_t outbox_at = 0;
-  bool read_closed = false;
-  bool close_after_flush = false;
-  bool broken = false;
 
   struct Pending {
     int shard = -1;
@@ -180,9 +167,7 @@ struct ShardSupervisor::Client {
     int attempts = 0;
   };
   std::unordered_map<std::string, Pending> pending;
-  std::unordered_map<int, Lane> lanes;  // shard index -> upstream socket
-
-  [[nodiscard]] bool outbox_empty() const { return outbox_at >= outbox.size(); }
+  std::unordered_map<int, Lane> lanes;  // shard index -> upstream lane
 };
 
 struct ShardSupervisor::Shard {
@@ -197,11 +182,7 @@ struct ShardSupervisor::Shard {
 
   // Supervisor-owned control lane: health probes only. Kept separate from
   // client lanes so a probe never queues behind client traffic.
-  FileDescriptor control;
-  bool control_connecting = false;
-  FrameReader control_reader{1 << 16};
-  std::string control_outbox;
-  std::size_t control_outbox_at = 0;
+  std::optional<Lane> control;
   bool probe_outstanding = false;
   std::chrono::steady_clock::time_point probe_sent_at{};
   std::chrono::steady_clock::time_point next_probe_at{};
@@ -211,10 +192,6 @@ struct ShardSupervisor::Shard {
 
   void reset_control() {
     control.reset();
-    control_connecting = false;
-    control_reader = FrameReader(1 << 16);
-    control_outbox.clear();
-    control_outbox_at = 0;
     probe_outstanding = false;
   }
 };
@@ -452,59 +429,31 @@ void ShardSupervisor::pump_shard_bringup(int index) {
     shard.phase = ShardPhase::Connecting;
   }
 
-  if (shard.phase == ShardPhase::Connecting && !shard.control.valid()) {
-    bool pending = false;
-    FileDescriptor fd;
-    try {
-      fd = connect_nonblocking(options_.host, shard.port, pending);
-    } catch (const std::exception&) {
-      shard_failed(index, "control connect setup");
-      return;
-    }
-    if (!fd.valid()) return;  // refused outright; retry until the deadline
-    shard.control = std::move(fd);
-    shard.control_connecting = pending;
-    if (!pending) {
+  if (shard.phase == ShardPhase::Connecting && !shard.control) {
+    Lane lane = open_lane(shard.port, kControlFrameBytes);
+    if (lane.broken()) return;  // refused (or no fd): retry until the deadline
+    shard.control = std::move(lane);
+    if (!shard.control->connecting()) {
       shard.phase = ShardPhase::Probing;
-      shard.control_outbox += "{\"type\":\"health\",\"id\":\"hb\"}\n";
-      shard.probe_outstanding = true;
-      shard.probe_sent_at = now;
-      flush_control(index);
+      send_probe(shard);
     }
-  }
-}
-
-void ShardSupervisor::flush_control(int index) {
-  Shard& shard = *shards_[static_cast<std::size_t>(index)];
-  while (shard.control.valid() && !shard.control_connecting &&
-         shard.control_outbox_at < shard.control_outbox.size()) {
-    const IoResult io = write_some(
-        shard.control.get(),
-        std::string_view(shard.control_outbox).substr(shard.control_outbox_at));
-    if (io.status == IoStatus::Ok) {
-      shard.control_outbox_at += io.bytes;
-      continue;
-    }
-    if (io.status == IoStatus::WouldBlock) return;
-    shard_failed(index, "control lane write");
-    return;
-  }
-  if (shard.control_outbox_at >= shard.control_outbox.size()) {
-    shard.control_outbox.clear();
-    shard.control_outbox_at = 0;
   }
 }
 
 void ShardSupervisor::send_health_probes() {
   const auto now = std::chrono::steady_clock::now();
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    if (shard.phase != ShardPhase::Up) continue;
-    if (shard.probe_outstanding || now < shard.next_probe_at) continue;
-    shard.control_outbox += "{\"type\":\"health\",\"id\":\"hb\"}\n";
-    shard.probe_outstanding = true;
-    shard.probe_sent_at = now;
-    flush_control(shard.index);
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (shard->phase != ShardPhase::Up || !shard->control) continue;
+    if (shard->probe_outstanding || now < shard->next_probe_at) continue;
+    send_probe(*shard);
+  }
+}
+
+void ShardSupervisor::send_probe(Shard& shard) {
+  shard.probe_outstanding = true;
+  shard.probe_sent_at = std::chrono::steady_clock::now();
+  if (!shard.control->queue(R"({"type":"health","id":"hb"})")) {
+    shard_failed(shard.index, "control lane write");
   }
 }
 
@@ -535,59 +484,50 @@ void ShardSupervisor::check_health_timeouts() {
 
 void ShardSupervisor::read_control(int index) {
   Shard& shard = *shards_[static_cast<std::size_t>(index)];
-  char buffer[4096];
-  std::vector<std::string> frames;
-  while (shard.control.valid()) {
-    const IoResult io = read_some(shard.control.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::WouldBlock) break;
-    if (io.status == IoStatus::Closed || io.status == IoStatus::Error) {
-      if (shard.phase == ShardPhase::Up ||
-          shard.phase == ShardPhase::Probing) {
-        shard_failed(index, "control lane closed");
-      }
-      return;
-    }
-    frames.clear();
-    if (!shard.control_reader.feed(std::string_view(buffer, io.bytes),
-                                   frames)) {
-      shard_failed(index, "oversized control reply");
-      return;
+  bool rejected = false;
+  const Lane::ReadEnd end = shard.control->read([&](const std::string& frame) {
+    bool healthy = false;
+    try {
+      const JsonValue root = parse_json(frame);
+      const JsonValue* ok = root.find("ok");
+      const JsonValue* health = root.find("health");
+      healthy = ok != nullptr && ok->kind() == JsonValue::Kind::Bool &&
+                ok->as_bool() && health != nullptr;
+    } catch (const std::exception&) {
+      healthy = false;
     }
     const auto now = std::chrono::steady_clock::now();
-    for (const std::string& frame : frames) {
-      bool healthy = false;
-      try {
-        const JsonValue root = parse_json(frame);
-        const JsonValue* ok = root.find("ok");
-        const JsonValue* health = root.find("health");
-        healthy = ok != nullptr && ok->kind() == JsonValue::Kind::Bool &&
-                  ok->as_bool() && health != nullptr;
-      } catch (const std::exception&) {
-        healthy = false;
+    shard.probe_outstanding = false;
+    shard.next_probe_at =
+        after_ms(now, static_cast<double>(options_.health_interval_ms));
+    if (healthy) {
+      count(&SupervisorMetrics::health_ok);
+      shard.breaker.record_success();
+      if (shard.phase == ShardPhase::Probing) {
+        shard.phase = ShardPhase::Up;
+        if (!options_.quiet) {
+          std::cerr << "qspr_shard: shard " << index << " up on port "
+                    << shard.port << "\n";
+        }
+        flush_parked(index);
       }
-      shard.probe_outstanding = false;
-      shard.next_probe_at =
-          after_ms(now, static_cast<double>(options_.health_interval_ms));
-      if (healthy) {
-        count(&SupervisorMetrics::health_ok);
-        shard.breaker.record_success();
-        if (shard.phase == ShardPhase::Probing) {
-          shard.phase = ShardPhase::Up;
-          if (!options_.quiet) {
-            std::cerr << "qspr_shard: shard " << index << " up on port "
-                      << shard.port << "\n";
-          }
-          flush_parked(index);
-        }
-      } else {
-        count(&SupervisorMetrics::health_failures);
-        shard.breaker.record_failure(now);
-        if (shard.breaker.state() == BreakerState::Open) {
-          shard_failed(index, "health probe rejected");
-          return;
-        }
+    } else {
+      count(&SupervisorMetrics::health_failures);
+      shard.breaker.record_failure(now);
+      if (shard.breaker.state() == BreakerState::Open) {
+        rejected = true;
+        shard.control->mark_broken();  // stop reading; shard_failed below
       }
     }
+  });
+  if (rejected) {
+    shard_failed(index, "health probe rejected");
+  } else if (end == Lane::ReadEnd::Oversized) {
+    shard_failed(index, "oversized control reply");
+  } else if ((end == Lane::ReadEnd::Closed || end == Lane::ReadEnd::Error) &&
+             (shard.phase == ShardPhase::Up ||
+              shard.phase == ShardPhase::Probing)) {
+    shard_failed(index, "control lane closed");
   }
 }
 
@@ -607,36 +547,17 @@ void ShardSupervisor::accept_clients() {
     }
     const std::uint64_t id = next_client_id_++;
     clients_.emplace(id, std::make_unique<Client>(id, std::move(client_fd),
-                                                  options_.max_frame_bytes));
+                                                  options_));
   }
 }
 
 void ShardSupervisor::read_client(Client& client) {
-  char buffer[16384];
-  std::vector<std::string> frames;
-  while (!client.close_after_flush && !client.broken) {
-    const IoResult io = read_some(client.fd.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::WouldBlock) return;
-    if (io.status == IoStatus::Closed) {
-      client.read_closed = true;
-      return;
-    }
-    if (io.status == IoStatus::Error) {
-      client.broken = true;
-      return;
-    }
-    frames.clear();
-    if (!client.reader.feed(std::string_view(buffer, io.bytes), frames)) {
-      enqueue_client_reply(
-          client, serve_error_json("", "oversized",
-                                   "frame exceeds max_frame_bytes; closing"));
-      client.close_after_flush = true;
-    }
-    for (std::string& frame : frames) {
-      if (frame.empty()) continue;
-      handle_client_frame(client, std::move(frame));
-      if (client.close_after_flush || client.broken) break;
-    }
+  const Client::ReadEnd end = client.read(
+      [&](std::string& frame) { handle_client_frame(client, std::move(frame)); });
+  if (end == Client::ReadEnd::Oversized) {
+    client.queue(serve_error_json("", "oversized",
+                                  "frame exceeds max_frame_bytes; closing"));
+    client.close_after_flush();
   }
 }
 
@@ -645,42 +566,37 @@ void ShardSupervisor::handle_client_frame(Client& client, std::string frame) {
   try {
     request = parse_serve_request(frame, codec_limits_, MapperOptions{});
   } catch (const std::exception& e) {
-    enqueue_client_reply(client,
-                         serve_error_json("", "bad_request", e.what()));
+    client.queue(serve_error_json("", "bad_request", e.what()));
     return;
   }
   switch (request.kind) {
     case RequestKind::Ping:
-      enqueue_client_reply(client, serve_pong_json(request.id));
+      client.queue(serve_pong_json(request.id));
       return;
     case RequestKind::Stats:
-      enqueue_client_reply(client, stats_json(request.id));
+      client.queue(stats_json(request.id));
       return;
     case RequestKind::Health:
-      enqueue_client_reply(client, health_json(request.id));
+      client.queue(health_json(request.id));
       return;
     case RequestKind::Cancel: {
       // Forward to the worker that holds the target; its ack flows back on
       // the same lane byte-verbatim. An unknown target is acked locally.
       const auto it = client.pending.find(request.cancel_target);
       if (it == client.pending.end()) {
-        enqueue_client_reply(client, serve_cancel_ack_json(
-                                         request.id, request.cancel_target,
-                                         /*found=*/false));
+        client.queue(serve_cancel_ack_json(request.id, request.cancel_target,
+                                           /*found=*/false));
         return;
       }
       const auto lane_it = client.lanes.find(it->second.shard);
-      if (lane_it == client.lanes.end() || lane_it->second.broken) {
+      if (lane_it == client.lanes.end() || lane_it->second.broken()) {
         // The worker died; the map request itself is already on the
         // re-dispatch path, so the cancel finds nothing to stop.
-        enqueue_client_reply(client, serve_cancel_ack_json(
-                                         request.id, request.cancel_target,
-                                         /*found=*/false));
+        client.queue(serve_cancel_ack_json(request.id, request.cancel_target,
+                                           /*found=*/false));
         return;
       }
-      lane_it->second.outbox += frame;
-      lane_it->second.outbox.push_back('\n');
-      flush_lane(lane_it->second);
+      lane_it->second.queue(frame);
       return;
     }
     case RequestKind::SessionOpen:
@@ -696,16 +612,14 @@ void ShardSupervisor::handle_client_frame(Client& client, std::string frame) {
 void ShardSupervisor::route_map(Client& client, const ServeRequest& request,
                                 std::string frame) {
   if (client.pending.count(request.id) != 0) {
-    enqueue_client_reply(client,
-                         serve_error_json(request.id, "bad_request",
-                                          "duplicate in-flight request id"));
+    client.queue(serve_error_json(request.id, "bad_request",
+                                  "duplicate in-flight request id"));
     return;
   }
   if (draining_) {
-    enqueue_client_reply(client,
-                         serve_error_json(request.id, "draining",
-                                          "supervisor is draining; retry "
-                                          "against a healthy instance"));
+    client.queue(serve_error_json(request.id, "draining",
+                                  "supervisor is draining; retry against a "
+                                  "healthy instance"));
     return;
   }
   int target;
@@ -716,11 +630,10 @@ void ShardSupervisor::route_map(Client& client, const ServeRequest& request,
     // client to reopen rather than guessing a shard.
     const auto it = session_shards_.find(request.session);
     if (it == session_shards_.end()) {
-      enqueue_client_reply(
-          client,
-          serve_error_json(request.id, "unknown_session",
-                           "session not open on this fleet (its shard may "
-                           "have restarted; reopen): " + request.session));
+      client.queue(serve_error_json(
+          request.id, "unknown_session",
+          "session not open on this fleet (its shard may have restarted; "
+          "reopen): " + request.session));
       return;
     }
     target = it->second;
@@ -755,128 +668,84 @@ void ShardSupervisor::on_shard_down(int index) {
 void ShardSupervisor::shed(Client& client, const std::string& request_id,
                            int shard_index) {
   count(&SupervisorMetrics::shed_shard_down);
-  enqueue_client_reply(
-      client, serve_error_json(request_id, "shard_down",
-                               "shard " + std::to_string(shard_index) +
-                                   " is down; retry after the hint",
-                               shard_retry_hint_ms(shard_index)));
+  client.queue(serve_error_json(request_id, "shard_down",
+                                "shard " + std::to_string(shard_index) +
+                                    " is down; retry after the hint",
+                                shard_retry_hint_ms(shard_index)));
 }
 
 void ShardSupervisor::dispatch(Client& client, const std::string& request_id,
                                std::string frame, int shard_index,
                                int attempts) {
-  Lane& lane = lane_for(client, shard_index);
-  lane.outbox += frame;
-  lane.outbox.push_back('\n');
+  // A write failure leaves the lane broken; the end of the poll pass
+  // re-dispatches what it owed through fail_lane.
+  lane_for(client, shard_index).queue(frame);
   Client::Pending pending;
   pending.shard = shard_index;
   pending.frame = std::move(frame);
   pending.attempts = attempts;
   client.pending[request_id] = std::move(pending);
-  if (!lane.connecting) flush_lane(lane);
+}
+
+ShardSupervisor::Lane ShardSupervisor::open_lane(
+    int port, std::size_t max_frame_bytes) const {
+  bool pending = false;
+  FileDescriptor fd;
+  try {
+    fd = connect_nonblocking(options_.host, port, pending);
+  } catch (const std::exception&) {
+    fd.reset();  // no descriptor to spare: a broken lane, like a refusal
+  }
+  return Lane(std::move(fd), max_frame_bytes, /*max_outbox_bytes=*/0, pending);
 }
 
 ShardSupervisor::Lane& ShardSupervisor::lane_for(Client& client,
                                                  int shard_index) {
   const auto it = client.lanes.find(shard_index);
-  if (it != client.lanes.end() && !it->second.broken) return it->second;
+  if (it != client.lanes.end() && !it->second.broken()) return it->second;
   client.lanes.erase(shard_index);
-  auto [inserted, _] = client.lanes.emplace(
-      shard_index, Lane(options_.max_frame_bytes));
-  Lane& lane = inserted->second;
-  const Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-  bool pending = false;
-  try {
-    lane.fd = connect_nonblocking(options_.host, shard.port, pending);
-  } catch (const std::exception&) {
-    lane.broken = true;
-    return lane;
-  }
-  if (!lane.fd.valid()) {
-    lane.broken = true;  // refused: the shard just died; fail_lane handles it
-    return lane;
-  }
-  lane.connecting = pending;
-  return lane;
-}
-
-void ShardSupervisor::pump_lane_connect(Client& client, int shard_index,
-                                        Lane& lane) {
-  if (!lane.connecting) return;
-  const int error = pending_connect_error(lane.fd.get());
-  lane.connecting = false;
-  if (error != 0) {
-    fail_lane(client, shard_index);
-    return;
-  }
-  flush_lane(lane);
-}
-
-void ShardSupervisor::flush_lane(Lane& lane) {
-  while (!lane.broken && lane.fd.valid() && !lane.connecting &&
-         lane.outbox_at < lane.outbox.size()) {
-    const IoResult io = write_some(
-        lane.fd.get(), std::string_view(lane.outbox).substr(lane.outbox_at));
-    if (io.status == IoStatus::Ok) {
-      lane.outbox_at += io.bytes;
-      continue;
-    }
-    if (io.status == IoStatus::WouldBlock) return;
-    lane.broken = true;  // fail_lane runs from the poll pass
-    return;
-  }
-  if (lane.outbox_at >= lane.outbox.size()) {
-    lane.outbox.clear();
-    lane.outbox_at = 0;
-  }
+  // A refused connect (the shard just died) gives a broken lane, which
+  // fail_lane handles at the end of the poll pass.
+  Lane lane = open_lane(shards_[static_cast<std::size_t>(shard_index)]->port,
+                        options_.max_frame_bytes);
+  return client.lanes.emplace(shard_index, std::move(lane)).first->second;
 }
 
 void ShardSupervisor::read_lane(Client& client, int shard_index, Lane& lane) {
-  char buffer[16384];
-  std::vector<std::string> frames;
-  while (lane.fd.valid() && !lane.broken) {
-    const IoResult io = read_some(lane.fd.get(), buffer, sizeof buffer);
-    if (io.status == IoStatus::WouldBlock) return;
-    if (io.status == IoStatus::Closed || io.status == IoStatus::Error) {
-      // EOF after a worker death: everything the worker managed to write
-      // was already forwarded above; a partial trailing frame is dropped
-      // (never half-forwarded) and its request re-dispatches with the rest.
-      fail_lane(client, shard_index);
-      return;
+  const Lane::ReadEnd end = lane.read([&](const std::string& frame) {
+    std::string id;
+    std::string session;
+    bool session_closed = false;
+    if (!reply_id(frame, id, session, session_closed)) {
+      return;  // not JSON: drop, never forward
     }
-    frames.clear();
-    if (!lane.reader.feed(std::string_view(buffer, io.bytes), frames)) {
-      fail_lane(client, shard_index);
-      return;
+    const auto pending_it = client.pending.find(id);
+    if (pending_it != client.pending.end() &&
+        pending_it->second.shard == shard_index) {
+      // The one reply this accepted request gets: account and erase
+      // BEFORE forwarding, so a crash later can only re-dispatch
+      // requests that were truly never answered.
+      client.pending.erase(pending_it);
+      count(&SupervisorMetrics::answered);
     }
-    for (const std::string& frame : frames) {
-      std::string id;
-      std::string session;
-      bool session_closed = false;
-      if (!reply_id(frame, id, session, session_closed)) {
-        continue;  // not JSON: drop, never forward
+    // Affinity follows what the worker reports: an open ack or a
+    // session-map result pins the session to this shard (idempotent on
+    // repeats), a close ack (open:false) releases it.
+    if (!session.empty()) {
+      if (session_closed) {
+        session_shards_.erase(session);
+      } else {
+        session_shards_[session] = shard_index;
       }
-      const auto pending_it = client.pending.find(id);
-      if (pending_it != client.pending.end() &&
-          pending_it->second.shard == shard_index) {
-        // The one reply this accepted request gets: account and erase
-        // BEFORE forwarding, so a crash later can only re-dispatch
-        // requests that were truly never answered.
-        client.pending.erase(pending_it);
-        count(&SupervisorMetrics::answered);
-      }
-      // Affinity follows what the worker reports: an open ack or a
-      // session-map result pins the session to this shard (idempotent on
-      // repeats), a close ack (open:false) releases it.
-      if (!session.empty()) {
-        if (session_closed) {
-          session_shards_.erase(session);
-        } else {
-          session_shards_[session] = shard_index;
-        }
-      }
-      enqueue_client_reply(client, frame);
     }
+    client.queue(frame);
+  });
+  // EOF after a worker death: everything the worker managed to write was
+  // already forwarded above; a partial trailing frame is dropped (never
+  // half-forwarded) and its request re-dispatches with the rest.
+  if (end == Lane::ReadEnd::Closed || end == Lane::ReadEnd::Error ||
+      end == Lane::ReadEnd::Oversized) {
+    fail_lane(client, shard_index);
   }
 }
 
@@ -907,20 +776,18 @@ void ShardSupervisor::redispatch_or_park(Client& client,
                                          std::string frame, int attempts) {
   if (draining_) {
     count(&SupervisorMetrics::answered);
-    enqueue_client_reply(
-        client, serve_error_json(request_id, "cancelled",
-                                 "supervisor drained before completion"));
+    client.queue(serve_error_json(request_id, "cancelled",
+                                  "supervisor drained before completion"));
     return;
   }
   if (attempts + 1 > options_.max_redispatch) {
     count(&SupervisorMetrics::answered);
     count(&SupervisorMetrics::shed_shard_down);
-    enqueue_client_reply(
-        client,
-        serve_error_json(request_id, "shard_down",
-                         "request outlived " + std::to_string(attempts + 1) +
-                             " worker deaths; giving up",
-                         shard_retry_hint_ms(-1)));
+    client.queue(serve_error_json(request_id, "shard_down",
+                                  "request outlived " +
+                                      std::to_string(attempts + 1) +
+                                      " worker deaths; giving up",
+                                  shard_retry_hint_ms(-1)));
     return;
   }
   const int target = pick_up_shard(/*preferred=*/-1);
@@ -953,39 +820,6 @@ void ShardSupervisor::flush_parked(int up_shard) {
     dispatch(*it->second, parked.request_id, std::move(parked.frame), up_shard,
              parked.attempts);
   }
-}
-
-void ShardSupervisor::enqueue_client_reply(Client& client, std::string line) {
-  if (client.broken) return;
-  const std::size_t buffered = client.outbox.size() - client.outbox_at;
-  if (buffered + line.size() + 1 > options_.max_outbox_bytes) {
-    client.broken = true;
-    return;
-  }
-  if (client.outbox_at > 0 && client.outbox_at == client.outbox.size()) {
-    client.outbox.clear();
-    client.outbox_at = 0;
-  }
-  client.outbox += line;
-  client.outbox.push_back('\n');
-  flush_client(client);
-}
-
-void ShardSupervisor::flush_client(Client& client) {
-  while (client.outbox_at < client.outbox.size()) {
-    const IoResult io = write_some(
-        client.fd.get(),
-        std::string_view(client.outbox).substr(client.outbox_at));
-    if (io.status == IoStatus::Ok) {
-      client.outbox_at += io.bytes;
-      continue;
-    }
-    if (io.status == IoStatus::WouldBlock) return;
-    client.broken = true;
-    return;
-  }
-  client.outbox.clear();
-  client.outbox_at = 0;
 }
 
 void ShardSupervisor::destroy_client(std::uint64_t id) {
@@ -1026,10 +860,9 @@ void ShardSupervisor::begin_drain() {
     const auto it = clients_.find(parked.client);
     count(&SupervisorMetrics::answered);
     if (it == clients_.end()) continue;
-    enqueue_client_reply(
-        *it->second,
-        serve_error_json(parked.request_id, "draining",
-                         "supervisor is draining; retry elsewhere"));
+    it->second->queue(serve_error_json(
+        parked.request_id, "draining",
+        "supervisor is draining; retry elsewhere"));
   }
   if (!options_.quiet) std::cerr << "qspr_shard: draining\n";
 }
@@ -1060,8 +893,7 @@ void ShardSupervisor::finish_drain() {
     client->lanes.clear();
     for (const std::string& request_id : owed) {
       count(&SupervisorMetrics::answered);
-      enqueue_client_reply(
-          *client, serve_error_json(request_id, "cancelled",
+      client->queue(serve_error_json(request_id, "cancelled",
                                     "drain deadline cancelled the request"));
     }
   }
@@ -1186,10 +1018,8 @@ int ShardSupervisor::serve() {
           break;
         }
       }
-      const bool flushed = client->outbox_empty();
-      if (client->broken || (client->close_after_flush && flushed) ||
-          (client->read_closed && flushed && client->pending.empty() &&
-           !has_parked)) {
+      if (client->finished(/*replies_owed=*/!client->pending.empty() ||
+                           has_parked)) {
         scratch_ids.push_back(id);
       }
     }
@@ -1203,7 +1033,7 @@ int ShardSupervisor::serve() {
       bool replies_owed = !parked_.empty();
       bool unflushed = false;
       for (const auto& [id, client] : clients_) {
-        if (client->broken) continue;
+        if (client->broken()) continue;
         if (!client->pending.empty()) replies_owed = true;
         if (!client->outbox_empty()) unflushed = true;
       }
@@ -1222,30 +1052,16 @@ int ShardSupervisor::serve() {
       refs.push_back({EntryRef::Kind::Listen, 0, -1});
     }
     for (const std::unique_ptr<Shard>& shard : shards_) {
-      if (!shard->control.valid()) continue;
-      PollEntry entry;
-      entry.fd = shard->control.get();
-      entry.want_read = !shard->control_connecting;
-      entry.want_write =
-          shard->control_connecting ||
-          shard->control_outbox_at < shard->control_outbox.size();
-      entries.push_back(entry);
+      if (!shard->control) continue;
+      entries.push_back(shard->control->poll_entry());
       refs.push_back({EntryRef::Kind::Control, 0, shard->index});
     }
     for (const auto& [id, client] : clients_) {
-      PollEntry entry;
-      entry.fd = client->fd.get();
-      entry.want_read = !client->read_closed && !client->close_after_flush;
-      entry.want_write = !client->outbox_empty();
-      entries.push_back(entry);
+      entries.push_back(client->poll_entry());
       refs.push_back({EntryRef::Kind::ClientFd, id, -1});
       for (const auto& [shard_index, lane] : client->lanes) {
-        if (!lane.fd.valid() || lane.broken) continue;
-        PollEntry lane_entry;
-        lane_entry.fd = lane.fd.get();
-        lane_entry.want_read = !lane.connecting;
-        lane_entry.want_write = lane.connecting || !lane.outbox_empty();
-        entries.push_back(lane_entry);
+        if (lane.broken()) continue;
+        entries.push_back(lane.poll_entry());
         refs.push_back({EntryRef::Kind::LaneFd, id, shard_index});
       }
     }
@@ -1264,28 +1080,22 @@ int ShardSupervisor::serve() {
           break;
         case EntryRef::Kind::Control: {
           Shard& shard = *shards_[static_cast<std::size_t>(ref.shard)];
-          if (!shard.control.valid() ||
-              shard.control.get() != entry.fd) {
+          if (!shard.control || shard.control->fd() != entry.fd) {
             break;  // phase changed earlier this pass
           }
-          if (shard.control_connecting && (entry.writable || entry.broken)) {
-            shard.control_connecting = false;
-            if (pending_connect_error(shard.control.get()) != 0) {
+          if (shard.control->connecting()) {
+            if (!entry.writable && !entry.broken) break;
+            if (!shard.control->finish_connect()) {
               shard.control.reset();  // retried by pump_shard_bringup
               break;
             }
-            if (shard.phase == ShardPhase::Connecting) {
-              shard.phase = ShardPhase::Probing;
-              shard.control_outbox += "{\"type\":\"health\",\"id\":\"hb\"}\n";
-              shard.probe_outstanding = true;
-              shard.probe_sent_at = std::chrono::steady_clock::now();
-            }
-            flush_control(ref.shard);
+            shard.phase = ShardPhase::Probing;
+            send_probe(shard);
             break;
           }
           if (entry.readable || entry.broken) read_control(ref.shard);
-          if (shard.control.valid() && entry.writable) {
-            flush_control(ref.shard);
+          if (shard.control && entry.writable && !shard.control->flush()) {
+            shard_failed(ref.shard, "control lane write");
           }
           break;
         }
@@ -1293,13 +1103,13 @@ int ShardSupervisor::serve() {
           const auto it = clients_.find(ref.client);
           if (it == clients_.end()) break;
           Client& client = *it->second;
-          if (client.fd.get() != entry.fd) break;
+          if (client.fd() != entry.fd) break;
           if (entry.broken) {
-            client.broken = true;
+            client.mark_broken();
             break;
           }
           if (entry.readable) read_client(client);
-          if (entry.writable && !client.outbox_empty()) flush_client(client);
+          if (entry.writable && !client.outbox_empty()) client.flush();
           break;
         }
         case EntryRef::Kind::LaneFd: {
@@ -1309,9 +1119,11 @@ int ShardSupervisor::serve() {
           const auto lane_it = client.lanes.find(ref.shard);
           if (lane_it == client.lanes.end()) break;
           Lane& lane = lane_it->second;
-          if (!lane.fd.valid() || lane.fd.get() != entry.fd) break;
-          if (lane.connecting && (entry.writable || entry.broken)) {
-            pump_lane_connect(client, ref.shard, lane);
+          if (lane.fd() != entry.fd) break;
+          if (lane.connecting()) {
+            if ((entry.writable || entry.broken) && !lane.finish_connect()) {
+              fail_lane(client, ref.shard);
+            }
             break;
           }
           // Read before acting on broken: a dead worker's final replies
@@ -1322,10 +1134,10 @@ int ShardSupervisor::serve() {
           }
           const auto again = client.lanes.find(ref.shard);
           if (again != client.lanes.end()) {
-            if (again->second.broken) {
+            if (again->second.broken()) {
               fail_lane(client, ref.shard);
             } else if (entry.writable) {
-              flush_lane(again->second);
+              again->second.flush();
             }
           }
           break;
@@ -1342,7 +1154,7 @@ int ShardSupervisor::serve() {
       if (it == clients_.end()) continue;
       std::vector<int> broken_lanes;
       for (const auto& [shard_index, lane] : it->second->lanes) {
-        if (lane.broken) broken_lanes.push_back(shard_index);
+        if (lane.broken()) broken_lanes.push_back(shard_index);
       }
       for (const int shard_index : broken_lanes) {
         fail_lane(*it->second, shard_index);

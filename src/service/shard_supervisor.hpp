@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "common/net.hpp"
+#include "service/ndjson_connection.hpp"
 #include "service/request_codec.hpp"
 #include "service/shard_client.hpp"
 
@@ -225,9 +226,12 @@ class ShardSupervisor {
   };
 
   struct Shard;
-  struct Lane;
   struct Client;
   struct ParkedFrame;
+  /// A worker-facing connection: one client's lane to one shard, or a
+  /// shard's control lane. Uncapped — the supervisor writes only what its
+  /// clients sent or its own probes.
+  using Lane = NdjsonConnection;
 
   // Worker lifecycle.
   void spawn_shard(int index);
@@ -236,8 +240,8 @@ class ShardSupervisor {
   void reap_children();
   void pump_shard_bringup(int index);
   void send_health_probes();
+  void send_probe(Shard& shard);
   void check_health_timeouts();
-  void flush_control(int index);
   void read_control(int index);
 
   // Client plumbing. route_map also carries session_open / session_close
@@ -250,15 +254,12 @@ class ShardSupervisor {
                  std::string frame);
   void dispatch(Client& client, const std::string& request_id,
                 std::string frame, int shard_index, int attempts);
-  void enqueue_client_reply(Client& client, std::string line);
-  void flush_client(Client& client);
   void destroy_client(std::uint64_t id);
 
   // Lane plumbing.
+  [[nodiscard]] Lane open_lane(int port, std::size_t max_frame_bytes) const;
   Lane& lane_for(Client& client, int shard_index);
-  void pump_lane_connect(Client& client, int shard_index, Lane& lane);
   void read_lane(Client& client, int shard_index, Lane& lane);
-  void flush_lane(Lane& lane);
   void fail_lane(Client& client, int shard_index);
 
   // Failure routing.

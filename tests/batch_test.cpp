@@ -249,7 +249,6 @@ TEST(FabricArtifactCache, FingerprintSeparatesLayouts) {
 
   const FabricArtifacts artifacts(a);
   EXPECT_EQ(artifacts.traps_near_center.size(), a.trap_count());
-  EXPECT_EQ(artifacts.trap_port_count.size(), a.trap_count());
   EXPECT_EQ(artifacts.graph.node_count(),
             RoutingGraph(a).node_count());
 }

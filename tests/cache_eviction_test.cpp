@@ -1,20 +1,24 @@
-// LRU memory-budget enforcement of the engine's two caches: the per-fabric
-// artifact cache and the program-level result cache. Both follow
-// the same contract: set_budget_bytes(0) is unlimited, eviction is
-// least-recently-used, and the entry the current operation returns/inserts
-// is never evicted (a budget smaller than one entry degrades to a cache of
-// one, not thrash-to-empty). Also the result cache's program key.
+// LRU memory-budget enforcement of the service's two caches: the engine's
+// per-fabric artifact cache and the server's program-level result cache.
+// Both follow the same contract: set_budget_bytes(0) is unlimited, eviction
+// is least-recently-used, and the entry the current operation
+// returns/inserts is never evicted (a budget smaller than one entry
+// degrades to a cache of one, not thrash-to-empty). Also the result cache's
+// program key, and that its entries are reply-sized.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/artifact_cache.hpp"
-#include "core/result_cache.hpp"
+#include "core/mapper.hpp"
 #include "fabric/quale_fabric.hpp"
+#include "qecc/codes.hpp"
+#include "service/result_cache.hpp"
 
 namespace qspr {
 namespace {
@@ -82,45 +86,44 @@ TEST(FabricArtifactCacheTest, EvictedBundleSurvivesThroughHeldReference) {
   EXPECT_TRUE(same_fabric_layout(held->fabric, fabric));
 }
 
-std::shared_ptr<const CachedMapResult> entry_of_bytes(std::size_t extra) {
-  auto entry = std::make_shared<CachedMapResult>();
-  // The result's timings are counted by memory_bytes, so they make a
-  // convenient size dial for eviction tests.
-  constexpr std::size_t kTiming = sizeof(InstructionTiming);
-  entry->result.timings.resize((extra + kTiming - 1) / kTiming);
-  return entry;
+/// A reply to cache; the contents do not matter to the budget.
+MapReply entry() {
+  MapReply reply;
+  reply.latency_us = 1234;
+  reply.result_fp = 0x5eed;
+  return reply;
 }
 
 TEST(ResultCacheTest, FindMissThenHit) {
   ResultCache cache;
   const ResultCache::Key key{1, 2, 3};
-  EXPECT_EQ(cache.find(key), nullptr);
-  cache.insert(key, entry_of_bytes(64));
-  EXPECT_NE(cache.find(key), nullptr);
+  EXPECT_FALSE(cache.find(key).has_value());
+  cache.insert(key, entry());
+  EXPECT_TRUE(cache.find(key).has_value());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.insertions, 1);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GE(stats.bytes, sizeof(CachedMapResult));
+  EXPECT_GE(stats.bytes, sizeof(MapReply));
 }
 
 TEST(ResultCacheTest, BudgetEvictsLeastRecentlyUsed) {
   ResultCache cache;
-  const std::size_t entry_bytes = entry_of_bytes(4096)->memory_bytes();
+  const std::size_t entry_bytes = ResultCache::entry_bytes();
   cache.set_budget_bytes(2 * entry_bytes + entry_bytes / 2);
 
   const ResultCache::Key a{1, 0, 0};
   const ResultCache::Key b{2, 0, 0};
   const ResultCache::Key c{3, 0, 0};
-  cache.insert(a, entry_of_bytes(4096));
-  cache.insert(b, entry_of_bytes(4096));
-  EXPECT_NE(cache.find(a), nullptr);  // refresh a: b is now the LRU entry
-  cache.insert(c, entry_of_bytes(4096));
+  cache.insert(a, entry());
+  cache.insert(b, entry());
+  EXPECT_TRUE(cache.find(a).has_value());  // refresh a: b is now the LRU entry
+  cache.insert(c, entry());
 
-  EXPECT_EQ(cache.find(b), nullptr);  // evicted as LRU
-  EXPECT_NE(cache.find(a), nullptr);
-  EXPECT_NE(cache.find(c), nullptr);
+  EXPECT_FALSE(cache.find(b).has_value());  // evicted as LRU
+  EXPECT_TRUE(cache.find(a).has_value());
+  EXPECT_TRUE(cache.find(c).has_value());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_EQ(stats.entries, 2u);
@@ -132,31 +135,45 @@ TEST(ResultCacheTest, TinyBudgetDegradesToCacheOfOne) {
   cache.set_budget_bytes(1);
   const ResultCache::Key a{1, 0, 0};
   const ResultCache::Key b{2, 0, 0};
-  cache.insert(a, entry_of_bytes(1024));
+  cache.insert(a, entry());
   // The just-inserted entry is protected; everything else goes.
   EXPECT_EQ(cache.size(), 1u);
-  cache.insert(b, entry_of_bytes(1024));
+  cache.insert(b, entry());
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(a), nullptr);
-  EXPECT_NE(cache.find(b), nullptr);
+  EXPECT_FALSE(cache.find(a).has_value());
+  EXPECT_TRUE(cache.find(b).has_value());
 }
 
 TEST(ResultCacheTest, ZeroBudgetIsUnlimited) {
   ResultCache cache;
   for (std::uint64_t i = 0; i < 16; ++i) {
-    cache.insert({i, 0, 0}, entry_of_bytes(4096));
+    cache.insert({i, 0, 0}, entry());
   }
   EXPECT_EQ(cache.size(), 16u);
   EXPECT_EQ(cache.stats().evictions, 0);
 }
 
-TEST(ResultCacheTest, MemoryBytesCountsTheResult) {
-  // The budget must see the mapped result's bulk, or a cache of large
-  // results blows past its cap.
-  const auto lean = entry_of_bytes(0);
-  const auto heavy = entry_of_bytes(1 << 16);
-  EXPECT_GE(heavy->memory_bytes(),
-            lean->memory_bytes() + (std::size_t{1} << 16));
+TEST(ResultCacheTest, EntriesAreReplySized) {
+  // An entry is the reply, not the mapped result: no trace or placement
+  // rides along, so the largest paper encoder costs what the smallest does.
+  static_assert(std::is_trivially_copyable_v<MapReply>);
+  MapperOptions options;
+  options.placer = PlacerKind::Center;
+  const Fabric fabric = make_paper_fabric();
+  const MapResult small =
+      map_program(make_encoder(QeccCode::Q5_1_3), fabric, options);
+  const MapResult large =
+      map_program(make_encoder(QeccCode::Q23_1_7), fabric, options);
+  ASSERT_GT(large.trace.size(), 2 * small.trace.size());
+
+  ResultCache cache;
+  cache.insert({1, 0, 0}, map_reply(small));
+  const std::size_t small_bytes = cache.stats().bytes;
+  cache.insert({2, 0, 0}, map_reply(large));
+  const std::size_t large_bytes = cache.stats().bytes - small_bytes;
+  EXPECT_EQ(small_bytes, ResultCache::entry_bytes());
+  EXPECT_EQ(large_bytes, small_bytes);
+  EXPECT_EQ(cache.find({2, 0, 0})->result_fp, map_reply(large).result_fp);
 }
 
 /// Four qubits `prefix`0..3 with init value `init`, then `H a; C-X a,b` for

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -131,14 +132,30 @@ TEST(CancelToken, CancelledJobLeavesNeighbourBitIdentical) {
   neighbour.fabric = &fabric;
   neighbour.options = options;
 
+  // Hold every pool thread on a gate until the cancel is requested, so no
+  // part of the doomed job can start (and finish) first however the main
+  // thread is scheduled. The main thread runs nothing until finish().
+  const std::size_t pool_threads =
+      static_cast<std::size_t>(engine.worker_count() - 1);
+  std::latch held(static_cast<std::ptrdiff_t>(pool_threads));
+  std::latch release(1);
+  const Executor::Job gate =
+      engine.executor().submit(pool_threads, [&](std::size_t, int) {
+        held.count_down();
+        release.wait();
+      });
+  held.wait();
+
   MappingEngine::PendingMap doomed_pending = engine.begin(doomed);
   MappingEngine::PendingMap neighbour_pending = engine.begin(neighbour);
   source.request_cancel();
+  release.count_down();
   EXPECT_THROW(engine.finish(std::move(doomed_pending)), CancelledError);
 
   const MapResult survived = engine.finish(std::move(neighbour_pending));
   EXPECT_EQ(survived.latency, solo.latency);
   EXPECT_EQ(survived.trace.to_string(), solo.trace.to_string());
+  engine.executor().wait(gate);
 }
 
 TEST(CancelToken, PreStagingDeadlineFailsBeginWithDeadlineReason) {

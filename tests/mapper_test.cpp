@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/dependency_graph.hpp"
+#include "common/error.hpp"
 #include "core/mapper.hpp"
 #include "core/placer.hpp"
 #include "fabric/quale_fabric.hpp"
@@ -201,6 +202,33 @@ TEST(Mapper, DualMoveWithReturnHomeSendsBothOperandsBack) {
   EXPECT_TRUE(validate_trace(full.trace, encoder_graph, fabric,
                              full.initial_placement, TechnologyParams{})
                   .empty());
+}
+
+TEST(Mapper, CliMapperFlagsApplyAndRejectMBelowOne) {
+  MapperOptions options;
+  const auto value = [](std::string text) {
+    return [text] { return text; };
+  };
+  EXPECT_TRUE(apply_mapper_flag("--mapper", value("quale"), options));
+  EXPECT_TRUE(apply_mapper_flag("--placer", value("mc"), options));
+  EXPECT_TRUE(apply_mapper_flag("--m", value("7"), options));
+  EXPECT_TRUE(apply_mapper_flag("--seed", value("42"), options));
+  EXPECT_EQ(options.kind, MapperKind::Quale);
+  EXPECT_EQ(options.placer, PlacerKind::MonteCarlo);
+  EXPECT_EQ(options.mvfb_seeds, 7);
+  EXPECT_EQ(options.monte_carlo_trials, 7);
+  EXPECT_EQ(options.rng_seed, 42u);
+
+  EXPECT_THROW(apply_mapper_flag("--m", value("0"), options), Error);
+  EXPECT_THROW(apply_mapper_flag("--m", value("-3"), options), Error);
+  EXPECT_THROW(apply_mapper_flag("--mapper", value("nope"), options), Error);
+  EXPECT_EQ(options.mvfb_seeds, 7);  // a rejected value changes nothing
+
+  // Any other flag is not consumed: its value is never read.
+  bool read = false;
+  EXPECT_FALSE(apply_mapper_flag(
+      "--jobs", [&] { read = true; return std::string("4"); }, options));
+  EXPECT_FALSE(read);
 }
 
 TEST(Mapper, ThrowsWhenFabricTooSmall) {

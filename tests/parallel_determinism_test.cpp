@@ -5,7 +5,7 @@
 // full control trace, initial placement — for both the MVFB and the
 // Monte-Carlo flows. Also unit-tests the shared Executor the flows run on
 // (submit/wait, cross-job interleaving, per-job error capture) and its
-// blocking ThreadPool facade.
+// blocking run() loop.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/executor.hpp"
-#include "common/thread_pool.hpp"
 #include "core/mapper.hpp"
 #include "core/monte_carlo.hpp"
 #include "core/mvfb.hpp"
@@ -28,15 +27,15 @@ namespace qspr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// Executor::run: the blocking one-loop shape
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
+TEST(ExecutorRun, RunsEveryIndexExactlyOnce) {
+  Executor pool(4);
   EXPECT_EQ(pool.worker_count(), 4);
   constexpr std::size_t kCount = 1000;
   std::vector<std::atomic<int>> hits(kCount);
-  pool.parallel_for_each(kCount, [&](std::size_t index, int worker) {
+  pool.run(kCount, [&](std::size_t index, int worker) {
     ASSERT_GE(worker, 0);
     ASSERT_LT(worker, 4);
     hits[index].fetch_add(1, std::memory_order_relaxed);
@@ -46,10 +45,10 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, SingleWorkerRunsInOrder) {
-  ThreadPool pool(1);
+TEST(ExecutorRun, SingleWorkerRunsInOrder) {
+  Executor pool(1);
   std::vector<std::size_t> order;
-  pool.parallel_for_each(64, [&](std::size_t index, int worker) {
+  pool.run(64, [&](std::size_t index, int worker) {
     EXPECT_EQ(worker, 0);
     order.push_back(index);
   });
@@ -57,20 +56,20 @@ TEST(ThreadPool, SingleWorkerRunsInOrder) {
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, ReusableAcrossJobsAndEmptyJobsAreNoops) {
-  ThreadPool pool(3);
+TEST(ExecutorRun, ReusableAcrossJobsAndEmptyJobsAreNoops) {
+  Executor pool(3);
   std::atomic<int> total{0};
-  pool.parallel_for_each(0, [&](std::size_t, int) { total.fetch_add(1); });
+  pool.run(0, [&](std::size_t, int) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 0);
   for (int round = 0; round < 5; ++round) {
-    pool.parallel_for_each(10, [&](std::size_t, int) { total.fetch_add(1); });
+    pool.run(10, [&](std::size_t, int) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 50);
 }
 
-TEST(ThreadPool, PropagatesBodyExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for_each(
+TEST(ExecutorRun, PropagatesBodyExceptions) {
+  Executor pool(4);
+  EXPECT_THROW(pool.run(
                    100,
                    [&](std::size_t index, int) {
                      if (index == 42) throw std::runtime_error("trial failed");
@@ -78,12 +77,12 @@ TEST(ThreadPool, PropagatesBodyExceptions) {
                std::runtime_error);
   // The pool stays usable after a failed job.
   std::atomic<int> total{0};
-  pool.parallel_for_each(8, [&](std::size_t, int) { total.fetch_add(1); });
+  pool.run(8, [&](std::size_t, int) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 8);
 }
 
-TEST(ThreadPool, RejectsZeroWorkers) {
-  EXPECT_THROW(ThreadPool(0), Error);
+TEST(ExecutorRun, RejectsZeroWorkers) {
+  EXPECT_THROW(Executor(0), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/result_cache.hpp"
 #include "service/request_codec.hpp"
+#include "service/result_cache.hpp"
 
 namespace qspr {
 namespace {

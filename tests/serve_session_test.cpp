@@ -217,6 +217,65 @@ TEST(ServeSession, ExactResubmissionServedFromResultCache) {
   EXPECT_EQ(harness.drain_and_join(), 0);
 }
 
+/// A map reply line without the fields a cache hit may change: the request
+/// id and the two timings.
+std::string without_id_and_timings(std::string line) {
+  for (const char* field : {R"("id":)", R"("queue_ms":)", R"("map_ms":)"}) {
+    const std::size_t at = line.find(field);
+    if (at == std::string::npos) continue;
+    const std::size_t end = line.find(',', at);
+    line.erase(at, end + 1 - at);
+  }
+  return line;
+}
+
+TEST(ServeSession, PaperEncoderResubmissionIsACacheHit) {
+  // A paper-size circuit whose negotiation diagnostic does not converge:
+  // its resubmission must still be served from the result cache.
+  const std::string qasm = write_qasm(make_encoder(QeccCode::Q5_1_3));
+  ServeHarness harness;
+  RawClient client(harness.port());
+  const std::string name = open_session(client, "o1");
+
+  client.send_line(session_map("m1", name, qasm));
+  const JsonValue first = client.recv_json();
+  ASSERT_TRUE(first.bool_or("ok", false));
+  client.send_line(session_map("m2", name, qasm));
+  const JsonValue replay = client.recv_json();
+  ASSERT_TRUE(replay.bool_or("ok", false));
+  EXPECT_EQ(replay.string_or("result_fp", ""),
+            first.string_or("result_fp", "?"));
+
+  client.send_line(R"({"type":"stats","id":"s"})");
+  const JsonValue stats_reply = client.recv_json();
+  const JsonValue* stats = stats_reply.find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->number_or("result_insertions", -1), 1);
+  EXPECT_EQ(stats->number_or("result_misses", -1), 1);
+  EXPECT_EQ(stats->number_or("result_hits", -1), 1);
+  EXPECT_EQ(harness.drain_and_join(), 0);
+}
+
+TEST(ServeSession, CacheHitReplyEqualsTheMissReply) {
+  // Same bytes as the first map's reply — result_fp, the work counters and
+  // the trial/setup times included — apart from the id and the timings.
+  const std::string qasm = write_qasm(make_encoder(QeccCode::Q5_1_3));
+  ServeHarness harness;
+  RawClient client(harness.port());
+  const std::string name = open_session(client, "o1");
+
+  client.send_line(session_map("m1", name, qasm));
+  const std::string miss = client.recv_line();
+  client.send_line(session_map("m2", name, qasm));
+  const std::string hit = client.recv_line();
+  ASSERT_TRUE(parse_json(miss).bool_or("ok", false)) << miss;
+  ASSERT_TRUE(parse_json(hit).bool_or("ok", false)) << hit;
+  EXPECT_EQ(parse_json(hit).string_or("id", ""), "m2");
+  EXPECT_EQ(without_id_and_timings(hit), without_id_and_timings(miss));
+  EXPECT_EQ(without_id_and_timings(miss).find("map_ms"), std::string::npos);
+  EXPECT_EQ(harness.drain_and_join(), 0);
+}
+
 TEST(ServeSession, ReorderedIndependentGatesAreNotACacheHit) {
   // The two programs differ only in the order of two independent gate
   // pairs. Instruction ids order the ready set and label the trace, so they
