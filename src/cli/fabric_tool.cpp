@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
         const std::string value = next();
         const auto parts = qspr::split(value, 'x');
         if (parts.size() != 2) throw qspr::Error("expected RxC, e.g. 12x22");
-        params.junction_rows = static_cast<int>(qspr::parse_integer(parts[0]));
-        params.junction_cols = static_cast<int>(qspr::parse_integer(parts[1]));
+        params.junction_rows = qspr::parse_int_flag(arg, parts[0], 2);
+        params.junction_cols = qspr::parse_int_flag(arg, parts[1], 2);
       } else if (arg == "--pitch") {
-        params.pitch = static_cast<int>(qspr::parse_integer(next()));
+        params.pitch = qspr::parse_int_flag(arg, next(), 2);
       } else if (arg == "--inspect") {
         inspect_path = next();
       } else {

@@ -152,8 +152,7 @@ int main(int argc, char** argv) {
       };
       if (apply_mapper_flag(arg, next, map_options)) continue;
       if (arg == "--jobs") {
-        jobs = static_cast<int>(parse_integer(next()));
-        if (jobs < 1) throw Error("--jobs must be at least 1");
+        jobs = parse_int_flag(arg, next(), 1);
       } else if (arg == "--report") {
         map_options.negotiation_report = true;
       } else if (arg == "--heuristic-weight") {
@@ -167,10 +166,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--output") {
         output = next();
       } else if (arg == "--max-in-flight") {
-        batch_options.max_in_flight = static_cast<int>(parse_integer(next()));
-        if (batch_options.max_in_flight < 1) {
-          throw Error("--max-in-flight must be at least 1");
-        }
+        batch_options.max_in_flight = parse_int_flag(arg, next(), 1);
       } else if (arg == "--quiet") {
         quiet = true;
       } else if (arg == "--help" || arg == "-h") {

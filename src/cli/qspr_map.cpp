@@ -85,9 +85,7 @@ int main(int argc, char** argv) {
         if (!code.has_value()) throw Error("unknown code: " + name);
         program = make_encoder(*code);
       } else if (arg == "--jobs") {
-        const int jobs = static_cast<int>(parse_integer(next()));
-        if (jobs < 1) throw Error("--jobs must be at least 1");
-        options.jobs = jobs;
+        options.jobs = parse_int_flag(arg, next(), 1);
       } else if (arg == "--heuristic-weight") {
         const double weight = parse_real(next());
         if (weight < 1.0) {

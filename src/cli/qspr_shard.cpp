@@ -95,12 +95,8 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw Error("missing value for " + arg);
         return argv[++i];
       };
-      const auto next_int = [&](long long min, long long max) {
-        const long long value = parse_integer(next());
-        if (value < min || value > max) {
-          throw Error(arg + " out of range");
-        }
-        return static_cast<int>(value);
+      const auto next_int = [&](int min, int max) {
+        return parse_int_flag(arg, next(), min, max);
       };
       if (arg == "--host") {
         options.host = next();
@@ -129,7 +125,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--max-redispatch") {
         options.max_redispatch = next_int(0, 100);
       } else if (arg == "--drain-ms") {
-        options.drain_deadline_ms = static_cast<double>(next_int(0, 3'600'000));
+        options.drain_deadline_ms = next_int(0, 3'600'000);
       } else if (arg == "--max-connections") {
         options.max_connections = next_int(1, 10'000);
       } else if (arg == "--jobs" || arg == "--mapper-threads" ||

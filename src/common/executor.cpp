@@ -15,25 +15,9 @@ namespace qspr {
 
 namespace {
 
-/// Pool-thread identity of the current thread: which executor's pool it
-/// belongs to (nullptr for external threads) and its stable worker id there.
-/// wait() consults this so a *worker* that submits a sub-job from inside a
-/// body keeps acting under its own id while it helps drain — two threads can
-/// then never run bodies of the same job under the same worker id, which is
-/// what keeps per-worker scratch confinement sound across nested jobs.
-thread_local const void* tl_pool_executor = nullptr;
-thread_local int tl_pool_worker = 0;
-
-/// Jobs this thread currently has a body frame of (outermost first). A
-/// nested wait's help-drain must never claim an index of one of these: the
-/// suspended body may hold this worker's per-(job, worker) scratch, and
-/// re-entering the same job under the same worker id would alias it.
-thread_local std::vector<const void*> tl_active_bodies;
-
-struct ActiveBodyFrame {
-  explicit ActiveBodyFrame(const void* job) { tl_active_bodies.push_back(job); }
-  ~ActiveBodyFrame() { tl_active_bodies.pop_back(); }
-};
+/// The executor whose body the current thread is running, if any. wait()
+/// refuses to run under it: only a job's external waiter may block on it.
+thread_local const Executor* tl_body_executor = nullptr;
 
 }  // namespace
 
@@ -69,28 +53,19 @@ struct Executor::Impl {
   std::size_t cursor = 0;
   std::vector<std::thread> threads;
 
-  [[nodiscard]] static bool excluded(const Job::State* job,
-                                     const std::vector<const void*>& skip) {
-    return std::find(skip.begin(), skip.end(), job) != skip.end();
-  }
-
-  /// Claimable work outside `skip` (the claiming thread's own suspended
-  /// bodies' jobs). `skip` is empty for idle pool threads.
-  [[nodiscard]] bool has_claimable(
-      const std::vector<const void*>& skip = {}) const {
-    return std::any_of(active.begin(), active.end(), [&](const auto& job) {
-      return job->next < job->count && !excluded(job.get(), skip);
+  [[nodiscard]] bool has_claimable() const {
+    return std::any_of(active.begin(), active.end(), [](const auto& job) {
+      return job->next < job->count;
     });
   }
 
-  /// Claims one index from the next claimable non-skipped job after the
-  /// cursor. Pre: has_claimable(skip). Returns (job, index).
-  std::pair<std::shared_ptr<Job::State>, std::size_t> claim_round_robin(
-      const std::vector<const void*>& skip = {}) {
+  /// Claims one index from the next claimable job after the cursor.
+  /// Pre: has_claimable(). Returns (job, index).
+  std::pair<std::shared_ptr<Job::State>, std::size_t> claim_round_robin() {
     for (std::size_t step = 0; step < active.size(); ++step) {
       const std::size_t at = (cursor + step) % active.size();
       const std::shared_ptr<Job::State>& job = active[at];
-      if (job->next < job->count && !excluded(job.get(), skip)) {
+      if (job->next < job->count) {
         cursor = at + 1;
         const std::size_t index = job->next++;
         ++job->running;
@@ -140,45 +115,20 @@ Executor::Job Executor::submit(std::size_t count, Body body) {
 
 void Executor::wait(const Job& job) {
   require(job.valid(), "cannot wait on an invalid executor job");
+  require(tl_body_executor != this,
+          "an executor job body cannot wait on its own executor");
   const std::shared_ptr<Job::State>& state = job.state_;
-  // A pool thread waiting on a sub-job it submitted from inside a body keeps
-  // its own worker id; external callers act as worker 0 of the jobs they
-  // wait on (at most one waiter per job, so ids stay distinct per job).
-  const bool pool_thread = tl_pool_executor == this;
-  const int self = pool_thread ? tl_pool_worker : 0;
-  for (;;) {
-    std::unique_lock<std::mutex> lock(impl_->mutex);
-    if (state->done) break;
-    if (state->next < state->count) {
-      // Help out on this job's own indices.
-      const std::size_t index = state->next++;
-      ++state->running;
-      lock.unlock();
-      execute(state, index, self);
-      continue;
-    }
-    if (pool_thread && impl_->has_claimable(tl_active_bodies)) {
-      // A worker blocked in a nested wait is lost pool capacity: instead of
-      // parking while the sub-job's stragglers run elsewhere, keep draining
-      // *other* in-flight jobs under this thread's own worker id. Jobs this
-      // thread has a suspended body frame of are skipped — re-entering one
-      // under the same worker id would alias its per-worker scratch. This
-      // is what lets trial-parallel and net-parallel compose on one
-      // executor without idling (or, transitively, starving) the pool.
-      auto [other, index] = impl_->claim_round_robin(tl_active_bodies);
-      lock.unlock();
-      execute(other, index, self);
-      continue;
-    }
-    if (pool_thread) {
-      impl_->work.wait(lock, [&] {
-        return state->done || impl_->has_claimable(tl_active_bodies);
-      });
-    } else {
-      impl_->done.wait(lock, [&] { return state->done; });
-      break;
-    }
+  std::unique_lock<std::mutex> lock(impl_->mutex);
+  // Help out on this job's own indices as worker 0, then sleep until its
+  // last in-flight body finishes.
+  while (!state->done && state->next < state->count) {
+    const std::size_t index = state->next++;
+    ++state->running;
+    lock.unlock();
+    execute(state, index, 0);
+    lock.lock();
   }
+  impl_->done.wait(lock, [&] { return state->done; });
   if (state->error) std::rethrow_exception(state->error);
 }
 
@@ -196,8 +146,6 @@ void Executor::run(std::size_t count, const Body& body) {
 }
 
 void Executor::worker_loop(int worker) {
-  tl_pool_executor = this;
-  tl_pool_worker = worker;
   for (;;) {
     std::shared_ptr<Job::State> state;
     std::size_t index = 0;
@@ -216,13 +164,15 @@ void Executor::execute(const std::shared_ptr<Job::State>& state,
                        std::size_t index, int worker) {
   bool failed = false;
   std::exception_ptr error;
-  const ActiveBodyFrame frame(state.get());
+  // Saved and restored: a body of another executor may be waiting beneath.
+  const Executor* const outer = std::exchange(tl_body_executor, this);
   try {
     state->body(index, worker);
   } catch (...) {
     failed = true;
     error = std::current_exception();
   }
+  tl_body_executor = outer;
   bool completed = false;
   {
     const std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -238,12 +188,7 @@ void Executor::execute(const std::shared_ptr<Job::State>& state,
     --state->running;
     completed = finish_if_complete(state);
   }
-  if (completed) {
-    impl_->done.notify_all();
-    // Pool threads parked in a nested wait() sleep on `work` (their wake
-    // predicate includes job completion); completion must reach them too.
-    impl_->work.notify_all();
-  }
+  if (completed) impl_->done.notify_all();
 }
 
 bool Executor::finish_if_complete(const std::shared_ptr<Job::State>& state) {

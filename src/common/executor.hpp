@@ -18,14 +18,11 @@
 // in-flight jobs are unaffected (the fault-isolation hinge of the batch
 // mapping service).
 //
-// Nested jobs: a body may submit() further jobs to its own executor and
-// wait() on them. The nested wait never parks the worker while claimable
-// work exists anywhere — it drains the waited job's own indices first, then
-// helps other in-flight jobs under its own worker id — so trial-parallel
-// loops and net-parallel sub-jobs compose on one pool without deadlock or
-// idle capacity. Worker-id confinement stays sound: a pool thread always
-// acts under its own id, an external caller acts as worker 0 of the jobs it
-// waits on, and at most one thread may wait on a given job, so no two
+// A body may submit() further jobs to its own executor (a mapping job's
+// setup submits its trial loop) but never wait() on one: that wait throws
+// qspr::Error and fails the body's job, instead of parking a pool thread.
+// So a waiter is always an external thread acting as worker 0 of the job it
+// waits on, and since at most one thread waits on a given job, no two
 // threads ever run bodies of the same job under the same worker id.
 //
 // Contracts: every submitted job must be waited before the executor is
@@ -41,9 +38,8 @@ namespace qspr {
 class Executor {
  public:
   /// body(index, worker): `worker` is a stable id in [0, worker_count()) for
-  /// indexing per-worker scratch. Ids >= 1 are the pool threads (which keep
-  /// their id when helping any job, including sub-jobs they wait on from
-  /// inside a body); worker 0 is the external thread waiting on the job.
+  /// indexing per-worker scratch. Ids >= 1 are the pool threads; worker 0 is
+  /// the external thread waiting on the job.
   using Body = std::function<void(std::size_t index, int worker)>;
 
   /// Handle to one submitted job. Copyable (all copies refer to the same
@@ -86,11 +82,10 @@ class Executor {
   [[nodiscard]] Job submit(std::size_t count, Body body);
 
   /// Blocks until `job` finishes, running its remaining indices on the
-  /// calling thread (as worker 0 from an external thread, under its own id
-  /// from a pool thread in a nested wait — which also helps drain other
-  /// in-flight jobs instead of parking). Rethrows the exception captured
-  /// for the job's lowest failing index, if any (idempotent: waiting again
-  /// on a finished failed job rethrows again).
+  /// calling thread as worker 0. Rethrows the exception captured for the
+  /// job's lowest failing index, if any (idempotent: waiting again on a
+  /// finished failed job rethrows again). Throws qspr::Error when called
+  /// from inside a body of this executor.
   void wait(const Job& job);
 
   /// submit + wait, with a serial fast path (workers == 1 or count <= 1)

@@ -84,6 +84,16 @@ long long parse_integer(std::string_view text) {
   return value;
 }
 
+int parse_int_flag(std::string_view flag, std::string_view text, int min,
+                   int max) {
+  const long long value = parse_integer(text);
+  if (value < min || value > max) {
+    throw Error(std::string(flag) + " must be in [" + std::to_string(min) +
+                ", " + std::to_string(max) + "]");
+  }
+  return static_cast<int>(value);
+}
+
 double parse_real(std::string_view text) {
   double value = 0.0;
   const char* begin = text.data();

@@ -2,6 +2,7 @@
 // report writers. Kept deliberately minimal; no locale dependence.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,13 @@ bool is_integer(std::string_view text);
 
 /// Parses a decimal integer; throws qspr::Error on malformed input.
 long long parse_integer(std::string_view text);
+
+/// Parses the value of the integer command-line flag `flag`, checking that
+/// it lies in [min, max] before it narrows to int, so an out-of-range value
+/// can never wrap into an accepted one. Throws qspr::Error naming the flag
+/// and the range otherwise.
+int parse_int_flag(std::string_view flag, std::string_view text, int min,
+                   int max = std::numeric_limits<int>::max());
 
 /// Parses a decimal real number (e.g. "1.5"); throws qspr::Error on
 /// malformed input.

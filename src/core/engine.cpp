@@ -1,12 +1,12 @@
 #include "core/engine.hpp"
 
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
-#include "core/monte_carlo.hpp"
 #include "core/mvfb.hpp"
 #include "core/placer.hpp"
 #include "core/scheduler.hpp"
@@ -82,58 +82,46 @@ NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,
 }  // namespace
 
 /// One staged job. Heap-held behind PendingMap so every address the
-/// submitted trial bodies capture (QIDG, rank, simulators) stays stable
-/// while the handle moves around.
+/// submitted job bodies capture (QIDG, rank, placer) stays stable while the
+/// handle moves around.
 struct MappingEngine::PendingState {
-  enum class Flow : std::uint8_t { Ideal, Single, MonteCarlo, Mvfb };
-
   MapJob job;
   Stopwatch stopwatch;
   std::shared_ptr<const FabricArtifacts> artifacts;
   DependencyGraph qidg;
   ExecutionOptions exec;
   std::vector<int> rank;
-  /// Pre-filled by begin() (kind, jobs, ideal latency); completed by
+  /// Pre-filled by begin() (kind, jobs) and the setup job (ideal latency,
+  /// setup time; the whole mapping on the single-run flows); completed by
   /// finish().
   MapResult result;
-  Flow flow = Flow::Ideal;
+  /// The trial options of a QSPR MVFB or Monte-Carlo job; empty on the
+  /// flows without placement trials.
+  std::optional<MvfbOptions> trials;
 
-  // Flow::Mvfb
-  std::unique_ptr<MvfbPlacer> mvfb;
-  MvfbPlacer::AsyncRun mvfb_run;
-  // Flow::MonteCarlo
-  MonteCarloRun mc_run;
-  // Flow::Single — one execution submitted as a 1-index job.
-  struct SingleState {
-    Placement initial;
-    ExecutionResult execution;
-    double trial_cpu_ms = 0.0;
-  };
-  std::shared_ptr<SingleState> single;
-  Executor::Job single_job;
-
-  /// Program-derived setup (QIDG, rank, trial submission) runs here so batch
-  /// staging overlaps it with other jobs' trials. The flow-job handles above
-  /// are written by this job; wait on it before reading them.
+  /// Program-derived setup (QIDG, rank) runs here so batch staging overlaps
+  /// it with other jobs' trials. It then runs a single-run flow's placement
+  /// run itself, or submits the trial loop. `placer` and `trial_run` are
+  /// written by this job; wait on it before reading them.
   Executor::Job setup_job;
+  std::unique_ptr<MvfbPlacer> placer;
+  MvfbPlacer::AsyncRun trial_run;
 
   Executor* executor = nullptr;
   bool collected = false;
 
   ~PendingState() {
     if (collected || executor == nullptr) return;
-    // Drain an abandoned job so the trial bodies' captures (which point
-    // into this object) cannot outlive it. Failures were never collected;
-    // swallow them. The setup job goes first: waiting it makes the flow-job
-    // handles it submitted visible and valid.
+    // Drain an abandoned job so the job bodies' captures (which point into
+    // this object) cannot outlive it. Failures were never collected;
+    // swallow them. The setup job goes first: waiting it makes the trial
+    // handle it submitted visible and valid.
     try {
       if (setup_job.valid()) executor->wait(setup_job);
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
     try {
-      if (mvfb_run.valid()) executor->wait(mvfb_run.job());
-      if (mc_run.valid()) executor->wait(mc_run.job());
-      if (single_job.valid()) executor->wait(single_job);
+      if (trial_run.valid()) executor->wait(trial_run.job());
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
   }
@@ -162,12 +150,32 @@ MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
           "MapJob needs a program and a fabric");
   require(job.options.route_heuristic_weight >= 1.0,
           "MapJob route_heuristic_weight must be >= 1 (1.0 is exact)");
+  const MapperOptions& options = job.options;
+  // The QSPR placers run placement trials: MVFB seeds, or Monte-Carlo trials
+  // as MVFB seeds of one forward run each (§V.A). The other flows run none.
+  std::optional<MvfbOptions> trials;
+  if (options.kind == MapperKind::Qspr &&
+      options.placer != PlacerKind::Center) {
+    trials.emplace();
+    if (options.placer == PlacerKind::MonteCarlo) {
+      require(options.monte_carlo_trials >= 1,
+              "Monte Carlo placer needs at least one trial");
+      trials->seeds = options.monte_carlo_trials;
+      trials->max_runs_per_seed = 1;
+    } else {
+      require(options.mvfb_seeds >= 1, "MVFB needs at least one seed");
+      trials->seeds = options.mvfb_seeds;
+    }
+    trials->rng_seed = options.rng_seed;
+    trials->jobs = executor_.worker_count();
+    trials->cancel = job.cancel;
+  }
   // A job cancelled (or expired) before staging fails here, before any
   // artifact build or trial submission consumes shared capacity.
   job.cancel.check();
-  const MapperOptions& options = job.options;
 
   auto state = std::make_unique<PendingState>();
+  state->trials = std::move(trials);
   state->executor = &executor_;
   state->job = job;
 
@@ -175,84 +183,64 @@ MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
   result.kind = options.kind;
   result.jobs = executor_.worker_count();
 
-  // Flow selection and fabric-artifact resolution stay on the calling
-  // thread — the cache is the only reader of the caller's fabric, so the
-  // begin()-reads-the-fabric contract holds. The program-derived setup
-  // (QIDG build, critical path, schedule rank) runs as an executor job that
-  // then nested-submits the placement trials, so a batch coordinator
-  // staging job N+1 overlaps its setup with job N's trials.
+  // Fabric-artifact resolution stays on the calling thread — the cache is
+  // the only reader of the caller's fabric, so the begin()-reads-the-fabric
+  // contract holds. The program-derived setup (QIDG build, critical path,
+  // schedule rank) runs as an executor job, so a batch coordinator staging
+  // job N+1 overlaps its setup with job N's trials.
   if (options.kind == MapperKind::IdealBaseline) {
     // The ideal bound needs no routing artifacts at all — don't build any.
-    state->flow = PendingState::Flow::Ideal;
     result.placement_runs = 0;
   } else {
     state->artifacts = cache_.get(*job.fabric);
     state->exec = execution_options_for(options);
-    if (options.kind != MapperKind::Qspr ||
-        options.placer == PlacerKind::Center) {
-      // Single-placement flows: QUALE / QPOS (center placement, §I) or a
-      // QSPR ablation with the center placer.
-      state->flow = PendingState::Flow::Single;
-      state->single = std::make_shared<PendingState::SingleState>();
-    } else if (options.placer == PlacerKind::MonteCarlo) {
-      state->flow = PendingState::Flow::MonteCarlo;
-    } else {
-      state->flow = PendingState::Flow::Mvfb;
-    }
   }
 
   state->setup_job = executor_.submit(1, [s = state.get()](std::size_t, int) {
-    const CancelToken cancel = s->job.cancel;
+    const CancelToken& cancel = s->job.cancel;
     cancel.check();
     const ThreadCpuTimer setup_watch;
     const MapperOptions& opts = s->job.options;
+    MapResult& result = s->result;
     s->qidg = DependencyGraph::build(*s->job.program);
-    s->result.ideal_latency = s->qidg.critical_path_latency(opts.tech);
-    if (s->flow == PendingState::Flow::Ideal) {
-      s->result.latency = s->result.ideal_latency;
-      s->result.setup_ms = setup_watch.elapsed_ms();
+    result.ideal_latency = s->qidg.critical_path_latency(opts.tech);
+    if (opts.kind == MapperKind::IdealBaseline) {
+      result.latency = result.ideal_latency;
+      result.setup_ms = setup_watch.elapsed_ms();
       return;
     }
     const FabricArtifacts& artifacts = *s->artifacts;
     s->rank = make_schedule_rank(s->qidg, s->exec.tech,
                                  schedule_options_for(opts));
-    // Trial submission is the job's last act, and nothing below can throw
-    // after a flow job exists: when finish()'s setup wait rethrows, no trial
-    // handle was ever created.
-    switch (s->flow) {
-      case PendingState::Flow::Ideal:
-        break;  // handled above
-      case PendingState::Flow::Single:
-        s->single->initial = center_placement_from(
-            artifacts.traps_near_center, s->job.program->qubit_count());
-        s->result.setup_ms = setup_watch.elapsed_ms();
-        s->single_job = s->executor->submit(
-            1, [s, keep = s->artifacts, cancel](std::size_t, int) {
-              cancel.check();
-              const ThreadCpuTimer watch;
-              s->single->execution =
-                  execute_circuit(s->qidg, keep->fabric, keep->graph, s->rank,
-                                  s->single->initial, s->exec);
-              s->single->trial_cpu_ms = watch.elapsed_ms();
-            });
-        break;
-      case PendingState::Flow::MonteCarlo:
-        s->result.setup_ms = setup_watch.elapsed_ms();
-        s->mc_run = monte_carlo_submit(
-            s->qidg, artifacts.fabric, artifacts.graph, s->rank, s->exec,
-            opts.monte_carlo_trials, opts.rng_seed, *s->executor,
-            &artifacts.traps_near_center, cancel);
-        break;
-      case PendingState::Flow::Mvfb:
-        s->mvfb = std::make_unique<MvfbPlacer>(
-            s->qidg, artifacts.fabric, artifacts.graph, s->rank, s->exec,
-            MvfbOptions{opts.mvfb_seeds, 3, 64, opts.rng_seed,
-                        s->executor->worker_count(), cancel},
-            &artifacts.traps_near_center);
-        s->result.setup_ms = setup_watch.elapsed_ms();
-        s->mvfb_run = s->mvfb->submit(*s->executor);
-        break;
+    if (s->trials.has_value()) {
+      s->placer = std::make_unique<MvfbPlacer>(
+          s->qidg, artifacts.fabric, artifacts.graph, s->rank, s->exec,
+          *s->trials, &artifacts.traps_near_center);
+      result.setup_ms = setup_watch.elapsed_ms();
+      // Trial submission is the job's last act, and nothing after it can
+      // throw: when finish()'s setup wait rethrows, no trial handle exists.
+      s->trial_run = s->placer->submit(*s->executor);
+      return;
     }
+    // Single-placement flows: QUALE / QPOS (center placement, §I) or a QSPR
+    // ablation with the center placer. Their one placement run executes
+    // right here.
+    const Placement initial = center_placement_from(
+        artifacts.traps_near_center, s->job.program->qubit_count());
+    result.setup_ms = setup_watch.elapsed_ms();
+    cancel.check();
+    const ThreadCpuTimer watch;
+    ExecutionResult execution =
+        execute_circuit(s->qidg, artifacts.fabric, artifacts.graph, s->rank,
+                        initial, s->exec);
+    result.trial_cpu_ms = watch.elapsed_ms();
+    result.latency = execution.latency;
+    result.trace = std::move(execution.trace);
+    result.initial_placement = initial;
+    result.final_placement = std::move(execution.final_placement);
+    result.stats = execution.stats;
+    result.timings = std::move(execution.timings);
+    result.placement_runs = 1;
   });
   PendingMap pending;
   pending.state_ = std::move(state);
@@ -264,57 +252,27 @@ MapResult MappingEngine::finish(PendingMap pending) {
   PendingState& state = *pending.state_;
   require(!state.collected, "finish() called twice on one job");
   state.collected = true;
-  // Setup first: it wrote ideal_latency/setup_ms into the result and
-  // submitted the flow job whose handle the switch below waits on. A setup
-  // failure (cancelled job, malformed program) rethrows here before any
-  // flow handle exists.
+  // Setup first: it wrote ideal_latency/setup_ms (and a single-run flow's
+  // whole mapping) into the result and submitted the trial loop collected
+  // below. A setup failure (cancelled job, malformed program) rethrows here
+  // before any trial handle exists.
   executor_.wait(state.setup_job);
   MapResult result = std::move(state.result);
 
-  const auto finish_single = [&](const Placement& initial,
-                                 ExecutionResult&& execution) {
-    result.latency = execution.latency;
-    result.trace = std::move(execution.trace);
-    result.initial_placement = initial;
-    result.final_placement = std::move(execution.final_placement);
-    result.stats = execution.stats;
-    result.timings = std::move(execution.timings);
-  };
-
-  switch (state.flow) {
-    case PendingState::Flow::Ideal:
-      break;
-    case PendingState::Flow::Single: {
-      executor_.wait(state.single_job);
-      result.trial_cpu_ms = state.single->trial_cpu_ms;
-      finish_single(state.single->initial,
-                    std::move(state.single->execution));
-      result.placement_runs = 1;
-      break;
-    }
-    case PendingState::Flow::MonteCarlo: {
-      MonteCarloResult mc = monte_carlo_collect(executor_, state.mc_run);
-      result.trial_cpu_ms = mc.trial_cpu_ms;
-      finish_single(mc.best_initial_placement, std::move(mc.best_execution));
-      result.placement_runs = mc.trials;
-      break;
-    }
-    case PendingState::Flow::Mvfb: {
-      MvfbResult mvfb = state.mvfb->collect(executor_, state.mvfb_run);
-      result.trial_cpu_ms = mvfb.trial_cpu_ms;
-      result.latency = mvfb.best_latency;
-      result.trace = std::move(mvfb.best_trace);
-      result.initial_placement = std::move(mvfb.best_initial_placement);
-      // For a backward winner the reported (time-reversed) execution ends
-      // where the backward run began.
-      result.final_placement = mvfb.best_is_backward
-                                   ? mvfb.best_execution.initial_placement
-                                   : mvfb.best_execution.final_placement;
-      result.stats = mvfb.best_execution.stats;
-      result.timings = std::move(mvfb.best_execution.timings);
-      result.placement_runs = mvfb.total_runs;
-      break;
-    }
+  if (state.placer != nullptr) {
+    MvfbResult best = state.placer->collect(executor_, state.trial_run);
+    result.trial_cpu_ms = best.trial_cpu_ms;
+    result.latency = best.best_latency;
+    result.trace = std::move(best.best_trace);
+    result.initial_placement = std::move(best.best_initial_placement);
+    // For a backward winner the reported (time-reversed) execution ends
+    // where the backward run began.
+    result.final_placement = best.best_is_backward
+                                 ? best.best_execution.initial_placement
+                                 : best.best_execution.final_placement;
+    result.stats = best.best_execution.stats;
+    result.timings = std::move(best.best_execution.timings);
+    result.placement_runs = best.total_runs;
   }
 
   // Stop the clock before the optional diagnostic: cpu_ms reports the

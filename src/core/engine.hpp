@@ -17,13 +17,19 @@
 // shares the executor, because per-trial RNGs are forked up front by index
 // and the winner is the (latency, index) minimum.
 //
+// Every job runs one flow: a setup job on the executor (QIDG, schedule
+// rank) that either finishes the mapping itself — the ideal baseline, or the
+// one center-placement run of QUALE, QPOS and `--placer center` — or submits
+// the placement trials. Trials always run through MvfbPlacer: MVFB seeds, or
+// Monte-Carlo trials as seeds of one forward run each.
+//
 // Two entry shapes:
 //   map(...)            — blocking; the classic map_program behaviour.
-//   begin(...)/finish() — the batch pipeline: begin() resolves fabric
-//                         artifacts on the calling thread and submits the
-//                         rest of the setup (QIDG, schedule rank) plus the
-//                         placement trials to the executor without blocking;
-//                         finish() waits and assembles the MapResult. Several begun jobs keep every worker
+//   begin(...)/finish() — the batch pipeline: begin() validates the options
+//                         and resolves fabric artifacts on the calling
+//                         thread, then submits the setup job without
+//                         blocking; finish() waits and assembles the
+//                         MapResult. Several begun jobs keep every worker
 //                         busy across job boundaries. Per-job failures stay
 //                         per-job: a throwing trial poisons only its own
 //                         finish(), never the engine or its neighbours.
@@ -44,9 +50,10 @@ namespace qspr {
 /// fabric, under which per-job options (placer, trial budget, RNG seed,
 /// ablation overrides — see MapperOptions). `name` labels batch records.
 ///
-/// `cancel` (optional) is polled between placement trials and between a
-/// seed's forward/backward runs: a cancelled or deadline-expired job
-/// abandons its remaining trials and finish() rethrows the CancelledError,
+/// `cancel` (optional) is polled before the setup and before every placement
+/// run (each Monte-Carlo trial, each MVFB forward or backward run, the one
+/// run of a single-placement flow): a cancelled or deadline-expired job
+/// abandons its remaining runs and finish() rethrows the CancelledError,
 /// exactly like any other per-job trial failure — neighbours sharing the
 /// executor are unaffected, and a job whose token never fires is
 /// bit-identical to one staged without a token.
@@ -74,9 +81,9 @@ class MappingEngine {
   [[nodiscard]] Executor& executor();
   [[nodiscard]] FabricArtifactCache& artifacts();
 
-  /// A job staged by begin(): setup done, placement trials in flight on the
-  /// shared executor. Destroying an unfinished PendingMap drains its trials
-  /// first (errors swallowed), so captures never dangle.
+  /// A job staged by begin(): its setup job (and then its placement trials)
+  /// in flight on the shared executor. Destroying an unfinished PendingMap
+  /// drains both first (errors swallowed), so captures never dangle.
   class PendingMap {
    public:
     PendingMap();
@@ -94,13 +101,15 @@ class MappingEngine {
 
   /// Stages `job`: resolves fabric artifacts through the cache on the
   /// calling thread, then submits the program-derived setup (QIDG build,
-  /// critical path, schedule rank) as an executor job that nested-submits
-  /// the placement-trial loop — so a coordinator staging many jobs overlaps
-  /// one job's setup with another's trials instead of serialising ahead of
-  /// them. Option validation and fabric failures (infeasible fabric, bad
-  /// options) throw here; program-derived setup failures and trial failures
-  /// surface in finish(). The job's program must stay valid until finish()
-  /// — the fabric is only read during begin() (artifacts own a copy).
+  /// critical path, schedule rank) as an executor job that runs a
+  /// single-placement flow's one run itself or submits the placement-trial
+  /// loop — so a coordinator staging many jobs overlaps one job's setup
+  /// with another's trials instead of serialising ahead of them. Option
+  /// validation and fabric failures (infeasible fabric, bad options such as
+  /// a trial count below 1 for the job's placer) throw here;
+  /// program-derived setup failures and placement-run failures surface in
+  /// finish(). The job's program must stay valid until finish() — the
+  /// fabric is only read during begin() (artifacts own a copy).
   [[nodiscard]] PendingMap begin(const MapJob& job);
 
   /// Blocks until the staged job's trials finish and assembles the

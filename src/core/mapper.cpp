@@ -47,10 +47,9 @@ bool apply_mapper_flag(std::string_view flag,
     if (!placer.has_value()) throw Error("unknown placer: " + name);
     options.placer = *placer;
   } else if (flag == "--m") {
-    const long long m = parse_integer(value());
-    if (m < 1) throw Error("--m must be at least 1");
-    options.mvfb_seeds = static_cast<int>(m);
-    options.monte_carlo_trials = static_cast<int>(m);
+    const int m = parse_int_flag(flag, value(), 1);
+    options.mvfb_seeds = m;
+    options.monte_carlo_trials = m;
   } else if (flag == "--seed") {
     options.rng_seed = static_cast<std::uint64_t>(parse_integer(value()));
   } else {

@@ -1,20 +1,17 @@
 // The Monte Carlo placer of the paper's experimental setup (§V.A): m' random
-// center placements, each fully scheduled and routed; the lowest-latency one
-// wins. It is the budget-matched baseline MVFB is compared against in
+// center placements, each fully scheduled and routed once; the lowest-latency
+// one wins. It is the budget-matched baseline MVFB is compared against in
 // Table 1.
 //
-// Trials are independent by construction (per-trial RNGs are forked up front
-// by trial index), so they evaluate on any worker set with bit-identical
-// results: the winner is the (latency, trial index) minimum. The trial loop
-// runs on an Executor — a private one for the classic blocking entry point,
-// or a shared one via the Executor& overload and the submit/collect pair the
-// batch service pipelines jobs through.
+// It is MVFB's multi-start with the forward/backward local search switched
+// off, so both entry points below are thin adapters over MvfbPlacer with
+// max_runs_per_seed = 1 (core/mvfb.hpp): trial t is seed t, its RNG the t-th
+// fork of Rng(rng_seed), and the winner the (latency, trial index) minimum —
+// bit-identical at any worker count. MappingEngine stages the same placer on
+// its shared executor.
 #pragma once
 
-#include <memory>
-
 #include "circuit/dependency_graph.hpp"
-#include "common/cancel.hpp"
 #include "common/executor.hpp"
 #include "sim/event_sim.hpp"
 
@@ -29,52 +26,10 @@ struct MonteCarloResult {
   double trial_cpu_ms = 0.0;
 };
 
-/// In-flight Monte-Carlo trial loop on a shared executor: owns the simulator
-/// and all per-worker scratch, so the inputs passed to monte_carlo_submit
-/// (graphs, rank, options) only need to outlive the run itself.
-class MonteCarloRun {
- public:
-  MonteCarloRun();
-  MonteCarloRun(MonteCarloRun&&) noexcept;
-  MonteCarloRun& operator=(MonteCarloRun&&) noexcept;
-  ~MonteCarloRun();
-
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
-  /// Executor handle of the submitted trial loop (for drains/diagnostics;
-  /// normal completion goes through monte_carlo_collect).
-  [[nodiscard]] const Executor::Job& job() const { return job_; }
-
- private:
-  friend MonteCarloRun monte_carlo_submit(
-      const DependencyGraph& qidg, const Fabric& fabric,
-      const RoutingGraph& routing_graph, const std::vector<int>& rank,
-      const ExecutionOptions& exec_options, int trials, std::uint64_t rng_seed,
-      Executor& executor, const std::vector<TrapId>* traps_near_center,
-      CancelToken cancel);
-  friend MonteCarloResult monte_carlo_collect(Executor& executor,
-                                              MonteCarloRun& run);
-  std::shared_ptr<struct MonteCarloState> state_;
-  Executor::Job job_;
-};
-
-/// Submits `trials` random center placements as one job on `executor`
-/// (non-blocking). `traps_near_center` (optional) is a precomputed
-/// traps-by-center table that must outlive the run; when null the run
-/// derives its own once. `cancel` (optional) is polled at the start of
-/// every trial: once it fires, remaining trials throw CancelledError and
-/// collect() rethrows it (per-job, neighbours unaffected).
-[[nodiscard]] MonteCarloRun monte_carlo_submit(
-    const DependencyGraph& qidg, const Fabric& fabric,
-    const RoutingGraph& routing_graph, const std::vector<int>& rank,
-    const ExecutionOptions& exec_options, int trials, std::uint64_t rng_seed,
-    Executor& executor, const std::vector<TrapId>* traps_near_center = nullptr,
-    CancelToken cancel = {});
-
-/// Waits for the submitted trials and merges the winner deterministically by
-/// (latency, trial index). Rethrows the lowest-trial-index failure, if any.
-MonteCarloResult monte_carlo_collect(Executor& executor, MonteCarloRun& run);
-
-/// Blocking trial loop on a shared executor (submit + collect).
+/// Executes `trials` random center placements on a shared executor and keeps
+/// the best. `traps_near_center` (optional) is a precomputed traps-by-center
+/// table (FabricArtifacts::traps_near_center) that must outlive the call;
+/// when null the placer derives its own once.
 MonteCarloResult monte_carlo_place_and_execute(
     const DependencyGraph& qidg, const Fabric& fabric,
     const RoutingGraph& routing_graph, const std::vector<int>& rank,

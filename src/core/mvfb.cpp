@@ -1,29 +1,49 @@
 #include "core/mvfb.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.hpp"
 #include "core/placer.hpp"
-#include "core/trial_context.hpp"
 
 namespace qspr {
 
 /// Everything one in-flight seed loop owns: the per-seed RNG streams (forked
-/// up front by index) and the per-worker scratch/incumbents. Heap-held via
+/// up front by index) and one TrialContext per worker. Heap-held via
 /// shared_ptr so the executor job body outlives AsyncRun moves.
 struct MvfbPlacer::AsyncState {
-  std::vector<Rng> seed_rngs;
-  std::vector<TrialContext> contexts;
-
-  struct WorkerBest {
-    TrialContext::Incumbent incumbent;
-    SeedOutcome outcome;
+  /// Thread-confined state of one worker. The placer's simulators are shared
+  /// read-only by every worker; all a worker mutates lives here:
+  ///
+  ///   * workspace — the simulator's per-run state and the router's
+  ///                 SearchArena, reused by every run on this worker;
+  ///   * best      — the worker-local incumbent, the best seed this worker
+  ///                 ran, merged across workers by (latency, seed index)
+  ///                 after the loop. One outcome per worker (not per seed)
+  ///                 bounds memory and keeps the argmin deterministic: a
+  ///                 later index never displaces an equal-latency earlier
+  ///                 one;
+  ///   * runs, iterations, cpu_ms — sums over the seeds this worker ran.
+  struct TrialContext {
+    EventSimulator::Workspace workspace;
+    SeedOutcome best;
+    std::size_t best_seed = std::numeric_limits<std::size_t>::max();
     int runs = 0;
     int iterations = 0;
+    double cpu_ms = 0.0;
+
+    /// True when (latency, seed) beats the incumbent — the total order that
+    /// makes the cross-worker merge independent of scheduling.
+    [[nodiscard]] bool improved_by(Duration latency, std::size_t seed) const {
+      if (latency != best.best_latency) return latency < best.best_latency;
+      return seed < best_seed;
+    }
   };
-  std::vector<WorkerBest> best;
+
+  std::vector<Rng> seed_rngs;
+  std::vector<TrialContext> contexts;
 };
 
 MvfbPlacer::AsyncRun::AsyncRun() = default;
@@ -38,16 +58,21 @@ MvfbPlacer::MvfbPlacer(const DependencyGraph& qidg, const Fabric& fabric,
                        MvfbOptions options,
                        const std::vector<TrapId>* traps_near_center)
     : qidg_(&qidg),
-      uidg_(qidg.reversed()),
-      fabric_(&fabric),
       options_(options),
       forward_sim_(qidg, fabric, routing_graph, rank, exec_options),
-      backward_sim_(uidg_, fabric, routing_graph, reversed_rank(rank),
-                    exec_options),
       traps_near_center_(traps_near_center) {
   require(options_.seeds >= 1, "MVFB needs at least one seed");
   require(options_.stop_after >= 1, "MVFB stop_after must be positive");
+  require(options_.max_runs_per_seed >= 1,
+          "MVFB max_runs_per_seed must be positive");
   require(options_.jobs >= 1, "MVFB needs at least one worker");
+  // Only a seed that can run backward needs the UIDG: a Monte-Carlo placer
+  // (one forward run per seed) never builds it.
+  if (options_.max_runs_per_seed > 1) {
+    uidg_.emplace(qidg.reversed());
+    backward_sim_.emplace(*uidg_, fabric, routing_graph, reversed_rank(rank),
+                          exec_options);
+  }
   if (traps_near_center_ == nullptr) {
     owned_traps_near_center_ = fabric.traps_by_distance(fabric.center());
     traps_near_center_ = &owned_traps_near_center_;
@@ -90,7 +115,7 @@ MvfbPlacer::SeedOutcome MvfbPlacer::run_seed(
     options_.cancel.check();
     // Backward placement run: UIDG in reversed order S*. Its final
     // placement seeds the next iteration.
-    ExecutionResult backward = backward_sim_.run(placement, workspace);
+    ExecutionResult backward = backward_sim_->run(placement, workspace);
     ++out.runs;
     ++out.iterations;
     placement = backward.final_placement;
@@ -109,25 +134,22 @@ MvfbPlacer::AsyncRun MvfbPlacer::submit(Executor& executor) {
   for (int seed = 0; seed < options_.seeds; ++seed) {
     state->seed_rngs.push_back(root.fork());
   }
-  const auto slots = static_cast<std::size_t>(executor.worker_count());
-  state->contexts.resize(slots);
-  state->best.resize(slots);
+  state->contexts.resize(static_cast<std::size_t>(executor.worker_count()));
 
   AsyncRun run;
   run.state_ = state;
   run.job_ = executor.submit(
       static_cast<std::size_t>(options_.seeds),
       [this, state](std::size_t seed, int worker) {
-        TrialContext& ctx = state->contexts[static_cast<std::size_t>(worker)];
-        AsyncState::WorkerBest& local =
-            state->best[static_cast<std::size_t>(worker)];
+        AsyncState::TrialContext& ctx =
+            state->contexts[static_cast<std::size_t>(worker)];
         const ThreadCpuTimer watch;
         SeedOutcome out = run_seed(state->seed_rngs[seed], ctx.workspace);
-        local.runs += out.runs;
-        local.iterations += out.iterations;
-        if (local.incumbent.improved_by(out.best_latency, seed)) {
-          local.incumbent = {out.best_latency, seed};
-          local.outcome = std::move(out);
+        ctx.runs += out.runs;
+        ctx.iterations += out.iterations;
+        if (ctx.improved_by(out.best_latency, seed)) {
+          ctx.best = std::move(out);
+          ctx.best_seed = seed;
         }
         ctx.cpu_ms += watch.elapsed_ms();
       });
@@ -142,25 +164,23 @@ MvfbResult MvfbPlacer::collect(Executor& executor, AsyncRun& run) {
   // Deterministic cross-worker merge: run counts are order-independent sums;
   // the winner is the global (latency, seed index) minimum.
   MvfbResult result;
-  AsyncState::WorkerBest* winner = nullptr;
-  for (AsyncState::WorkerBest& candidate : state.best) {
+  AsyncState::TrialContext* winner = nullptr;
+  for (AsyncState::TrialContext& candidate : state.contexts) {
     result.total_runs += candidate.runs;
     result.total_iterations += candidate.iterations;
+    result.trial_cpu_ms += candidate.cpu_ms;
     if (winner == nullptr ||
-        winner->incumbent.improved_by(candidate.incumbent.latency,
-                                      candidate.incumbent.trial_index)) {
+        winner->improved_by(candidate.best.best_latency,
+                            candidate.best_seed)) {
       winner = &candidate;
     }
   }
-  for (const TrialContext& ctx : state.contexts) {
-    result.trial_cpu_ms += ctx.cpu_ms;
-  }
 
-  require(winner != nullptr && winner->incumbent.latency < kInfiniteDuration,
+  require(winner != nullptr && winner->best.best_latency < kInfiniteDuration,
           "MVFB produced no execution");
-  result.best_latency = winner->incumbent.latency;
-  result.best_is_backward = winner->outcome.best_is_backward;
-  result.best_execution = std::move(winner->outcome.best_execution);
+  result.best_latency = winner->best.best_latency;
+  result.best_is_backward = winner->best.best_is_backward;
+  result.best_execution = std::move(winner->best.best_execution);
   // Runs return their traces in issue order; only the winner's is sorted.
   result.best_execution.trace.sort_by_time();
   if (result.best_is_backward) {

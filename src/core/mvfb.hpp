@@ -1,5 +1,6 @@
 // The Multi-start Variable-length Forward/Backward (MVFB) placer — the
-// paper's placement contribution (§IV.A).
+// paper's placement contribution (§IV.A) — and the one placement-trial loop
+// of the library.
 //
 // MVFB exploits the reversibility of quantum computation: executing the
 // uncompute graph (UIDG) in the reversed schedule order S*, starting from the
@@ -13,8 +14,13 @@
 // seed with the lowest latency, ties broken by seed index, so the result is
 // bit-identical at any worker count).
 //
+// The paper's Monte Carlo placer (§V.A) is this multi-start with the local
+// search switched off: `max_runs_per_seed = 1` makes every seed a single
+// forward run from its random center placement (core/monte_carlo.hpp is a
+// thin adapter), and such a placer builds no UIDG and no backward simulator.
+//
 // The seed loop runs on an Executor. place_and_execute() spawns a private
-// one (the original single-job shape); the Executor& overloads and the
+// one (the original single-job shape); the Executor& overload and the
 // submit/collect pair run the seeds as one job on a *shared* executor, so a
 // batch service can interleave many placers' seeds on one worker set.
 //
@@ -25,6 +31,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "circuit/dependency_graph.hpp"
 #include "common/cancel.hpp"
@@ -41,7 +48,8 @@ struct MvfbOptions {
   /// Stop a seed's local search after this many consecutive placement runs
   /// without improving the best latency this seed has found.
   int stop_after = 3;
-  /// Safety bound on runs per seed (far above what the stop rule reaches).
+  /// Cap on runs per seed: 64 is a safety bound far above what the stop
+  /// rule reaches; 1 makes each seed one forward run (Monte Carlo). >= 1.
   int max_runs_per_seed = 64;
   std::uint64_t rng_seed = 1;
   /// Worker threads of the private executor spawned by the no-argument
@@ -141,11 +149,12 @@ class MvfbPlacer {
                        EventSimulator::Workspace& workspace) const;
 
   const DependencyGraph* qidg_;
-  DependencyGraph uidg_;
-  const Fabric* fabric_;
   MvfbOptions options_;
   EventSimulator forward_sim_;
-  EventSimulator backward_sim_;
+  /// The UIDG and its simulator; built only when a seed can run backward
+  /// (max_runs_per_seed > 1).
+  std::optional<DependencyGraph> uidg_;
+  std::optional<EventSimulator> backward_sim_;
   /// Borrowed placement table, or &owned_traps_near_center_.
   const std::vector<TrapId>* traps_near_center_;
   std::vector<TrapId> owned_traps_near_center_;

@@ -121,6 +121,23 @@ TEST(Strings, ParseInteger) {
   EXPECT_FALSE(is_integer("abc"));
 }
 
+TEST(Strings, ParseIntFlagChecksTheRangeBeforeNarrowing) {
+  EXPECT_EQ(parse_int_flag("--m", "7", 1), 7);
+  EXPECT_EQ(parse_int_flag("--port", "65535", 0, 65535), 65535);
+  // 2^31 would narrow to INT_MIN and 2^32 + 1 to 1: both out of range.
+  EXPECT_THROW(parse_int_flag("--m", "2147483648", 1), Error);
+  EXPECT_THROW(parse_int_flag("--m", "4294967297", 1), Error);
+  EXPECT_THROW(parse_int_flag("--jobs", "-1", 1), Error);
+  EXPECT_THROW(parse_int_flag("--port", "65536", 0, 65535), Error);
+  EXPECT_THROW(parse_int_flag("--m", "4x2", 1), Error);
+  try {
+    parse_int_flag("--jobs", "4294967297", 1);
+    FAIL() << "expected an out-of-range error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "--jobs must be in [1, 2147483647]");
+  }
+}
+
 TEST(Strings, JoinAndUpper) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");

@@ -10,6 +10,10 @@
 //     complete, the first index after the flag throws CancelledError, the
 //     job's remaining indices are abandoned — and neighbour jobs on the
 //     same executor finish bit-identically untouched.
+//
+// The engine-level cases run on every trial flow: MVFB seeds, Monte-Carlo
+// trials (one-run seeds), and QSPR's single center-placement run, which
+// executes inside the job's setup job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,13 +31,33 @@
 namespace qspr {
 namespace {
 
-MapperOptions mc_options(int trials) {
+/// QSPR with `placer`, at `m` seeds or trials where the placer runs any.
+MapperOptions flow_options(PlacerKind placer, int m) {
   MapperOptions options;
-  options.placer = PlacerKind::MonteCarlo;
-  options.monte_carlo_trials = trials;
+  options.placer = placer;
+  options.mvfb_seeds = m;
+  options.monte_carlo_trials = m;
   options.rng_seed = 7;
   return options;
 }
+
+class EngineTrialFlow : public ::testing::TestWithParam<PlacerKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    TrialFlows, EngineTrialFlow,
+    ::testing::Values(PlacerKind::Mvfb, PlacerKind::MonteCarlo,
+                      PlacerKind::Center),
+    [](const ::testing::TestParamInfo<PlacerKind>& info) {
+      switch (info.param) {
+        case PlacerKind::Mvfb:
+          return "Mvfb";
+        case PlacerKind::MonteCarlo:
+          return "MonteCarlo";
+        case PlacerKind::Center:
+          return "Center";
+      }
+      return "Unknown";
+    });
 
 TEST(ExecutorShutdown, DestructionAfterWaitingAllJobsIsClean) {
   std::atomic<int> ran{0};
@@ -50,14 +74,14 @@ TEST(ExecutorShutdown, DestructionAfterWaitingAllJobsIsClean) {
   EXPECT_EQ(ran.load(), 8 * 16);
 }
 
-TEST(ExecutorShutdown, AbandonedPendingMapDrainsItsQueuedTrials) {
+TEST_P(EngineTrialFlow, AbandonedPendingMapDrainsItsQueuedTrials) {
   const Program program = make_encoder(QeccCode::Q7_1_3);
   const Fabric fabric = make_quale_fabric({4, 4, 4});
   MappingEngine engine(2);
   MapJob job;
   job.program = &program;
   job.fabric = &fabric;
-  job.options = mc_options(12);
+  job.options = flow_options(GetParam(), 12);
   {
     // Stage trials, then drop the handle without finish(): the pending
     // state's destructor must wait out the submitted job (most of whose
@@ -111,10 +135,10 @@ TEST(CancelToken, ObservedBetweenIndicesNotWithinThem) {
   EXPECT_EQ(started, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(CancelToken, CancelledJobLeavesNeighbourBitIdentical) {
+TEST_P(EngineTrialFlow, CancelledJobLeavesNeighbourBitIdentical) {
   const Program program = make_encoder(QeccCode::Q5_1_3);
   const Fabric fabric = make_quale_fabric({4, 4, 4});
-  const MapperOptions options = mc_options(8);
+  const MapperOptions options = flow_options(GetParam(), 8);
 
   // Reference: the same job alone on a fresh engine.
   MappingEngine reference(2);
@@ -125,7 +149,7 @@ TEST(CancelToken, CancelledJobLeavesNeighbourBitIdentical) {
   MapJob doomed;
   doomed.program = &program;
   doomed.fabric = &fabric;
-  doomed.options = mc_options(64);
+  doomed.options = flow_options(GetParam(), 64);
   doomed.cancel = source.token();
   MapJob neighbour;
   neighbour.program = &program;
@@ -168,7 +192,7 @@ TEST(CancelToken, PreStagingDeadlineFailsBeginWithDeadlineReason) {
   MapJob job;
   job.program = &program;
   job.fabric = &fabric;
-  job.options = mc_options(4);
+  job.options = flow_options(PlacerKind::MonteCarlo, 4);
   job.cancel = source.token();
   try {
     MappingEngine::PendingMap pending = engine.begin(job);
@@ -178,10 +202,10 @@ TEST(CancelToken, PreStagingDeadlineFailsBeginWithDeadlineReason) {
   }
 }
 
-TEST(CancelToken, NeverFiredTokenIsBitIdenticalToNoToken) {
+TEST_P(EngineTrialFlow, NeverFiredTokenIsBitIdenticalToNoToken) {
   const Program program = make_encoder(QeccCode::Q7_1_3);
   const Fabric fabric = make_quale_fabric({4, 4, 4});
-  const MapperOptions options = mc_options(6);
+  const MapperOptions options = flow_options(GetParam(), 6);
   MappingEngine engine(2);
 
   const MapResult bare = engine.map(program, fabric, options);

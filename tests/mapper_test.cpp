@@ -4,6 +4,7 @@
 
 #include "circuit/dependency_graph.hpp"
 #include "common/error.hpp"
+#include "core/engine.hpp"
 #include "core/mapper.hpp"
 #include "core/placer.hpp"
 #include "fabric/quale_fabric.hpp"
@@ -221,6 +222,10 @@ TEST(Mapper, CliMapperFlagsApplyAndRejectMBelowOne) {
 
   EXPECT_THROW(apply_mapper_flag("--m", value("0"), options), Error);
   EXPECT_THROW(apply_mapper_flag("--m", value("-3"), options), Error);
+  // Out of int range: rejected before narrowing, never wrapped to 1 or to a
+  // negative count.
+  EXPECT_THROW(apply_mapper_flag("--m", value("4294967297"), options), Error);
+  EXPECT_THROW(apply_mapper_flag("--m", value("2147483648"), options), Error);
   EXPECT_THROW(apply_mapper_flag("--mapper", value("nope"), options), Error);
   EXPECT_EQ(options.mvfb_seeds, 7);  // a rejected value changes nothing
 
@@ -229,6 +234,50 @@ TEST(Mapper, CliMapperFlagsApplyAndRejectMBelowOne) {
   EXPECT_FALSE(apply_mapper_flag(
       "--jobs", [&] { read = true; return std::string("4"); }, options));
   EXPECT_FALSE(read);
+}
+
+TEST(Mapper, EngineBeginRejectsATrialCountBelowOne) {
+  // Bad options throw in begin(), not later in finish(): a trial count
+  // below 1 for the placer the job's flow uses, with the placer named.
+  const Program program = make_encoder(QeccCode::Q5_1_3);
+  const Fabric fabric = make_quale_fabric({4, 4, 4});
+  MappingEngine engine(2);
+  MapJob job;
+  job.program = &program;
+  job.fabric = &fabric;
+
+  job.options.placer = PlacerKind::Mvfb;
+  job.options.mvfb_seeds = 0;
+  try {
+    MappingEngine::PendingMap pending = engine.begin(job);
+    FAIL() << "begin() staged an MVFB job with no seeds";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("MVFB"), std::string::npos)
+        << e.what();
+  }
+
+  job.options = MapperOptions{};
+  job.options.placer = PlacerKind::MonteCarlo;
+  job.options.monte_carlo_trials = 0;
+  try {
+    MappingEngine::PendingMap pending = engine.begin(job);
+    FAIL() << "begin() staged a Monte-Carlo job with no trials";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("Monte Carlo"), std::string::npos)
+        << e.what();
+  }
+
+  // Flows that run no trials never read either count.
+  for (const MapperKind kind : {MapperKind::Qspr, MapperKind::Quale,
+                                MapperKind::Qpos, MapperKind::IdealBaseline}) {
+    MapperOptions options;
+    options.kind = kind;
+    options.placer = PlacerKind::Center;
+    options.mvfb_seeds = 0;
+    options.monte_carlo_trials = 0;
+    EXPECT_GT(engine.map(program, fabric, options).latency, 0)
+        << to_string(kind);
+  }
 }
 
 TEST(Mapper, ThrowsWhenFabricTooSmall) {

@@ -101,6 +101,33 @@ TEST_F(MvfbTest, RejectsBadOptions) {
   EXPECT_THROW(MvfbPlacer(graph_, fabric_, routing_, rank_, exec_,
                           MvfbOptions{1, 0, 64, 1}),
                Error);
+  MvfbOptions no_runs;
+  no_runs.max_runs_per_seed = 0;
+  EXPECT_THROW(MvfbPlacer(graph_, fabric_, routing_, rank_, exec_, no_runs),
+               Error);
+}
+
+TEST_F(MvfbTest, OneRunPerSeedIsAForwardOnlyMultiStart) {
+  // max_runs_per_seed = 1 is the Monte Carlo placer: every seed is one
+  // forward run from its random center placement, so the placer builds no
+  // backward simulator and the winner is never a backward run.
+  MvfbOptions one_run;
+  one_run.seeds = 10;
+  one_run.max_runs_per_seed = 1;
+  MvfbPlacer placer(graph_, fabric_, routing_, rank_, exec_, one_run);
+  const MvfbResult result = placer.place_and_execute();
+  EXPECT_EQ(result.total_runs, 10);
+  EXPECT_EQ(result.total_iterations, 0);
+  EXPECT_FALSE(result.best_is_backward);
+  EXPECT_EQ(result.best_initial_placement,
+            result.best_execution.initial_placement);
+
+  const MonteCarloResult mc = monte_carlo_place_and_execute(
+      graph_, fabric_, routing_, rank_, exec_, 10, 1);
+  EXPECT_EQ(mc.trials, 10);
+  EXPECT_EQ(mc.best_latency, result.best_latency);
+  EXPECT_EQ(mc.best_initial_placement, result.best_initial_placement);
+  EXPECT_EQ(mc.best_execution.trace.to_string(), result.best_trace.to_string());
 }
 
 TEST_F(MvfbTest, BackwardWinnersReportReversedTraces) {

@@ -8,11 +8,10 @@
 // blocking run() loop.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
-#include <functional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/executor.hpp"
@@ -176,87 +175,36 @@ TEST(ExecutorTest, WaitOnInvalidJobThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Nested submission: bodies submitting + waiting on their own executor
+// Nested submission: a body may submit to its own executor, never wait on it
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorNested, SubmitAndWaitFromInsideBodiesCompletes) {
-  // Every outer body spawns a sub-job and waits on it from inside the pool.
-  // Workers must help drain instead of parking — with 2 workers and 4
-  // concurrent nested waits this hangs if a waiting worker ever blocks
-  // while claimable work exists.
-  Executor executor(2);
-  constexpr std::size_t kOuter = 4;
-  constexpr std::size_t kInner = 16;
-  std::atomic<int> inner_runs{0};
-  Executor::Job outer = executor.submit(kOuter, [&](std::size_t, int) {
-    Executor::Job sub = executor.submit(kInner, [&](std::size_t, int) {
-      inner_runs.fetch_add(1, std::memory_order_relaxed);
-    });
-    executor.wait(sub);
-  });
-  executor.wait(outer);
-  EXPECT_EQ(inner_runs.load(), static_cast<int>(kOuter * kInner));
-}
-
-TEST(ExecutorNested, DeeplyNestedJobsCompleteOnOneWorker) {
-  // A 1-worker executor runs everything inline on the waiting thread;
-  // nested submit/wait must recurse cleanly instead of deadlocking.
-  Executor executor(1);
-  std::atomic<int> leaves{0};
-  const std::function<void(int)> spawn = [&](int depth) {
-    if (depth == 0) {
-      leaves.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    Executor::Job job = executor.submit(
-        2, [&, depth](std::size_t, int) { spawn(depth - 1); });
-    executor.wait(job);
-  };
-  spawn(5);
-  EXPECT_EQ(leaves.load(), 32);
-}
-
-TEST(ExecutorNested, WorkerIdsStayConfinedPerJobAcrossNesting) {
-  // The per-worker scratch contract: within one job, no two bodies may run
-  // under the same worker id concurrently — including the case a nested
-  // wait's help-drain could create by re-entering the *outer* job on a
-  // worker whose outer body is suspended beneath the wait (help-drain must
-  // skip jobs the thread has a frame in). The guard holds a per-(job,
-  // worker) lock across each whole body, nested wait included; any
-  // re-entry or cross-thread aliasing trips `overlap`.
-  Executor executor(4);
-  constexpr std::size_t kOuter = 8;
-  constexpr std::size_t kInner = 32;
-  std::atomic<bool> overlap{false};
-  struct JobSlots {
-    std::array<std::atomic<int>, 16> in_use{};
-  };
-  JobSlots outer_slots;
-  JobSlots inner_slots;  // shared by all sub-jobs: a worker id is one thread
-  const auto body_guard = [&](JobSlots& job_slots, int worker,
-                              const auto& work) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 4);
-    if (job_slots.in_use[worker].exchange(1) != 0) overlap = true;
-    work();
-    job_slots.in_use[worker].store(0);
-  };
-  std::atomic<int> inner_runs{0};
-  Executor::Job outer =
-      executor.submit(kOuter, [&](std::size_t, int worker) {
-        body_guard(outer_slots, worker, [&] {
-          Executor::Job sub =
-              executor.submit(kInner, [&](std::size_t, int inner_worker) {
-                body_guard(inner_slots, inner_worker, [&] {
-                  inner_runs.fetch_add(1, std::memory_order_relaxed);
-                });
-              });
-          executor.wait(sub);
-        });
+TEST(ExecutorNested, WaitInsideABodyFailsItsJob) {
+  // A nested wait would park a pool thread (or, on one worker, run the
+  // sub-job inline on the waiter), so it throws instead and fails the
+  // body's job with that error. The sub-job the body submitted still runs:
+  // submitting from a body stays legal, and an external thread waits it.
+  for (const int workers : {1, 3}) {
+    Executor executor(workers);
+    std::atomic<int> inner_runs{0};
+    Executor::Job sub;
+    const Executor::Job outer = executor.submit(1, [&](std::size_t, int) {
+      sub = executor.submit(8, [&](std::size_t, int) {
+        inner_runs.fetch_add(1, std::memory_order_relaxed);
       });
-  executor.wait(outer);
-  EXPECT_EQ(inner_runs.load(), static_cast<int>(kOuter * kInner));
-  EXPECT_FALSE(overlap.load());
+      executor.wait(sub);
+    });
+    try {
+      executor.wait(outer);
+      FAIL() << "expected the nested wait to fail its job (workers "
+             << workers << ")";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot wait on its own executor"),
+                std::string::npos)
+          << e.what();
+    }
+    executor.wait(sub);
+    EXPECT_EQ(inner_runs.load(), 8);
+  }
 }
 
 // ---------------------------------------------------------------------------
