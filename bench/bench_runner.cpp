@@ -80,7 +80,6 @@ PathFinderOptions baseline_options() {
   PathFinderOptions options;
   options.engine = PathFinderEngine::ReferenceDijkstra;
   options.partial_ripup = false;
-  options.adaptive_bound = false;
   options.adaptive_schedule = false;
   options.bidirectional = false;
   return options;
@@ -228,7 +227,6 @@ void write_sample(JsonWriter& json, const PathFinderSample& sample) {
       .field("total_excess", sample.total_excess)
       .field("min_feasible_excess", sample.min_feasible_excess)
       .field("partial_ripup", sample.options.partial_ripup)
-      .field("adaptive_bound", sample.options.adaptive_bound)
       .field("adaptive_schedule", sample.options.adaptive_schedule)
       .field("bidirectional", sample.options.bidirectional)
       .field("heuristic_weight", sample.options.heuristic_weight)
@@ -514,22 +512,19 @@ int main(int argc, char** argv) {
       const char* name;
       PathFinderOptions options;
     };
-    const auto astar_with = [](bool partial, bool bound, bool schedule,
-                               bool bidi) {
+    const auto astar_with = [](bool partial, bool schedule, bool bidi) {
       PathFinderOptions options;  // engine defaults to AStarArena
       options.partial_ripup = partial;
-      options.adaptive_bound = bound;
       options.adaptive_schedule = schedule;
       options.bidirectional = bidi;
       return options;
     };
     const std::vector<Config> configs = {
         {"baseline", baseline_options()},
-        {"none", astar_with(false, false, false, false)},
-        {"partial", astar_with(true, false, false, false)},
-        {"bound", astar_with(false, true, false, false)},
-        {"schedule", astar_with(false, false, true, false)},
-        {"bidi", astar_with(false, false, false, true)},
+        {"none", astar_with(false, false, false)},
+        {"partial", astar_with(true, false, false)},
+        {"schedule", astar_with(false, true, false)},
+        {"bidi", astar_with(false, false, true)},
         {"all", PathFinderOptions{}},
     };
 

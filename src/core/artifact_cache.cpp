@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "common/fnv.hpp"
+
 namespace qspr {
 
 FabricArtifacts::FabricArtifacts(const Fabric& source)
@@ -22,22 +24,15 @@ std::size_t FabricArtifacts::memory_bytes() const {
 }
 
 std::uint64_t fabric_fingerprint(const Fabric& fabric) {
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xffULL;
-      hash *= 1099511628211ULL;  // FNV-1a prime
-    }
-  };
-  mix(static_cast<std::uint64_t>(fabric.rows()));
-  mix(static_cast<std::uint64_t>(fabric.cols()));
+  Fnv1a hash;
+  hash.u64(static_cast<std::uint64_t>(fabric.rows()));
+  hash.u64(static_cast<std::uint64_t>(fabric.cols()));
   for (int row = 0; row < fabric.rows(); ++row) {
     for (int col = 0; col < fabric.cols(); ++col) {
-      hash ^= static_cast<std::uint64_t>(fabric.cell({row, col}));
-      hash *= 1099511628211ULL;
+      hash.byte(static_cast<std::uint8_t>(fabric.cell({row, col})));
     }
   }
-  return hash;
+  return hash.value();
 }
 
 bool same_fabric_layout(const Fabric& a, const Fabric& b) {

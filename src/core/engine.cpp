@@ -1,6 +1,6 @@
 #include "core/engine.hpp"
 
-#include <map>
+#include <cstddef>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -16,37 +16,35 @@ namespace qspr {
 
 namespace {
 
-/// Trap-to-trap relocations of a control trace: per (instruction, operand)
-/// the trap it departed and the trap it arrived in. Ops of one operand are
-/// chronological within the trace, so first move's `from` / last move's `to`
-/// bracket the relocation.
+/// Trap-to-trap relocations of a control trace, one net per leg in leg-start
+/// order. A leg opens when a qubit's move leaves a trap and closes when one
+/// of its moves enters a trap; a qubit's ops are chronological within the
+/// trace. Keying on legs rather than instructions keeps QUALE's visit and
+/// its return home (both under the gate's instruction) as two nets.
 std::vector<NetRequest> relocation_nets(const Trace& trace,
                                         const Fabric& fabric) {
-  std::map<std::pair<std::int32_t, std::int32_t>,
-           std::pair<Position, Position>>
-      spans;
-  std::vector<std::pair<std::int32_t, std::int32_t>> order;
+  std::vector<NetRequest> legs;
+  // Per qubit: index into `legs` of its open leg, -1 while it is parked.
+  std::vector<std::ptrdiff_t> open_leg;
   for (const MicroOp& op : trace.ops()) {
     if (op.kind != MicroOpKind::Move) continue;
-    const auto key = std::make_pair(op.instruction.value(), op.qubit.value());
-    const auto [it, inserted] =
-        spans.try_emplace(key, std::make_pair(op.from, op.to));
-    if (inserted) {
-      order.push_back(key);
-    } else {
-      it->second.second = op.to;
+    const std::size_t qubit = op.qubit.index();
+    if (qubit >= open_leg.size()) open_leg.resize(qubit + 1, -1);
+    const TrapId departed = fabric.trap_at(op.from);
+    if (departed.is_valid()) {
+      open_leg[qubit] = static_cast<std::ptrdiff_t>(legs.size());
+      legs.push_back({departed, TrapId::invalid()});
+    }
+    const TrapId arrived = fabric.trap_at(op.to);
+    if (arrived.is_valid() && open_leg[qubit] >= 0) {
+      legs[static_cast<std::size_t>(open_leg[qubit])].to = arrived;
+      open_leg[qubit] = -1;
     }
   }
-  std::vector<NetRequest> nets;
-  for (const auto& key : order) {
-    const auto& [begin, end] = spans.at(key);
-    const TrapId from = fabric.trap_at(begin);
-    const TrapId to = fabric.trap_at(end);
-    if (from.is_valid() && to.is_valid() && from != to) {
-      nets.push_back({from, to});
-    }
-  }
-  return nets;
+  std::erase_if(legs, [](const NetRequest& leg) {
+    return !leg.to.is_valid() || leg.from == leg.to;
+  });
+  return legs;
 }
 
 NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,

@@ -20,19 +20,6 @@ CongestionLedger::CongestionLedger(std::size_t segment_count,
           "resource capacities must be at least 1");
 }
 
-void CongestionLedger::begin_iteration(double present_factor,
-                                       bool track_floor) {
-  present_factor_ = present_factor;
-  track_floor_ = track_floor;
-  penalty_floor_ = 1.0;
-  if (!track_floor_ || occupancy_.empty()) return;
-  double floor = entering_penalty(0);
-  for (std::size_t i = 1; i < occupancy_.size(); ++i) {
-    floor = std::min(floor, entering_penalty(i));
-  }
-  penalty_floor_ = std::max(1.0, floor);
-}
-
 void CongestionLedger::acquire(std::size_t index) {
   const int occupancy = ++occupancy_[index];
   if (occupancy > capacity(index) && overused_pos_[index] < 0) {
@@ -50,13 +37,6 @@ void CongestionLedger::release(std::size_t index) {
     overused_pos_[last] = pos;
     overused_.pop_back();
     overused_pos_[index] = -1;
-  }
-  // Occupancy decrements can lower a resource's penalty below the floor
-  // computed at iteration start; min-updating here keeps the floor a true
-  // lower bound throughout the iteration (increments only raise penalties).
-  if (track_floor_) {
-    penalty_floor_ =
-        std::max(1.0, std::min(penalty_floor_, entering_penalty(index)));
   }
 }
 

@@ -34,20 +34,11 @@ struct ResourceRef {
 /// searches index by).
 ///
 /// Besides the present occupancy and the cross-iteration history penalty it
-/// maintains two derived quantities *incrementally*, so the negotiation loop
-/// never has to sweep every resource per iteration:
-///
-///   * the **over-use delta set** — the exact set of currently over-capacity
-///     resources, updated in O(1) as paths are ripped up (release) and
-///     re-inserted (acquire). Charging history and building the dirty-net
-///     worklist of the partial rip-up touch only this set.
-///   * the **penalty floor** — a proven lower bound on the cost multiplier of
-///     entering *any* resource under the current state, min over resources of
-///     (1 + over * present_factor) * (1 + history). Recomputed exactly at
-///     each iteration start and min-updated on every release (occupancy
-///     increments can only raise penalties), so it stays admissible while the
-///     iteration mutates the table. The congestion-adaptive A* bound scales
-///     its per-move term by this floor.
+/// maintains the **over-use delta set** incrementally: the exact set of
+/// currently over-capacity resources, updated in O(1) as paths are ripped up
+/// (release) and re-inserted (acquire). Charging history and building the
+/// dirty-net worklist of the partial rip-up touch only this set, so the
+/// negotiation loop never sweeps every resource per iteration.
 class CongestionLedger {
  public:
   CongestionLedger(std::size_t segment_count, std::size_t junction_count,
@@ -88,15 +79,10 @@ class CongestionLedger {
   /// Present-congestion factor fixed by the last begin_iteration().
   [[nodiscard]] double present_factor() const { return present_factor_; }
 
-  /// Starts a negotiation iteration: fixes the present factor and, when
-  /// `track_floor`, recomputes the exact penalty floor (O(resources), once
-  /// per iteration — the per-path updates within the iteration are O(1)).
-  void begin_iteration(double present_factor, bool track_floor);
-
-  /// Admissible lower bound on entering_penalty() of every resource, valid
-  /// from the last begin_iteration() until the next one. 1.0 when floor
-  /// tracking is off.
-  [[nodiscard]] double penalty_floor() const { return penalty_floor_; }
+  /// Starts a negotiation iteration: fixes the present factor.
+  void begin_iteration(double present_factor) {
+    present_factor_ = present_factor;
+  }
 
   void acquire(std::size_t index);
   void release(std::size_t index);
@@ -139,8 +125,6 @@ class CongestionLedger {
   int segment_capacity_;
   int junction_capacity_;
   double present_factor_ = 0.0;
-  double penalty_floor_ = 1.0;
-  bool track_floor_ = false;
 };
 
 class CongestionState {

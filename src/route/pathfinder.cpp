@@ -15,6 +15,23 @@ namespace qspr {
 
 namespace {
 
+/// Present-congestion penalty factor added per unit of over-use in the first
+/// iteration; it grows x1.5 per iteration (the standard PathFinder schedule).
+constexpr double kPresentFactor = 0.6;
+/// History penalty accumulated per iteration of over-use.
+constexpr double kHistoryIncrement = 0.25;
+/// Present-factor ceiling under adaptive_schedule. 64 is above the factor
+/// any converging bench suite ever reaches (iteration 12 of the x1.5
+/// schedule), so converging negotiations are bit-identical with or without
+/// the cap.
+constexpr double kPresentFactorMax = 64.0;
+/// Consecutive non-improving iterations on a *saturated plateau* (total
+/// excess comparable to the net count) before the loop reports
+/// non-convergence instead of burning the iteration cap; small stubborn
+/// tails are instead pressed with a ramped history increment for six times
+/// as long. Only applies under adaptive_schedule.
+constexpr int kStagnationLimit = 3;
+
 ResourceRef resource_of_node(const RouteNode& node) {
   if (node.is_trap) return ResourceRef{};
   if (node.junction.is_valid()) return ResourceRef::junction(node.junction);
@@ -139,12 +156,10 @@ std::optional<std::vector<RouteNodeId>> route_one_reference(
 }
 
 /// Physics of one optimized search: base move/turn selection costs plus the
-/// admissible congestion floor of the current iteration and the
 /// bounded-suboptimality weight.
 struct SearchCosts {
   double t_move = 0.0;
   double turn_cost = 0.0;
-  double floor = 1.0;
   /// Heuristic inflation w >= 1: the frontier is ordered by g + w*h, so the
   /// returned path costs <= w * optimal. Exactly 1.0 leaves every f-value
   /// bit-identical to the unweighted search.
@@ -152,9 +167,9 @@ struct SearchCosts {
 };
 
 /// One negotiated-cost A* over the arena — the optimized unidirectional
-/// engine. The (optionally congestion-scaled) grid lower bound focuses the
-/// expansion toward the target; the arena makes the per-query state O(1) to
-/// reset, and the weight cache makes pricing an edge one array read.
+/// engine. The grid lower bound focuses the expansion toward the target;
+/// the arena makes the per-query state O(1) to reset, and the weight cache
+/// makes pricing an edge one array read.
 /// Returns false when the target is unreachable; on success fills `path`
 /// source-to-target.
 bool route_one_astar(const RoutingGraph& graph,
@@ -172,9 +187,8 @@ bool route_one_astar(const RoutingGraph& graph,
 
   const Position target_cell = graph.node(target).cell;
   const auto bound = [&](const RouteNode& node) {
-    return congestion_scaled_bound(node, target_cell, costs.t_move,
-                                   costs.turn_cost, costs.floor,
-                                   /*moves_end_in_trap=*/true) *
+    return grid_lower_bound(node, target_cell, costs.t_move,
+                            costs.turn_cost) *
            costs.weight;
   };
 
@@ -254,20 +268,15 @@ bool route_one_bidirectional(const RoutingGraph& graph,
   const Position target_cell = graph.node(target).cell;
   const double t_move = costs.t_move;
   const double turn_cost = costs.turn_cost;
-  const double floor = costs.floor;
-  // Forward bound: remaining path ends inside the target trap. Backward
-  // bound: a source->v path ends inside a trap only when v itself is one.
   // The balanced potential stays *unweighted* even under heuristic_weight:
   // inflating it would make reduced edge costs negative and break the
   // settled-frontier invariant; the suboptimality knob instead scales the
   // termination test below.
   const auto potential = [&](const RouteNode& node) {
-    const double h_forward = congestion_scaled_bound(
-        node, target_cell, t_move, turn_cost, floor,
-        /*moves_end_in_trap=*/true);
-    const double h_backward = congestion_scaled_bound(
-        node, source_cell, t_move, turn_cost, floor,
-        /*moves_end_in_trap=*/node.is_trap);
+    const double h_forward =
+        grid_lower_bound(node, target_cell, t_move, turn_cost);
+    const double h_backward =
+        grid_lower_bound(node, source_cell, t_move, turn_cost);
     return 0.5 * (h_forward - h_backward);
   };
 
@@ -486,8 +495,6 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
   require(options.max_iterations >= 1, "need at least one iteration");
   require(options.bidirectional_min_cells >= 0,
           "bidirectional_min_cells must be non-negative");
-  require(options.present_factor_max > 0.0,
-          "present_factor_max must be positive");
   require(options.heuristic_weight >= 1.0,
           "heuristic_weight must be >= 1 (1.0 is the exact search)");
 
@@ -496,7 +503,6 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
                           params.channel_capacity, params.junction_capacity);
   PathFinderResult result;
   result.paths.resize(nets.size());
-  result.heuristic_weight = options.heuristic_weight;
 
   const bool optimized = options.engine == PathFinderEngine::AStarArena;
   // Arena state shared across all nets and all negotiation iterations (and,
@@ -520,9 +526,9 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
     ledger.mark_structural(structural);
   }
 
-  const SearchCosts base_costs{
+  const SearchCosts costs{
       static_cast<double>(params.t_move),
-      options.turn_aware ? static_cast<double>(params.t_turn) : 0.1, 1.0,
+      options.turn_aware ? static_cast<double>(params.t_turn) : 0.1,
       options.heuristic_weight};
   NodeWeightCache& weights = scratch.weights;
   if (optimized) weights.build(graph, ledger);
@@ -538,8 +544,6 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
     ++result.searches_performed;
     bool routed = false;
     if (optimized) {
-      SearchCosts costs = base_costs;
-      if (options.adaptive_bound) costs.floor = ledger.penalty_floor();
       const bool long_query =
           options.bidirectional &&
           manhattan_cells(graph, nets[i].from, nets[i].to) >=
@@ -573,8 +577,8 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
     }
   };
 
-  double present_factor = options.present_factor;
-  double history_increment = options.history_increment;
+  double present_factor = kPresentFactor;
+  double history_increment = kHistoryIncrement;
   // Fewest over-used resources seen so far; partial rip-up escalates to a
   // full sweep when an iteration fails to improve on it.
   int best_overused = std::numeric_limits<int>::max();
@@ -584,13 +588,12 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
   int stagnant_iterations = 0;
   for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
     result.iterations_used = iteration;
-    ledger.begin_iteration(present_factor,
-                           optimized && options.adaptive_bound);
+    ledger.begin_iteration(present_factor);
     if (optimized) {
       // History charges and the present-factor step repriced (potentially)
       // every loaded resource: refresh the whole weight cache once per
       // iteration, then keep it in sync per ripped/re-inserted resource.
-      weights.refresh_all(ledger, base_costs.t_move);
+      weights.refresh_all(ledger, costs.t_move);
     }
     // With partial_ripup off every net is dirty every iteration (the
     // original full-sweep PathFinder loop).
@@ -623,7 +626,7 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
         const int margin = std::max(1, best_excess / 16);
         if (best_excess - summary.total_excess >= margin) {
           stagnant_iterations = 0;
-          history_increment = options.history_increment;
+          history_increment = kHistoryIncrement;
         }
         best_excess = summary.total_excess;
       } else {
@@ -640,14 +643,10 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
         const int tail =
             std::max(4, static_cast<int>(nets.size()) / 2);
         if (summary.total_excess <= tail) {
-          history_increment = std::min(history_increment * 2.0,
-                                       options.history_increment * 64.0);
-          if (options.stagnation_limit > 0 &&
-              stagnant_iterations >= 6 * options.stagnation_limit) {
-            break;
-          }
-        } else if (options.stagnation_limit > 0 &&
-                   stagnant_iterations >= options.stagnation_limit) {
+          history_increment =
+              std::min(history_increment * 2.0, kHistoryIncrement * 64.0);
+          if (stagnant_iterations >= 6 * kStagnationLimit) break;
+        } else if (stagnant_iterations >= kStagnationLimit) {
           // A saturated *plateau* (excess comparable to the net count) is
           // the signature of regional over-subscription: ramping only
           // destabilises it, and every extra iteration is a whole-fabric
@@ -689,7 +688,7 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
       // history carries the pressure, and edge weights stay commensurate
       // with the admissible distance bound instead of drowning it.
       // Converging runs never reach the ceiling.
-      present_factor = std::min(present_factor, options.present_factor_max);
+      present_factor = std::min(present_factor, kPresentFactorMax);
     }
   }
 

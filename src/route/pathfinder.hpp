@@ -11,12 +11,12 @@
 //
 // The optimized loop is congestion-adaptive: a dirty-net worklist rips up
 // and re-routes only nets overlapping over-subscribed resources (partial
-// rip-up), the A* bound scales with the admissible congestion penalty floor
-// so it keeps pruning when penalties dominate, and long queries run a
-// bidirectional meet-in-the-middle search over the arena's second frontier.
-// Each mechanism toggles independently via PathFinderOptions. Nets route
-// one at a time, in net order, so a negotiation is a pure function of its
-// inputs.
+// rip-up), a capped schedule with a ramped history increment stops a
+// saturated negotiation early, and long queries run a bidirectional
+// meet-in-the-middle search over the arena's second frontier. Every search
+// uses the Router's grid lower bound (route/heuristic.hpp). Each mechanism
+// toggles independently via PathFinderOptions. Nets route one at a time, in
+// net order, so a negotiation is a pure function of its inputs.
 //
 // The event-driven simulator routes incrementally instead (one instruction
 // at a time, Eq. 2 weights); this module provides the classic batch
@@ -49,12 +49,11 @@ enum class PathFinderEngine : std::uint8_t {
   AStarArena,
 };
 
+/// The penalty constants (present factor, history increment) and the
+/// adaptive schedule's present-factor cap and stagnation limit are fixed in
+/// pathfinder.cpp.
 struct PathFinderOptions {
   int max_iterations = 30;
-  /// Present-congestion penalty factor added per unit of over-use.
-  double present_factor = 0.6;
-  /// History penalty accumulated per iteration of over-use.
-  double history_increment = 0.25;
   /// Model turn delays in the cost (QSPR's enhancement; QUALE ran without).
   bool turn_aware = true;
   /// Inner search engine; the default is the optimized arena-backed A*.
@@ -68,14 +67,9 @@ struct PathFinderOptions {
   /// ripped up and re-routed; converged nets keep their paths. Applies to
   /// both engines (it is an outer-loop mechanism).
   bool partial_ripup = true;
-  /// Congestion-adaptive A* bound: scale the per-move lower bound by the
-  /// congestion penalty floor (CongestionLedger::penalty_floor), keeping the
-  /// bound admissible — and still pruning — while congestion penalties
-  /// dominate the uncongested grid distance. AStarArena only.
-  bool adaptive_bound = true;
   /// Congestion-adaptive negotiation schedule (engine-agnostic, so engine
   /// equivalence is preserved): (a) the geometric present-factor schedule is
-  /// capped at present_factor_max, keeping saturated-regime edge weights
+  /// capped at kPresentFactorMax, keeping saturated-regime edge weights
   /// distance-commensurate instead of letting every late search degenerate
   /// into a whole-fabric Dijkstra flood; (b) when the total capacity excess
   /// stagnates, the history increment ramps geometrically until the plateau
@@ -83,20 +77,9 @@ struct PathFinderOptions {
   /// unbounded present factor, without the flood); (c) the loop stops as
   /// soon as the residual excess reaches the provable structural floor
   /// (endpoint port demand over port capacity — no negotiation can do
-  /// better), or after stagnation_limit consecutive iterations without
+  /// better), or after kStagnationLimit consecutive iterations without
   /// excess improvement despite the ramp.
   bool adaptive_schedule = true;
-  /// Present-factor ceiling under adaptive_schedule. 64 is above the factor
-  /// any converging bench suite ever reaches (iteration 12 of the x1.5
-  /// schedule), so converging negotiations are bit-identical with or without
-  /// the cap.
-  double present_factor_max = 64.0;
-  /// Consecutive non-improving iterations on a *saturated plateau* (total
-  /// excess comparable to the net count) before the loop reports
-  /// non-convergence instead of burning the iteration cap; small stubborn
-  /// tails are instead pressed with a ramped history increment for the
-  /// remaining budget. Only applies under adaptive_schedule; 0 disables.
-  int stagnation_limit = 3;
   /// Bidirectional A* (meet-in-the-middle over the arena's second frontier)
   /// for long queries, where a unidirectional search settles most of the
   /// fabric before reaching the target. AStarArena only.
@@ -134,8 +117,6 @@ struct PathFinderResult {
   /// Nodes settled (accepted heap pops) across all searches — the
   /// heuristic-quality metric.
   long long nodes_settled = 0;
-  /// Echo of options.heuristic_weight (1.0 = exact search).
-  double heuristic_weight = 1.0;
 };
 
 /// Per-node negotiated move weights of the optimized engine, kept in sync

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/json.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "fabric/text_io.hpp"
@@ -80,16 +81,12 @@ double number_field(const JsonValue& object, std::string_view key,
 
 std::uint64_t result_fingerprint(const MapResult& result) {
   // FNV-1a 64: process-stable (unlike std::hash), so a client in another
-  // process can reproduce it from its own map_program run.
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto mix_bytes = [&hash](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ull;
-    }
+  // process can reproduce it from its own map_program run. Integers enter as
+  // 64-bit little-endian two's complement.
+  Fnv1a hash;
+  const auto mix_i64 = [&hash](long long v) {
+    hash.u64(static_cast<std::uint64_t>(v));
   };
-  const auto mix_i64 = [&](long long v) { mix_bytes(&v, sizeof(v)); };
   const auto mix_placement = [&](const Placement& placement) {
     mix_i64(static_cast<long long>(placement.qubit_count()));
     for (std::size_t q = 0; q < placement.qubit_count(); ++q) {
@@ -101,9 +98,8 @@ std::uint64_t result_fingerprint(const MapResult& result) {
   mix_i64(result.placement_runs);
   mix_placement(result.initial_placement);
   mix_placement(result.final_placement);
-  const std::string trace = result.trace.to_string();
-  mix_bytes(trace.data(), trace.size());
-  return hash;
+  hash.bytes(result.trace.to_string());
+  return hash.value();
 }
 
 std::string hex_fingerprint(std::uint64_t hash) {

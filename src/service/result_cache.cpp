@@ -1,20 +1,11 @@
 #include "service/result_cache.hpp"
 
+#include "common/fnv.hpp"
 #include "core/artifact_cache.hpp"
 
 namespace qspr {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void mix(std::uint64_t& hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xffULL;
-    hash *= kFnvPrime;
-  }
-}
 
 std::uint64_t double_bits(double value) {
   std::uint64_t bits = 0;
@@ -24,61 +15,61 @@ std::uint64_t double_bits(double value) {
 }
 
 template <typename T>
-void mix_optional(std::uint64_t& hash, const std::optional<T>& value) {
+void mix_optional(Fnv1a& hash, const std::optional<T>& value) {
   if (value.has_value()) {
-    mix(hash, 1);
-    mix(hash, static_cast<std::uint64_t>(*value));
+    hash.u64(1);
+    hash.u64(static_cast<std::uint64_t>(*value));
   } else {
-    mix(hash, 0);
+    hash.u64(0);
   }
 }
 
 }  // namespace
 
 std::uint64_t program_fingerprint(const Program& program) {
-  std::uint64_t hash = kFnvOffset;
-  mix(hash, static_cast<std::uint64_t>(program.qubit_count()));
+  Fnv1a hash;
+  hash.u64(static_cast<std::uint64_t>(program.qubit_count()));
   for (const QubitDecl& qubit : program.qubits()) {
-    mix(hash, qubit.init_value.has_value()
-                  ? static_cast<std::uint64_t>(*qubit.init_value) + 2
-                  : 1);
+    hash.u64(qubit.init_value.has_value()
+                 ? static_cast<std::uint64_t>(*qubit.init_value) + 2
+                 : 1);
   }
-  mix(hash, static_cast<std::uint64_t>(program.instruction_count()));
+  hash.u64(static_cast<std::uint64_t>(program.instruction_count()));
   for (const Instruction& instruction : program.instructions()) {
     // Control/target order is contractual (source vs destination); the
     // control of a 1-qubit gate is the invalid id.
-    mix(hash, static_cast<std::uint64_t>(instruction.kind));
-    mix(hash, static_cast<std::uint64_t>(instruction.control.value()));
-    mix(hash, static_cast<std::uint64_t>(instruction.target.value()));
+    hash.u64(static_cast<std::uint64_t>(instruction.kind));
+    hash.u64(static_cast<std::uint64_t>(instruction.control.value()));
+    hash.u64(static_cast<std::uint64_t>(instruction.target.value()));
   }
-  return hash;
+  return hash.value();
 }
 
 std::uint64_t mapper_options_fingerprint(const MapperOptions& options) {
-  std::uint64_t hash = kFnvOffset;
-  mix(hash, static_cast<std::uint64_t>(options.kind));
-  mix(hash, static_cast<std::uint64_t>(options.tech.t_move));
-  mix(hash, static_cast<std::uint64_t>(options.tech.t_turn));
-  mix(hash, static_cast<std::uint64_t>(options.tech.t_gate_1q));
-  mix(hash, static_cast<std::uint64_t>(options.tech.t_gate_2q));
-  mix(hash, static_cast<std::uint64_t>(options.tech.channel_capacity));
-  mix(hash, static_cast<std::uint64_t>(options.tech.junction_capacity));
-  mix(hash, static_cast<std::uint64_t>(options.tech.trap_capacity));
-  mix(hash, double_bits(options.priority_alpha));
-  mix(hash, double_bits(options.priority_beta));
-  mix(hash, static_cast<std::uint64_t>(options.placer));
-  mix(hash, static_cast<std::uint64_t>(options.mvfb_seeds));
-  mix(hash, static_cast<std::uint64_t>(options.monte_carlo_trials));
-  mix(hash, options.rng_seed);
-  mix(hash, double_bits(options.route_heuristic_weight));
-  mix(hash, options.negotiation_report ? 1 : 0);
+  Fnv1a hash;
+  hash.u64(static_cast<std::uint64_t>(options.kind));
+  hash.u64(static_cast<std::uint64_t>(options.tech.t_move));
+  hash.u64(static_cast<std::uint64_t>(options.tech.t_turn));
+  hash.u64(static_cast<std::uint64_t>(options.tech.t_gate_1q));
+  hash.u64(static_cast<std::uint64_t>(options.tech.t_gate_2q));
+  hash.u64(static_cast<std::uint64_t>(options.tech.channel_capacity));
+  hash.u64(static_cast<std::uint64_t>(options.tech.junction_capacity));
+  hash.u64(static_cast<std::uint64_t>(options.tech.trap_capacity));
+  hash.u64(double_bits(options.priority_alpha));
+  hash.u64(double_bits(options.priority_beta));
+  hash.u64(static_cast<std::uint64_t>(options.placer));
+  hash.u64(static_cast<std::uint64_t>(options.mvfb_seeds));
+  hash.u64(static_cast<std::uint64_t>(options.monte_carlo_trials));
+  hash.u64(options.rng_seed);
+  hash.u64(double_bits(options.route_heuristic_weight));
+  hash.u64(options.negotiation_report ? 1 : 0);
   mix_optional(hash, options.turn_aware);
   mix_optional(hash, options.dual_move);
   mix_optional(hash, options.return_home);
   mix_optional(hash, options.channel_capacity);
   mix_optional(hash, options.schedule_policy);
   mix_optional(hash, options.trap_selection);
-  return hash;
+  return hash.value();
 }
 
 ResultCache::Key ResultCache::key_of(const Program& program,

@@ -10,9 +10,11 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/json.hpp"
 
 namespace qspr {
@@ -119,13 +121,9 @@ bool CircuitBreaker::allow_probe(TimePoint now) {
 std::uint64_t fabric_route_fingerprint(const std::string& spec) {
   // "" and "paper" both mean the built-in fabric; canonicalise so they
   // share a shard (and its warm artifact caches).
-  const std::string& canonical = spec.empty() ? std::string("paper") : spec;
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : canonical) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  const std::string_view canonical =
+      spec.empty() ? "paper" : std::string_view(spec);
+  return Fnv1a().bytes(canonical).value();
 }
 
 int shard_for_fabric(const std::string& spec, int shard_count) {

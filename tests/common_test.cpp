@@ -1,11 +1,13 @@
-// Unit tests for the common substrate: ids, geometry, strings, table, stats,
-// rng, technology parameters.
+// Unit tests for the common substrate: ids, FNV-1a, geometry, strings,
+// table, stats, rng, technology parameters.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/geometry.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -48,6 +50,31 @@ TEST(Ids, HashDistinguishesValues) {
     hashes.insert(std::hash<SegmentId>()(SegmentId(i)));
   }
   EXPECT_EQ(hashes.size(), 100u);
+}
+
+TEST(Fnv1a, OffsetBasisIsTheStandardOneWithoutItsLastDigit) {
+  // The fingerprint basis every recorded result_fp and shard routing key
+  // derives from; see common/fnv.hpp.
+  EXPECT_EQ(Fnv1a::kOffsetBasis, 14695981039346656037ULL / 10);
+  EXPECT_EQ(Fnv1a::kOffsetBasis, 0x14650fb0739d0383ULL);
+  EXPECT_EQ(Fnv1a::kPrime, 0x100000001b3ULL);
+}
+
+TEST(Fnv1a, MatchesRecordedVectors) {
+  EXPECT_EQ(Fnv1a().value(), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(Fnv1a().bytes("").value(), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(Fnv1a().bytes("a").value(), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(Fnv1a().bytes("paper").value(), 0x1862053476e6d74fULL);
+  static_assert(Fnv1a().bytes("paper").value() == 0x1862053476e6d74fULL);
+}
+
+TEST(Fnv1a, ByteBytesAndU64Agree) {
+  EXPECT_EQ(Fnv1a().byte('a').value(), Fnv1a().bytes("a").value());
+  // u64 feeds the eight bytes least significant first.
+  EXPECT_EQ(Fnv1a().u64(0x0807060504030201ULL).value(),
+            Fnv1a().bytes("\x01\x02\x03\x04\x05\x06\x07\x08").value());
+  const std::string_view zeros("\0\0\0\0\0\0\0\0", 8);
+  EXPECT_EQ(Fnv1a().u64(0).value(), Fnv1a().bytes(zeros).value());
 }
 
 TEST(Geometry, StepMovesOneCell) {

@@ -352,5 +352,97 @@ TEST(Mapper, ResultsArePinnedAcrossMappersAndPlacers) {
   }
 }
 
+MapperOptions report_options(MapperKind kind, PlacerKind placer,
+                             double heuristic_weight) {
+  // What `qspr_map --m 10 --report` maps with.
+  MapperOptions options;
+  options.kind = kind;
+  options.placer = placer;
+  options.mvfb_seeds = 10;
+  options.monte_carlo_trials = 10;
+  options.route_heuristic_weight = heuristic_weight;
+  options.negotiation_report = true;
+  return options;
+}
+
+TEST(Mapper, NegotiationDiagnosticsArePinned) {
+  // The post-hoc PathFinder diagnostic of three QSPR maps on the paper
+  // fabric, exact and bounded-suboptimal. Any change to the negotiation
+  // loop, its A* bound or the nets it batch-routes moves at least one of
+  // these counters.
+  struct Pinned {
+    const char* label;
+    QeccCode code;
+    PlacerKind placer;
+    double heuristic_weight;
+    NegotiationDiagnostics expected;
+  };
+  const Pinned pinned[] = {
+      {"[[5,1,3]] qspr/mvfb", QeccCode::Q5_1_3, PlacerKind::Mvfb, 1.0,
+       {.nets = 12, .iterations_used = 21, .converged = false,
+        .overused_resources = 4, .max_overuse = 2, .total_excess = 5,
+        .min_feasible_excess = 3, .searches_performed = 228,
+        .total_delay = 174, .heuristic_weight = 1.0,
+        .nodes_settled = 68764}},
+      {"[[14,8,3]] qspr/center", QeccCode::Q14_8_3, PlacerKind::Center, 1.0,
+       {.nets = 91, .iterations_used = 7, .converged = false,
+        .overused_resources = 30, .max_overuse = 17, .total_excess = 152,
+        .min_feasible_excess = 29, .searches_performed = 594,
+        .total_delay = 2804, .heuristic_weight = 1.0,
+        .nodes_settled = 376508}},
+      {"[[14,8,3]] qspr/mvfb w=1.5", QeccCode::Q14_8_3, PlacerKind::Mvfb,
+       1.5,
+       {.nets = 81, .iterations_used = 6, .converged = false,
+        .overused_resources = 25, .max_overuse = 12, .total_excess = 101,
+        .min_feasible_excess = 27, .searches_performed = 430,
+        .total_delay = 2042, .heuristic_weight = 1.5,
+        .nodes_settled = 71798}},
+  };
+
+  const Fabric fabric = make_paper_fabric();
+  for (const Pinned& row : pinned) {
+    const MapResult result =
+        map_program(make_encoder(row.code), fabric,
+                    report_options(MapperKind::Qspr, row.placer,
+                                   row.heuristic_weight));
+    const std::string label = row.label;
+    ASSERT_TRUE(result.negotiation.has_value()) << label;
+    const NegotiationDiagnostics& n = *result.negotiation;
+    const NegotiationDiagnostics& e = row.expected;
+    EXPECT_EQ(n.nets, e.nets) << label;
+    EXPECT_EQ(n.iterations_used, e.iterations_used) << label;
+    EXPECT_EQ(n.converged, e.converged) << label;
+    EXPECT_EQ(n.overused_resources, e.overused_resources) << label;
+    EXPECT_EQ(n.max_overuse, e.max_overuse) << label;
+    EXPECT_EQ(n.total_excess, e.total_excess) << label;
+    EXPECT_EQ(n.min_feasible_excess, e.min_feasible_excess) << label;
+    EXPECT_EQ(n.searches_performed, e.searches_performed) << label;
+    EXPECT_EQ(n.total_delay, e.total_delay) << label;
+    EXPECT_EQ(n.heuristic_weight, e.heuristic_weight) << label;
+    EXPECT_EQ(n.nodes_settled, e.nodes_settled) << label;
+  }
+}
+
+TEST(Mapper, QualeDiagnosticRoutesEveryTrapToTrapLeg) {
+  // QUALE sends a visiting ion to the gate trap and back home under one
+  // instruction. Each trap-to-trap leg is its own net, so neither leg is
+  // lost to a home-to-home span.
+  const Fabric fabric = make_paper_fabric();
+  const MapResult result =
+      map_program(make_encoder(QeccCode::Q5_1_3), fabric,
+                  report_options(MapperKind::Quale, PlacerKind::Mvfb, 1.0));
+  int legs = 0;
+  for (const MicroOp& op : result.trace.ops()) {
+    if (op.kind == MicroOpKind::Move && fabric.trap_at(op.from).is_valid()) {
+      ++legs;
+    }
+  }
+  ASSERT_TRUE(result.negotiation.has_value());
+  EXPECT_EQ(result.negotiation->nets, legs);
+  EXPECT_EQ(result.negotiation->nets, 16);
+  EXPECT_EQ(result.negotiation->iterations_used, 5);
+  EXPECT_EQ(result.negotiation->searches_performed, 51);
+}
+
 }  // namespace
 }  // namespace qspr

@@ -182,7 +182,7 @@ TEST(PathFinderTest2, StructuralFloorSumsDisjointOverdemandedTraps) {
 TEST(CongestionLedgerTest, TracksOveruseDeltaSetIncrementally) {
   CongestionLedger ledger(/*segment_count=*/4, /*junction_count=*/2,
                           /*segment_capacity=*/2, /*junction_capacity=*/1);
-  ledger.begin_iteration(/*present_factor=*/0.6, /*track_floor=*/false);
+  ledger.begin_iteration(/*present_factor=*/0.6);
   EXPECT_EQ(ledger.size(), 6u);
   EXPECT_EQ(ledger.index_of(ResourceRef::segment(SegmentId(3))), 3u);
   EXPECT_EQ(ledger.index_of(ResourceRef::junction(JunctionId(1))), 5u);
@@ -209,32 +209,29 @@ TEST(CongestionLedgerTest, TracksOveruseDeltaSetIncrementally) {
   EXPECT_EQ(ledger.overused().front(), 4u);
 }
 
-TEST(CongestionLedgerTest, PenaltyFloorIsAdmissibleAndIterationScoped) {
+TEST(CongestionLedgerTest, EnteringPenaltyPricesPresentOveruseAndHistory) {
   CongestionLedger ledger(/*segment_count=*/2, /*junction_count=*/0,
                           /*segment_capacity=*/1, /*junction_capacity=*/1);
-  ledger.begin_iteration(0.6, /*track_floor=*/true);
-  EXPECT_DOUBLE_EQ(ledger.penalty_floor(), 1.0);  // empty fabric state
+  ledger.begin_iteration(0.6);
+  EXPECT_DOUBLE_EQ(ledger.entering_penalty(0), 1.0);  // idle, no history
 
-  // Saturate both segments and charge history; the next iteration's floor
-  // reflects the cheapest possible entry.
   ledger.acquire(0);
   ledger.acquire(0);
   ledger.acquire(1);
   ledger.charge_history(0.5);  // only segment 0 is over capacity
-  ledger.begin_iteration(0.6, true);
-  // Segment 1 is at capacity: entering costs (1 + 1*0.6) * (1 + 0) = 1.6.
-  // Segment 0 is over: (1 + 2*0.6) * 1.5 = 3.3. Floor = 1.6.
-  EXPECT_DOUBLE_EQ(ledger.penalty_floor(), 1.6);
-  for (const std::size_t index : {0u, 1u}) {
-    EXPECT_LE(ledger.penalty_floor(), ledger.entering_penalty(index));
-  }
+  ledger.begin_iteration(0.9);
+  EXPECT_DOUBLE_EQ(ledger.present_factor(), 0.9);
+  // Segment 1 is at capacity: entering costs (1 + 1*0.9) * (1 + 0) = 1.9.
+  // Segment 0 is over: (1 + 2*0.9) * (1 + 0.5) = 4.2.
+  EXPECT_DOUBLE_EQ(ledger.entering_penalty(1), 1.9);
+  EXPECT_DOUBLE_EQ(ledger.entering_penalty(0), 4.2);
 
-  // Releases within the iteration may only lower the floor (admissibility
-  // under rip-up), never raise it.
+  // A release re-prices the resource at once; history stays.
   ledger.release(1);
-  EXPECT_DOUBLE_EQ(ledger.penalty_floor(), 1.0);
-  ledger.acquire(1);
-  EXPECT_DOUBLE_EQ(ledger.penalty_floor(), 1.0);
+  EXPECT_DOUBLE_EQ(ledger.entering_penalty(1), 1.0);
+  ledger.release(0);
+  ledger.release(0);
+  EXPECT_DOUBLE_EQ(ledger.entering_penalty(0), 1.5);
 }
 
 TEST_F(PathFinderTest, TurnUnawareModeStillConverges) {

@@ -171,10 +171,9 @@ TEST(SearchDeterminismTest, RouterArenaReuseDoesNotPerturbResults) {
   }
 }
 
-PathFinderOptions with_mechanisms(bool partial, bool adaptive, bool bidi) {
+PathFinderOptions with_mechanisms(bool partial, bool bidi) {
   PathFinderOptions options;
   options.partial_ripup = partial;
-  options.adaptive_bound = adaptive;
   options.bidirectional = bidi;
   if (bidi) options.bidirectional_min_cells = 0;  // force it for every query
   // Pin the classic negotiation schedule so each mechanism is isolated
@@ -209,10 +208,10 @@ TEST(PartialRipupTest, MatchesFullRipupOnConvergingCases) {
       const auto nets = random_nets(c.fabric, c.nets, seed);
       const PathFinderResult full = route_nets_negotiated(
           graph, params, nets,
-          with_mechanisms(/*partial=*/false, false, false));
+          with_mechanisms(/*partial=*/false, false));
       const PathFinderResult partial = route_nets_negotiated(
           graph, params, nets,
-          with_mechanisms(/*partial=*/true, false, false));
+          with_mechanisms(/*partial=*/true, false));
       ASSERT_TRUE(full.converged) << "pick a converging seed";
       ASSERT_TRUE(partial.converged) << "seed " << seed;
       EXPECT_EQ(partial.total_delay, full.total_delay) << "seed " << seed;
@@ -237,9 +236,9 @@ TEST(BidirectionalSearchTest, MatchesUnidirectionalPathCostsUncontended) {
   pairs.insert(pairs.end(), random.begin(), random.end());
   for (const NetRequest& net : pairs) {
     const PathFinderResult uni = route_nets_negotiated(
-        graph, params, {net}, with_mechanisms(false, false, false));
+        graph, params, {net}, with_mechanisms(false, false));
     const PathFinderResult bidi = route_nets_negotiated(
-        graph, params, {net}, with_mechanisms(false, false, true));
+        graph, params, {net}, with_mechanisms(false, true));
     EXPECT_EQ(bidi.total_delay, uni.total_delay)
         << net.from << " -> " << net.to;
   }
@@ -258,9 +257,9 @@ TEST(BidirectionalSearchTest, NegotiatedBatchesStayLegalAndConverge) {
   for (const std::uint64_t seed : {1u, 2u, 4u}) {
     const auto nets = random_nets(fabric, 10, seed);
     const PathFinderResult uni = route_nets_negotiated(
-        graph, params, nets, with_mechanisms(false, false, false));
+        graph, params, nets, with_mechanisms(false, false));
     const PathFinderResult bidi = route_nets_negotiated(
-        graph, params, nets, with_mechanisms(false, false, true));
+        graph, params, nets, with_mechanisms(false, true));
     ASSERT_TRUE(uni.converged);
     EXPECT_TRUE(bidi.converged) << "seed " << seed;
     EXPECT_EQ(bidi.total_delay, uni.total_delay) << "seed " << seed;
@@ -385,52 +384,37 @@ TEST(HeuristicTest, GridLowerBoundIsConsistentAcrossAllEdges) {
   }
 }
 
-TEST(HeuristicTest, CongestionScaledBoundIsConsistentForBothFrontiers) {
-  // The congestion-adaptive bound must stay consistent under the *floored*
-  // edge weights (every move into a resource costs >= floor * t_move, moves
-  // into traps exactly t_move, turns exactly turn_cost):
-  //   forward frontier:  h_f(u) <= w_min(u,v) + h_f(v)
-  //   backward frontier: h_b(v) <= w_min(u,v) + h_b(u)
-  // for every edge u -> v and every trap endpoint. Consistency plus
-  // h(endpoint) == 0 implies admissibility, and it is what lets both A*
-  // frontiers treat settled nodes as final.
+TEST(HeuristicTest, GridLowerBoundIsConsistentForTheBackwardFrontier) {
+  // The bidirectional search's backward frontier bounds a source->v path by
+  // the grid bound toward the source, so it needs the mirrored property
+  //   h_b(v) <= w_min(u, v) + h_b(u)
+  // for every edge u -> v and every trap source. With the forward check
+  // above, this keeps the balanced potential consistent, so both frontiers
+  // may treat settled nodes as final.
   const Fabric fabric = make_quale_fabric({2, 2, 4});
   const RoutingGraph graph(fabric);
   const TechnologyParams params;
   const double t_move = static_cast<double>(params.t_move);
   const double turn_cost = static_cast<double>(params.t_turn);
-  constexpr double kEps = 1e-9;
 
-  for (const double floor : {1.0, 1.6, 2.5}) {
-    for (const Trap& trap : fabric.traps()) {
-      const Position endpoint = trap.position;
-      const RouteNodeId endpoint_node = graph.trap_node(trap.id);
-      for (std::size_t u = 0; u < graph.node_count(); ++u) {
-        const RouteNodeId id = RouteNodeId::from_index(u);
-        const RouteNode& unode = graph.node(id);
-        const double hf_u = congestion_scaled_bound(
-            unode, endpoint, t_move, turn_cost, floor, true);
-        const double hb_u = congestion_scaled_bound(
-            unode, endpoint, t_move, turn_cost, floor, unode.is_trap);
-        for (const RouteEdge& edge : graph.edges(id)) {
-          const RouteNode& vnode = graph.node(edge.to);
-          // Edges into non-endpoint traps are pruned by every search.
-          if (vnode.is_trap && edge.to != endpoint_node) continue;
-          if (unode.is_trap && id != endpoint_node) continue;
-          const double weight =
-              edge.is_turn ? turn_cost
-                           : (vnode.is_trap ? t_move : floor * t_move);
-          const double hf_v = congestion_scaled_bound(
-              vnode, endpoint, t_move, turn_cost, floor, true);
-          const double hb_v = congestion_scaled_bound(
-              vnode, endpoint, t_move, turn_cost, floor, vnode.is_trap);
-          EXPECT_LE(hf_u, weight + hf_v + kEps)
-              << "forward, floor " << floor << ", edge " << u << " -> "
-              << edge.to;
-          EXPECT_LE(hb_v, weight + hb_u + kEps)
-              << "backward, floor " << floor << ", edge " << u << " -> "
-              << edge.to;
-        }
+  for (const Trap& trap : fabric.traps()) {
+    const Position source = trap.position;
+    const RouteNodeId source_node = graph.trap_node(trap.id);
+    for (std::size_t u = 0; u < graph.node_count(); ++u) {
+      const RouteNodeId id = RouteNodeId::from_index(u);
+      const RouteNode& unode = graph.node(id);
+      // Traps are endpoints only: no search passes through another trap.
+      if (unode.is_trap && id != source_node) continue;
+      const double hb_u = grid_lower_bound(unode, source, t_move, turn_cost);
+      for (const RouteEdge& edge : graph.edges(id)) {
+        const RouteNode& vnode = graph.node(edge.to);
+        if (vnode.is_trap && edge.to != source_node) continue;
+        const double weight = edge.is_turn ? turn_cost : t_move;
+        const double hb_v =
+            grid_lower_bound(vnode, source, t_move, turn_cost);
+        EXPECT_LE(hb_v, weight + hb_u)
+            << "inconsistent backward bound on edge " << u << " -> "
+            << edge.to;
       }
     }
   }
