@@ -81,7 +81,6 @@ PathFinderOptions baseline_options() {
   options.engine = PathFinderEngine::ReferenceDijkstra;
   options.partial_ripup = false;
   options.adaptive_schedule = false;
-  options.bidirectional = false;
   return options;
 }
 
@@ -228,7 +227,6 @@ void write_sample(JsonWriter& json, const PathFinderSample& sample) {
       .field("min_feasible_excess", sample.min_feasible_excess)
       .field("partial_ripup", sample.options.partial_ripup)
       .field("adaptive_schedule", sample.options.adaptive_schedule)
-      .field("bidirectional", sample.options.bidirectional)
       .field("heuristic_weight", sample.options.heuristic_weight)
       .field("total_delay_us", static_cast<long long>(sample.total_delay))
       .end_object();
@@ -512,19 +510,17 @@ int main(int argc, char** argv) {
       const char* name;
       PathFinderOptions options;
     };
-    const auto astar_with = [](bool partial, bool schedule, bool bidi) {
+    const auto astar_with = [](bool partial, bool schedule) {
       PathFinderOptions options;  // engine defaults to AStarArena
       options.partial_ripup = partial;
       options.adaptive_schedule = schedule;
-      options.bidirectional = bidi;
       return options;
     };
     const std::vector<Config> configs = {
         {"baseline", baseline_options()},
-        {"none", astar_with(false, false, false)},
-        {"partial", astar_with(true, false, false)},
-        {"schedule", astar_with(false, true, false)},
-        {"bidi", astar_with(false, false, true)},
+        {"none", astar_with(false, false)},
+        {"partial", astar_with(true, false)},
+        {"schedule", astar_with(false, true)},
         {"all", PathFinderOptions{}},
     };
 
@@ -558,55 +554,25 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------ long-haul runs ---
-  // Long uncontended hauls across the whole fabric, the regime where a
-  // unidirectional search settles most of the fabric before reaching the
-  // target: the unidirectional grid-bound search against the default
-  // bidirectional stack on identical nets. The suite keeps its recorded
-  // name (alt_longhaul) so both rows stay gated against BENCH_routing.json.
+  // Long uncontended hauls across the whole fabric: the queries on which
+  // each A* search settles the most nodes. The suite keeps its recorded name
+  // (alt_longhaul) so its row stays gated against BENCH_routing.json.
   {
     const Fabric fabric = make_paper_fabric();
     const RoutingGraph graph(fabric);
     const auto nets = longhaul_nets(fabric, 8, 48, 11);
     const int reps = smoke ? 30 : 300;
-
-    struct Config {
-      const char* name;
-      bool bidirectional;
-    };
-    const std::vector<Config> configs = {
-        {"grid_uni", false},
-        {"grid_bidi", true},
-    };
-
-    TextTable table({"Config", "ns/query", "settled", "delay (us)",
-                     "settled speedup", "q speedup"});
-    std::vector<PathFinderSample> samples;
-    for (const Config& config : configs) {
-      PathFinderOptions options;
-      options.bidirectional = config.bidirectional;
-      samples.push_back(run_pathfinder("alt_longhaul", config.name, graph,
-                                       params, nets, options, reps));
-    }
-    const PathFinderSample& grid_uni = samples[0];
+    const PathFinderSample sample =
+        run_pathfinder("alt_longhaul", "grid_uni", graph, params, nets,
+                       PathFinderOptions{}, reps);
     json.key("alt_longhaul").begin_array();
-    for (const PathFinderSample& sample : samples) {
-      table.add_row({sample.config, format_fixed(sample.ns_per_query, 0),
-                     std::to_string(sample.nodes_settled),
-                     std::to_string(sample.total_delay),
-                     sample.nodes_settled > 0
-                         ? format_fixed(
-                               static_cast<double>(grid_uni.nodes_settled) /
-                                   static_cast<double>(sample.nodes_settled),
-                               2) + "x"
-                         : "n/a",
-                     speedup_cell(grid_uni.ns_per_query,
-                                  sample.ns_per_query)});
-      write_sample(json, sample);
-      gated_samples.push_back(sample);
-    }
+    write_sample(json, sample);
     json.end_array();
-    std::cout << "\nlong-haul (8 nets, >= 48 cells apart):\n"
-              << table.to_string();
+    gated_samples.push_back(sample);
+    std::cout << "\nlong-haul (8 nets, >= 48 cells apart): "
+              << format_fixed(sample.ns_per_query, 0) << " ns/query, "
+              << sample.nodes_settled << " settled, delay "
+              << sample.total_delay << " us\n";
   }
 
   // ------------------------------------------------------------ scaling ---

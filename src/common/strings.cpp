@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 #include "common/error.hpp"
 
@@ -101,6 +102,9 @@ double parse_real(std::string_view text) {
   auto [ptr, ec] = std::from_chars(begin, end, value);
   if (ec != std::errc{} || ptr != end) {
     throw Error("malformed number: '" + std::string(text) + "'");
+  }
+  if (!std::isfinite(value)) {
+    throw Error("number must be finite: '" + std::string(text) + "'");
   }
   return value;
 }

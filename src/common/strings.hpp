@@ -38,8 +38,8 @@ long long parse_integer(std::string_view text);
 int parse_int_flag(std::string_view flag, std::string_view text, int min,
                    int max = std::numeric_limits<int>::max());
 
-/// Parses a decimal real number (e.g. "1.5"); throws qspr::Error on
-/// malformed input.
+/// Parses a finite decimal real number (e.g. "1.5"); throws qspr::Error on
+/// malformed input and on "inf", "nan" and their variants.
 double parse_real(std::string_view text);
 
 }  // namespace qspr

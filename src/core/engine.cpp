@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -8,76 +9,11 @@
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "core/mvfb.hpp"
+#include "core/negotiation.hpp"
 #include "core/placer.hpp"
 #include "core/scheduler.hpp"
-#include "route/pathfinder.hpp"
 
 namespace qspr {
-
-namespace {
-
-/// Trap-to-trap relocations of a control trace, one net per leg in leg-start
-/// order. A leg opens when a qubit's move leaves a trap and closes when one
-/// of its moves enters a trap; a qubit's ops are chronological within the
-/// trace. Keying on legs rather than instructions keeps QUALE's visit and
-/// its return home (both under the gate's instruction) as two nets.
-std::vector<NetRequest> relocation_nets(const Trace& trace,
-                                        const Fabric& fabric) {
-  std::vector<NetRequest> legs;
-  // Per qubit: index into `legs` of its open leg, -1 while it is parked.
-  std::vector<std::ptrdiff_t> open_leg;
-  for (const MicroOp& op : trace.ops()) {
-    if (op.kind != MicroOpKind::Move) continue;
-    const std::size_t qubit = op.qubit.index();
-    if (qubit >= open_leg.size()) open_leg.resize(qubit + 1, -1);
-    const TrapId departed = fabric.trap_at(op.from);
-    if (departed.is_valid()) {
-      open_leg[qubit] = static_cast<std::ptrdiff_t>(legs.size());
-      legs.push_back({departed, TrapId::invalid()});
-    }
-    const TrapId arrived = fabric.trap_at(op.to);
-    if (arrived.is_valid() && open_leg[qubit] >= 0) {
-      legs[static_cast<std::size_t>(open_leg[qubit])].to = arrived;
-      open_leg[qubit] = -1;
-    }
-  }
-  std::erase_if(legs, [](const NetRequest& leg) {
-    return !leg.to.is_valid() || leg.from == leg.to;
-  });
-  return legs;
-}
-
-NegotiationDiagnostics diagnose_negotiation(const FabricArtifacts& artifacts,
-                                            const TechnologyParams& tech,
-                                            const Trace& trace,
-                                            const MapperOptions& mapper) {
-  NegotiationDiagnostics diagnostics;
-  diagnostics.heuristic_weight = mapper.route_heuristic_weight;
-  const RoutingGraph& routing_graph = artifacts.graph;
-  const std::vector<NetRequest> nets =
-      relocation_nets(trace, routing_graph.fabric());
-  diagnostics.nets = static_cast<int>(nets.size());
-  if (nets.empty()) {
-    diagnostics.converged = true;
-    return diagnostics;
-  }
-  PathFinderOptions options;
-  options.heuristic_weight = mapper.route_heuristic_weight;
-  const PathFinderResult negotiated =
-      route_nets_negotiated(routing_graph, tech, nets, options);
-  diagnostics.iterations_used = negotiated.iterations_used;
-  diagnostics.converged = negotiated.converged;
-  diagnostics.overused_resources = negotiated.overused_resources;
-  diagnostics.max_overuse = negotiated.max_overuse;
-  diagnostics.total_excess = negotiated.total_excess;
-  diagnostics.min_feasible_excess = negotiated.min_feasible_excess;
-  diagnostics.searches_performed = negotiated.searches_performed;
-  diagnostics.total_delay = negotiated.total_delay;
-  diagnostics.nodes_settled = negotiated.nodes_settled;
-  return diagnostics;
-}
-
-}  // namespace
 
 /// One staged job. Heap-held behind PendingMap so every address the
 /// submitted job bodies capture (QIDG, rank, placer) stays stable while the
@@ -146,8 +82,10 @@ FabricArtifactCache& MappingEngine::artifacts() { return cache_; }
 MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
   require(job.program != nullptr && job.fabric != nullptr,
           "MapJob needs a program and a fabric");
-  require(job.options.route_heuristic_weight >= 1.0,
-          "MapJob route_heuristic_weight must be >= 1 (1.0 is exact)");
+  require(std::isfinite(job.options.route_heuristic_weight) &&
+              job.options.route_heuristic_weight >= 1.0,
+          "MapJob route_heuristic_weight must be finite and >= 1 (1.0 is "
+          "exact)");
   const MapperOptions& options = job.options;
   // The QSPR placers run placement trials: MVFB seeds, or Monte-Carlo trials
   // as MVFB seeds of one forward run each (§V.A). The other flows run none.

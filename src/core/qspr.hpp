@@ -31,6 +31,7 @@
 #include "core/mapper.hpp"               // IWYU pragma: export
 #include "core/monte_carlo.hpp"          // IWYU pragma: export
 #include "core/mvfb.hpp"                 // IWYU pragma: export
+#include "core/negotiation.hpp"          // IWYU pragma: export
 #include "core/placer.hpp"               // IWYU pragma: export
 #include "core/report.hpp"               // IWYU pragma: export
 #include "core/scheduler.hpp"            // IWYU pragma: export

@@ -1,5 +1,5 @@
 // The admissible A* lower bound on the remaining routing cost (paper §IV.B),
-// shared by the Router and by both frontiers of the negotiated PathFinder.
+// shared by the Router and by the negotiated PathFinder.
 //
 // The grid bound charges one uncongested move (t_move) per Manhattan cell
 // and, when the remaining displacement provably forces an orientation
@@ -9,9 +9,7 @@
 // node's current orientation — has to cross at least one turn edge. It is
 // consistent: a move edge (weight >= t_move) lowers the bound by at most
 // t_move, and a turn edge (weight == turn_cost) by at most turn_cost, so
-// settled nodes are never re-expanded. The same argument holds for a path
-// that starts at the trap and ends at `node`, so a backward frontier can
-// use the bound toward its source unchanged.
+// settled nodes are never re-expanded.
 #pragma once
 
 #include <cstdlib>

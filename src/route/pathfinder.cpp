@@ -166,10 +166,10 @@ struct SearchCosts {
   double weight = 1.0;
 };
 
-/// One negotiated-cost A* over the arena — the optimized unidirectional
-/// engine. The grid lower bound focuses the expansion toward the target;
-/// the arena makes the per-query state O(1) to reset, and the weight cache
-/// makes pricing an edge one array read.
+/// One negotiated-cost A* over the arena — the optimized engine. The grid
+/// lower bound focuses the expansion toward the target; the arena makes the
+/// per-query state O(1) to reset, and the weight cache makes pricing an edge
+/// one array read.
 /// Returns false when the target is unreachable; on success fills `path`
 /// source-to-target.
 bool route_one_astar(const RoutingGraph& graph,
@@ -242,168 +242,6 @@ bool route_one_astar(const RoutingGraph& graph,
   return true;
 }
 
-/// Bidirectional negotiated-cost A* for long queries. Both frontiers live in
-/// the arena (begin_dual); the balanced potential p(v) = (h_f(v) - h_b(v))/2
-/// keeps the two searches consistent over the *same* reduced edge costs, so
-/// the classic bidirectional-Dijkstra termination applies: stop as soon as
-/// the two heap tops sum to at least the best meeting cost found. Edge
-/// weights depend only on the node being entered, so a meeting node v splits
-/// the path cost exactly into g_f(v) (which pays for entering v) + g_b(v)
-/// (which pays for everything after v).
-bool route_one_bidirectional(const RoutingGraph& graph,
-                             const NodeWeightCache& weights,
-                             const SearchCosts& costs, TrapId from, TrapId to,
-                             SearchArena<double>& arena,
-                             std::vector<RouteNodeId>& path,
-                             long long& nodes_settled) {
-  path.clear();
-  const RouteNodeId source = graph.trap_node(from);
-  const RouteNodeId target = graph.trap_node(to);
-  if (source == target) {
-    path.push_back(source);
-    return true;
-  }
-
-  const Position source_cell = graph.node(source).cell;
-  const Position target_cell = graph.node(target).cell;
-  const double t_move = costs.t_move;
-  const double turn_cost = costs.turn_cost;
-  // The balanced potential stays *unweighted* even under heuristic_weight:
-  // inflating it would make reduced edge costs negative and break the
-  // settled-frontier invariant; the suboptimality knob instead scales the
-  // termination test below.
-  const auto potential = [&](const RouteNode& node) {
-    const double h_forward =
-        grid_lower_bound(node, target_cell, t_move, turn_cost);
-    const double h_backward =
-        grid_lower_bound(node, source_cell, t_move, turn_cost);
-    return 0.5 * (h_forward - h_backward);
-  };
-
-  arena.begin_dual(graph.node_count());
-  arena.relax(source, 0.0, RouteNodeId::invalid());
-  arena.heap_push(potential(graph.node(source)), 0.0, source);
-  arena.relax_b(target, 0.0, RouteNodeId::invalid());
-  arena.heap_push_b(-potential(graph.node(target)), 0.0, target);
-
-  double best = std::numeric_limits<double>::infinity();
-  RouteNodeId meet = RouteNodeId::invalid();
-  const auto consider_meeting = [&](RouteNodeId node, double g_forward,
-                                    double g_backward) {
-    const double total = g_forward + g_backward;
-    if (total < best) {
-      best = total;
-      meet = node;
-    }
-  };
-
-  // Drop stale heap heads so the peeked termination keys are accurate.
-  const auto prune_forward = [&] {
-    while (!arena.heap_empty()) {
-      const auto& top = arena.heap_top();
-      if (arena.settled(top.node) || top.g != arena.dist(top.node)) {
-        arena.heap_pop();
-      } else {
-        break;
-      }
-    }
-  };
-  const auto prune_backward = [&] {
-    while (!arena.heap_empty_b()) {
-      const auto& top = arena.heap_top_b();
-      if (arena.settled_b(top.node) || top.g != arena.dist_b(top.node)) {
-        arena.heap_pop_b();
-      } else {
-        break;
-      }
-    }
-  };
-
-  prune_forward();
-  prune_backward();
-  while (!arena.heap_empty() && !arena.heap_empty_b()) {
-    // Exact termination at weight 1 (w * x == x in IEEE for w == 1.0);
-    // under w > 1 the loop stops once best <= w * (sum of heap tops), and
-    // the tops lower-bound every path not yet discovered, so the meeting
-    // path costs at most w * optimal.
-    if (costs.weight * (arena.heap_top().f + arena.heap_top_b().f) >= best) {
-      break;
-    }
-    if (arena.heap_top().f <= arena.heap_top_b().f) {
-      const auto entry = arena.heap_pop();
-      const RouteNodeId ahead = arena.heap_peek_node();
-      arena.prefetch(ahead);
-      graph.prefetch_edges(ahead);
-      arena.settle(entry.node);
-      ++nodes_settled;
-      for (const RouteEdge& edge : graph.edges(entry.node)) {
-        if (!edge.is_turn && edge.to != target &&
-            weights.node_resource[edge.to.index()] < 0) {
-          continue;  // traps are endpoints only
-        }
-        const double weight = edge.is_turn
-                                  ? turn_cost
-                                  : weights.node_weight[edge.to.index()];
-        const double candidate = entry.g + weight;
-        if (candidate < arena.dist(edge.to)) {
-          arena.relax(edge.to, candidate, entry.node);
-          arena.heap_push(candidate + potential(graph.node(edge.to)),
-                          candidate, edge.to);
-          const double g_backward = arena.dist_b(edge.to);
-          if (std::isfinite(g_backward)) {
-            consider_meeting(edge.to, candidate, g_backward);
-          }
-        }
-      }
-      prune_forward();
-    } else {
-      const auto entry = arena.heap_pop_b();
-      const RouteNodeId ahead = arena.heap_peek_node_b();
-      arena.prefetch_b(ahead);
-      graph.prefetch_edges(ahead);
-      arena.settle_b(entry.node);
-      ++nodes_settled;
-      // Every move edge into the settled node costs the same (weights price
-      // the node being entered), so one cache read covers all of them.
-      const double enter_weight = weights.node_weight[entry.node.index()];
-      for (const RouteEdge& edge : graph.edges(entry.node)) {
-        // Symmetric graph: edge.to -> entry.node exists with the same turn
-        // flag, so this relaxes the forward edge (edge.to -> entry.node).
-        if (!edge.is_turn && edge.to != source &&
-            weights.node_resource[edge.to.index()] < 0) {
-          continue;  // only the source trap may start the path
-        }
-        const double weight = edge.is_turn ? turn_cost : enter_weight;
-        const double candidate = entry.g + weight;
-        if (candidate < arena.dist_b(edge.to)) {
-          arena.relax_b(edge.to, candidate, entry.node);
-          arena.heap_push_b(candidate - potential(graph.node(edge.to)),
-                            candidate, edge.to);
-          const double g_forward = arena.dist(edge.to);
-          if (std::isfinite(g_forward)) {
-            consider_meeting(edge.to, g_forward, candidate);
-          }
-        }
-      }
-      prune_backward();
-    }
-  }
-
-  if (!meet.is_valid()) return false;
-
-  for (RouteNodeId node = meet; node.is_valid(); node = arena.parent(node)) {
-    path.push_back(node);
-    if (node == source) break;
-  }
-  std::reverse(path.begin(), path.end());
-  for (RouteNodeId node = arena.parent_b(meet); node.is_valid();
-       node = arena.parent_b(node)) {
-    path.push_back(node);
-    if (node == target) break;
-  }
-  return true;
-}
-
 /// Distinct dense resource indices of a path, deduped in O(P) with the
 /// stamped set; the result doubles as the net's rip-up (release) set and as
 /// the overlap set the dirty-net worklist intersects with the over-use delta.
@@ -418,12 +256,6 @@ void collect_resources(const RoutedPath& path, const CongestionLedger& ledger,
       indices.push_back(static_cast<std::uint32_t>(index));
     }
   }
-}
-
-int manhattan_cells(const RoutingGraph& graph, TrapId from, TrapId to) {
-  const Position a = graph.node(graph.trap_node(from)).cell;
-  const Position b = graph.node(graph.trap_node(to)).cell;
-  return std::abs(a.row - b.row) + std::abs(a.col - b.col);
 }
 
 /// Provable lower bound on the residual capacity excess of any routing of
@@ -493,10 +325,10 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
                                        PathFinderScratch& scratch) {
   params.validate();
   require(options.max_iterations >= 1, "need at least one iteration");
-  require(options.bidirectional_min_cells >= 0,
-          "bidirectional_min_cells must be non-negative");
-  require(options.heuristic_weight >= 1.0,
-          "heuristic_weight must be >= 1 (1.0 is the exact search)");
+  require(std::isfinite(options.heuristic_weight) &&
+              options.heuristic_weight >= 1.0,
+          "heuristic_weight must be finite and >= 1 (1.0 is the exact "
+          "search)");
 
   const Fabric& fabric = graph.fabric();
   CongestionLedger ledger(fabric.segment_count(), fabric.junction_count(),
@@ -544,18 +376,9 @@ PathFinderResult route_nets_negotiated(const RoutingGraph& graph,
     ++result.searches_performed;
     bool routed = false;
     if (optimized) {
-      const bool long_query =
-          options.bidirectional &&
-          manhattan_cells(graph, nets[i].from, nets[i].to) >=
-              options.bidirectional_min_cells;
-      routed = long_query
-                   ? route_one_bidirectional(graph, weights, costs,
-                                             nets[i].from, nets[i].to, arena,
-                                             node_buffer,
-                                             result.nodes_settled)
-                   : route_one_astar(graph, weights, costs, nets[i].from,
-                                     nets[i].to, arena, node_buffer,
-                                     result.nodes_settled);
+      routed = route_one_astar(graph, weights, costs, nets[i].from,
+                               nets[i].to, arena, node_buffer,
+                               result.nodes_settled);
     } else {
       auto nodes = route_one_reference(graph, params, ledger,
                                        options.turn_aware, nets[i].from,

@@ -11,12 +11,11 @@
 //
 // The optimized loop is congestion-adaptive: a dirty-net worklist rips up
 // and re-routes only nets overlapping over-subscribed resources (partial
-// rip-up), a capped schedule with a ramped history increment stops a
-// saturated negotiation early, and long queries run a bidirectional
-// meet-in-the-middle search over the arena's second frontier. Every search
-// uses the Router's grid lower bound (route/heuristic.hpp). Each mechanism
-// toggles independently via PathFinderOptions. Nets route one at a time, in
-// net order, so a negotiation is a pure function of its inputs.
+// rip-up), and a capped schedule with a ramped history increment stops a
+// saturated negotiation early. Each mechanism toggles independently via
+// PathFinderOptions. Every search is one A* from source to target under the
+// Router's grid lower bound (route/heuristic.hpp). Nets route one at a time,
+// in net order, so a negotiation is a pure function of its inputs.
 //
 // The event-driven simulator routes incrementally instead (one instruction
 // at a time, Eq. 2 weights); this module provides the classic batch
@@ -80,22 +79,15 @@ struct PathFinderOptions {
   /// better), or after kStagnationLimit consecutive iterations without
   /// excess improvement despite the ramp.
   bool adaptive_schedule = true;
-  /// Bidirectional A* (meet-in-the-middle over the arena's second frontier)
-  /// for long queries, where a unidirectional search settles most of the
-  /// fabric before reaching the target. AStarArena only.
-  bool bidirectional = true;
-  /// Minimum source-target Manhattan distance (in cells) before a query uses
-  /// the bidirectional search; short queries stay unidirectional.
-  int bidirectional_min_cells = 24;
 
   // --- bounded-suboptimal knob (AStarArena only) ---
 
   /// Bounded-suboptimal search: A* orders the frontier by g + w*h instead
-  /// of g + h (and the bidirectional termination scales accordingly), so
-  /// each inner search returns a path of cost <= w * optimal. 1.0 is exact
-  /// and bit-identical to the unweighted search (IEEE: h * 1.0 == h); > 1
-  /// trades bounded path-quality slack for fewer expansions on saturated
-  /// loads. Applies to AStarArena; ReferenceDijkstra has no heuristic.
+  /// of g + h, so each inner search returns a path of cost <= w * optimal.
+  /// Must be finite and >= 1. 1.0 is exact and bit-identical to the
+  /// unweighted search (IEEE: h * 1.0 == h); > 1 trades bounded
+  /// path-quality slack for fewer expansions on saturated loads. Applies to
+  /// AStarArena; ReferenceDijkstra has no heuristic.
   double heuristic_weight = 1.0;
 };
 

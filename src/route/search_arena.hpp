@@ -18,9 +18,11 @@
 // bit-identical across kinds (asserted by tests/frontier_queue_test.cpp and
 // the fuzz differential, which force each kind through one test-only hook).
 //
-// The arena is shared by the incremental Router (integer Duration costs) and
-// the PathFinder negotiated search (double congestion costs) — hence the
-// cost-type template. Not thread-safe; one arena per searching thread.
+// An arena holds one frontier, so each search over it runs in one direction,
+// source to target. The arena is shared by the incremental Router (integer
+// Duration costs) and the PathFinder negotiated search (double congestion
+// costs) — hence the cost-type template. Not thread-safe; one arena per
+// searching thread.
 #pragma once
 
 #include <algorithm>
@@ -118,17 +120,7 @@ class SearchArena {
       generation_ = 1;
     }
     kind_ = default_frontier_kind(!std::is_floating_point_v<Cost>);
-    forward_.clear_all();
-  }
-
-  /// Starts a fresh *bidirectional* search: the primary (forward) frontier
-  /// plus a second generation-stamped frontier sharing the same generation
-  /// counter. Callers that never go bidirectional pay nothing — the backward
-  /// arrays are sized on first begin_dual only.
-  void begin_dual(std::size_t node_count) {
-    begin(node_count);
-    if (state_b_.size() < node_count) state_b_.resize(node_count);
-    backward_.clear_all();
+    frontier_.clear_all();
   }
 
   /// The frontier kind resolved at the last begin().
@@ -171,60 +163,15 @@ class SearchArena {
     s.parent = from;
   }
 
-  [[nodiscard]] bool heap_empty() const { return forward_.empty(kind_); }
+  [[nodiscard]] bool heap_empty() const { return frontier_.empty(kind_); }
   void heap_push(Cost f, Cost g, RouteNodeId node) {
-    forward_.push(kind_, HeapEntry{f, g, node});
+    frontier_.push(kind_, HeapEntry{f, g, node});
   }
-  HeapEntry heap_pop() { return forward_.pop(kind_); }
-  /// Smallest entry without removal (frontier must be non-empty) — the
-  /// meet-in-the-middle termination test reads both tops every step.
-  [[nodiscard]] const HeapEntry& heap_top() { return forward_.top(kind_); }
+  HeapEntry heap_pop() { return frontier_.pop(kind_); }
   /// Cheap guess at a node the frontier will pop soon (invalid when empty);
   /// prefetch hint only — no ordering guarantee for the bucket queue.
   [[nodiscard]] RouteNodeId heap_peek_node() const {
-    return forward_.peek_node(kind_);
-  }
-
-  // --- second (backward) frontier; live only after begin_dual ---
-
-  [[nodiscard]] Cost dist_b(RouteNodeId id) {
-    NodeState& s = touch_b(id.index());
-    return s.dist;
-  }
-  [[nodiscard]] RouteNodeId parent_b(RouteNodeId id) const {
-    const NodeState& s = state_b_[id.index()];
-    return (s.tag >> 1) == generation_ ? s.parent : RouteNodeId::invalid();
-  }
-  [[nodiscard]] bool settled_b(RouteNodeId id) {
-    return (touch_b(id.index()).tag & 1u) != 0;
-  }
-  void settle_b(RouteNodeId id) {
-    state_b_[id.index()].tag |= 1u;
-    ++settles_;
-  }
-  void relax_b(RouteNodeId id, Cost g, RouteNodeId from) {
-    NodeState& s = touch_b(id.index());
-    s.dist = g;
-    s.parent = from;
-  }
-  void prefetch_b(RouteNodeId id) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (id.is_valid() && id.index() < state_b_.size()) {
-      __builtin_prefetch(&state_b_[id.index()]);
-    }
-#else
-    (void)id;
-#endif
-  }
-
-  [[nodiscard]] bool heap_empty_b() const { return backward_.empty(kind_); }
-  void heap_push_b(Cost f, Cost g, RouteNodeId node) {
-    backward_.push(kind_, HeapEntry{f, g, node});
-  }
-  HeapEntry heap_pop_b() { return backward_.pop(kind_); }
-  [[nodiscard]] const HeapEntry& heap_top_b() { return backward_.top(kind_); }
-  [[nodiscard]] RouteNodeId heap_peek_node_b() const {
-    return backward_.peek_node(kind_);
+    return frontier_.peek_node(kind_);
   }
 
   /// Test hook: jump the generation counter (e.g. to just below the wrap
@@ -256,19 +203,9 @@ class SearchArena {
     }
     return s;
   }
-  NodeState& touch_b(std::size_t i) {
-    NodeState& s = state_b_[i];
-    if ((s.tag >> 1) != generation_) {
-      s.dist = infinity();
-      s.parent = RouteNodeId::invalid();
-      s.tag = generation_ << 1;
-    }
-    return s;
-  }
 
   void wipe_stamps() {
     for (NodeState& s : state_) s.tag = 0;
-    for (NodeState& s : state_b_) s.tag = 0;
   }
 
   /// One frontier: heap storage for Binary, bucket array for Bucket. Both
@@ -370,12 +307,6 @@ class SearchArena {
       return HeapEntry{};  // unreachable
     }
 
-    [[nodiscard]] const HeapEntry& top(FrontierKind kind) {
-      if (kind != FrontierKind::Bucket) return heap_.front();
-      advance_cursor();
-      return buckets_[cursor_].front();  // per-bucket heap root = min
-    }
-
     [[nodiscard]] RouteNodeId peek_node(FrontierKind kind) const {
       if (kind != FrontierKind::Bucket) {
         return heap_.empty() ? RouteNodeId::invalid() : heap_.front().node;
@@ -403,11 +334,7 @@ class SearchArena {
   std::uint64_t settles_ = 0;
   FrontierKind kind_ =
       default_frontier_kind(!std::is_floating_point_v<Cost>);
-  Frontier forward_;
-  // Backward-frontier twin state (bidirectional searches only); shares
-  // generation_ so one begin_dual invalidates both sides in O(1).
-  std::vector<NodeState> state_b_;
-  Frontier backward_;
+  Frontier frontier_;
 };
 
 /// Generation-stamped membership set over a dense index range: O(1) insert /

@@ -165,6 +165,15 @@ TEST(Strings, ParseIntFlagChecksTheRangeBeforeNarrowing) {
   }
 }
 
+TEST(Strings, ParseRealAcceptsOnlyFiniteNumbers) {
+  EXPECT_DOUBLE_EQ(parse_real("1.5"), 1.5);
+  EXPECT_THROW(parse_real("1.5x"), Error);
+  // std::from_chars parses these spellings; a flag value must not be one.
+  for (const char* text : {"inf", "-inf", "Infinity", "nan"}) {
+    EXPECT_THROW(parse_real(text), Error) << text;
+  }
+}
+
 TEST(Strings, JoinAndUpper) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");

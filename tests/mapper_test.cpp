@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "core/engine.hpp"
 #include "core/mapper.hpp"
+#include "core/negotiation.hpp"
 #include "core/placer.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "qecc/codes.hpp"
@@ -442,6 +443,65 @@ TEST(Mapper, QualeDiagnosticRoutesEveryTrapToTrapLeg) {
   EXPECT_EQ(result.negotiation->nets, 16);
   EXPECT_EQ(result.negotiation->iterations_used, 5);
   EXPECT_EQ(result.negotiation->searches_performed, 51);
+}
+
+TEST(Negotiation, RelocationNetsAreTheTraceTrapToTrapLegs) {
+  // relocation_nets reads only a trace's moves and which cells are traps,
+  // so a hand-built trace pins its leg rules.
+  const Fabric fabric = make_quale_fabric({3, 3, 4});
+  ASSERT_GE(fabric.trap_count(), 3u);
+  const Trap& a = fabric.traps()[0];
+  const Trap& b = fabric.traps()[1];
+  const Trap& c = fabric.traps()[2];
+  const Position port_a = a.ports.front().channel_cell;
+  const Position port_b = b.ports.front().channel_cell;
+  const Position port_c = c.ports.front().channel_cell;
+  for (const Position port : {port_a, port_b, port_c}) {
+    ASSERT_FALSE(fabric.trap_at(port).is_valid());
+  }
+
+  Trace trace;
+  const auto move = [&](std::size_t instruction, std::size_t qubit,
+                        Position from, Position to) {
+    MicroOp op;
+    op.kind = MicroOpKind::Move;
+    op.instruction = InstructionId::from_index(instruction);
+    op.qubit = QubitId::from_index(qubit);
+    op.from = from;
+    op.to = to;
+    trace.add(op);
+  };
+  // Qubit 0 visits b and returns home to a under instruction 0: two legs.
+  // Qubit 1's leg c -> b starts after qubit 0's first leg and ends before
+  // it, so start order and end order differ.
+  move(0, 0, a.position, port_a);
+  move(1, 1, c.position, port_c);
+  move(1, 1, port_c, b.position);
+  move(0, 0, port_a, port_b);
+  move(0, 0, port_b, b.position);
+  move(0, 0, b.position, port_b);
+  move(0, 0, port_b, a.position);
+  // A leg that ends in its starting trap is dropped.
+  move(2, 2, c.position, port_c);
+  move(2, 2, port_c, c.position);
+  // So is a leg that never reaches a trap.
+  move(3, 3, b.position, port_b);
+  move(3, 3, port_b, port_a);
+  // Turns and gates are not moves.
+  MicroOp turn;
+  turn.kind = MicroOpKind::Turn;
+  turn.qubit = QubitId::from_index(3);
+  turn.from = turn.to = port_a;
+  trace.add(turn);
+
+  const std::vector<NetRequest> nets = relocation_nets(trace, fabric);
+  const std::vector<std::pair<TrapId, TrapId>> expected = {
+      {a.id, b.id}, {c.id, b.id}, {b.id, a.id}};
+  ASSERT_EQ(nets.size(), expected.size());
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    EXPECT_EQ(nets[i].from, expected[i].first) << "leg " << i;
+    EXPECT_EQ(nets[i].to, expected[i].second) << "leg " << i;
+  }
 }
 
 }  // namespace

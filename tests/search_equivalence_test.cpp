@@ -7,6 +7,7 @@
 // invariants the searches rely on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -87,6 +88,20 @@ TEST(SearchEquivalenceTest, TurnUnawareModeMatchesReference) {
   const Fabric fabric = make_quale_fabric({3, 3, 4});
   expect_equivalent(fabric, random_nets(fabric, 8, 5),
                     /*turn_aware=*/false);
+}
+
+TEST(SearchEquivalenceTest, PaperFabricLongHaulsMatchReference) {
+  // The paper fabric's corner-to-corner haul, the longest leg any fabric
+  // here can produce, batched with central nets.
+  const Fabric fabric = make_paper_fabric();
+  const NetRequest corner_haul{fabric.traps().front().id,
+                               fabric.traps().back().id};
+  for (const std::uint64_t seed : {97u, 53u}) {
+    std::vector<NetRequest> nets = {corner_haul};
+    const auto random = random_nets(fabric, 12, seed);
+    nets.insert(nets.end(), random.begin(), random.end());
+    expect_equivalent(fabric, nets, /*turn_aware=*/true);
+  }
 }
 
 TEST(SearchEquivalenceTest, ContendedNetsStillMatchReference) {
@@ -171,12 +186,10 @@ TEST(SearchDeterminismTest, RouterArenaReuseDoesNotPerturbResults) {
   }
 }
 
-PathFinderOptions with_mechanisms(bool partial, bool bidi) {
+PathFinderOptions with_partial_ripup(bool partial) {
   PathFinderOptions options;
   options.partial_ripup = partial;
-  options.bidirectional = bidi;
-  if (bidi) options.bidirectional_min_cells = 0;  // force it for every query
-  // Pin the classic negotiation schedule so each mechanism is isolated
+  // Pin the classic negotiation schedule so partial rip-up is isolated
   // against the same fixed trajectory (the adaptive schedule is ablated
   // separately in the saturated_overload bench suite).
   options.adaptive_schedule = false;
@@ -207,11 +220,9 @@ TEST(PartialRipupTest, MatchesFullRipupOnConvergingCases) {
     for (const std::uint64_t seed : c.seeds) {
       const auto nets = random_nets(c.fabric, c.nets, seed);
       const PathFinderResult full = route_nets_negotiated(
-          graph, params, nets,
-          with_mechanisms(/*partial=*/false, false));
+          graph, params, nets, with_partial_ripup(false));
       const PathFinderResult partial = route_nets_negotiated(
-          graph, params, nets,
-          with_mechanisms(/*partial=*/true, false));
+          graph, params, nets, with_partial_ripup(true));
       ASSERT_TRUE(full.converged) << "pick a converging seed";
       ASSERT_TRUE(partial.converged) << "seed " << seed;
       EXPECT_EQ(partial.total_delay, full.total_delay) << "seed " << seed;
@@ -219,50 +230,6 @@ TEST(PartialRipupTest, MatchesFullRipupOnConvergingCases) {
       EXPECT_LE(partial.searches_performed,
                 static_cast<long long>(nets.size()) * partial.iterations_used);
     }
-  }
-}
-
-TEST(BidirectionalSearchTest, MatchesUnidirectionalPathCostsUncontended) {
-  // One net at a time (no congestion): selection cost equals physical delay,
-  // so equal optimal costs mean equal total_delay per path. Includes the
-  // corner-to-corner hauls the bidirectional search exists for.
-  const Fabric fabric = make_paper_fabric();
-  const RoutingGraph graph(fabric);
-  const TechnologyParams params;
-  std::vector<NetRequest> pairs = {
-      {fabric.traps().front().id, fabric.traps().back().id},
-  };
-  const auto random = random_nets(fabric, 12, 97);
-  pairs.insert(pairs.end(), random.begin(), random.end());
-  for (const NetRequest& net : pairs) {
-    const PathFinderResult uni = route_nets_negotiated(
-        graph, params, {net}, with_mechanisms(false, false));
-    const PathFinderResult bidi = route_nets_negotiated(
-        graph, params, {net}, with_mechanisms(false, true));
-    EXPECT_EQ(bidi.total_delay, uni.total_delay)
-        << net.from << " -> " << net.to;
-  }
-}
-
-TEST(BidirectionalSearchTest, NegotiatedBatchesStayLegalAndConverge) {
-  // Under contention equal-cost ties may resolve to different paths, so the
-  // cross-engine guarantee is per-query cost optimality, not identical
-  // trajectories: the bidirectional negotiation must still converge with a
-  // capacity-legal solution wherever the unidirectional one does.
-  const Fabric fabric = make_quale_fabric({4, 4, 4});
-  const RoutingGraph graph(fabric);
-  const TechnologyParams params;
-  // Seeds pinned to cases where both variants converge (equal-cost ties can
-  // otherwise steer the negotiation to different converged solutions).
-  for (const std::uint64_t seed : {1u, 2u, 4u}) {
-    const auto nets = random_nets(fabric, 10, seed);
-    const PathFinderResult uni = route_nets_negotiated(
-        graph, params, nets, with_mechanisms(false, false));
-    const PathFinderResult bidi = route_nets_negotiated(
-        graph, params, nets, with_mechanisms(false, true));
-    ASSERT_TRUE(uni.converged);
-    EXPECT_TRUE(bidi.converged) << "seed " << seed;
-    EXPECT_EQ(bidi.total_delay, uni.total_delay) << "seed " << seed;
   }
 }
 
@@ -292,7 +259,7 @@ TEST(HeuristicWeightTest, ExplicitUnitWeightIsBitIdenticalToDefault) {
 TEST(HeuristicWeightTest, UncontendedDelaysBoundedByWeight) {
   // One net at a time, no congestion: the negotiated cost equals the
   // physical delay, so each weighted path's delay must stay within w times
-  // the exact search's. The corner haul runs the bidirectional search.
+  // the exact search's.
   const Fabric fabric = make_paper_fabric();
   const RoutingGraph graph(fabric);
   const TechnologyParams params;
@@ -317,13 +284,20 @@ TEST(HeuristicWeightTest, UncontendedDelaysBoundedByWeight) {
 }
 
 TEST(HeuristicWeightTest, RejectsWeightBelowOne) {
+  // Non-finite weights are rejected too: an infinite weight makes the bound
+  // at the target 0 * inf = NaN, and NaN keys break the frontier's order.
   const Fabric fabric = make_quale_fabric({2, 2, 4});
   const RoutingGraph graph(fabric);
-  PathFinderOptions options;
-  options.heuristic_weight = 0.9;
-  EXPECT_THROW(route_nets_negotiated(graph, TechnologyParams{},
-                                     random_nets(fabric, 2, 1), options),
-               Error);
+  for (const double weight :
+       {0.9, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    PathFinderOptions options;
+    options.heuristic_weight = weight;
+    EXPECT_THROW(route_nets_negotiated(graph, TechnologyParams{},
+                                       random_nets(fabric, 2, 1), options),
+                 Error)
+        << "weight " << weight;
+  }
 }
 
 TEST(CsrGraphTest, EdgeSpansCoverSymmetricGraph) {
@@ -379,42 +353,6 @@ TEST(HeuristicTest, GridLowerBoundIsConsistentAcrossAllEdges) {
             grid_lower_bound(v, target, params.t_move, turn_cost);
         EXPECT_LE(hu, weight + hv)
             << "inconsistent bound on edge " << u << " -> " << edge.to;
-      }
-    }
-  }
-}
-
-TEST(HeuristicTest, GridLowerBoundIsConsistentForTheBackwardFrontier) {
-  // The bidirectional search's backward frontier bounds a source->v path by
-  // the grid bound toward the source, so it needs the mirrored property
-  //   h_b(v) <= w_min(u, v) + h_b(u)
-  // for every edge u -> v and every trap source. With the forward check
-  // above, this keeps the balanced potential consistent, so both frontiers
-  // may treat settled nodes as final.
-  const Fabric fabric = make_quale_fabric({2, 2, 4});
-  const RoutingGraph graph(fabric);
-  const TechnologyParams params;
-  const double t_move = static_cast<double>(params.t_move);
-  const double turn_cost = static_cast<double>(params.t_turn);
-
-  for (const Trap& trap : fabric.traps()) {
-    const Position source = trap.position;
-    const RouteNodeId source_node = graph.trap_node(trap.id);
-    for (std::size_t u = 0; u < graph.node_count(); ++u) {
-      const RouteNodeId id = RouteNodeId::from_index(u);
-      const RouteNode& unode = graph.node(id);
-      // Traps are endpoints only: no search passes through another trap.
-      if (unode.is_trap && id != source_node) continue;
-      const double hb_u = grid_lower_bound(unode, source, t_move, turn_cost);
-      for (const RouteEdge& edge : graph.edges(id)) {
-        const RouteNode& vnode = graph.node(edge.to);
-        if (vnode.is_trap && edge.to != source_node) continue;
-        const double weight = edge.is_turn ? turn_cost : t_move;
-        const double hb_v =
-            grid_lower_bound(vnode, source, t_move, turn_cost);
-        EXPECT_LE(hb_v, weight + hb_u)
-            << "inconsistent backward bound on edge " << u << " -> "
-            << edge.to;
       }
     }
   }
