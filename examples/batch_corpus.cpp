@@ -1,5 +1,5 @@
-// batch_corpus — writes the mixed-size QASM corpus the batch-mapping docs,
-// CI smoke and throughput bench drive qspr_batch with.
+// batch_corpus — writes the mixed-size QASM corpus the batch-mapping docs
+// and CI's batch smoke drive qspr_batch with.
 //
 //   example_batch_corpus <output-dir> [--broken]
 //
@@ -63,10 +63,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::filesystem::create_directories(out_dir);
-    // The corpus definition is shared with bench_runner's batch_throughput
-    // suite (src/service/corpus.cpp), so CI smoke and bench run the same
-    // workload.
-    for (const Program& program : make_batch_corpus(/*full=*/true)) {
+    // The corpus is defined once, in src/service/corpus.cpp.
+    for (const Program& program : make_batch_corpus()) {
       const std::string path =
           out_dir + "/" + file_stem(program.name()) + ".qasm";
       write_qasm_file(program, path);

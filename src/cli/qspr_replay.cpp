@@ -1,11 +1,14 @@
 // qspr_replay — validate and analyse a serialised control trace against a
 // circuit and fabric, as a machine controller or third-party tool would.
 //
-//   qspr_map --code "[[5,1,3]]" --placer center --trace > run.trace   # (ops)
+//   qspr_map --code "[[5,1,3]]" --m 10 --trace-out run.trace
 //   qspr_replay --code "[[5,1,3]]" --trace-file run.trace [--fabric f.txt]
 //
-// Checks physical consistency (continuity, capacities, gate preconditions)
-// and prints the latency, utilisation summary and per-qubit travel stats.
+// The trace file is the one qspr_map writes with --trace-out (its --trace
+// flag prints a report for people, not this format). The initial placement
+// is rebuilt from the trace itself. Checks physical consistency
+// (continuity, capacities, gate preconditions) and prints the latency,
+// utilisation summary and per-qubit travel stats.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -22,7 +25,7 @@ using namespace qspr;
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " (--code <name> | <file.qasm>) --trace-file <file> "
-               "[--fabric <file>] [--placement center]\n";
+               "[--fabric <file>]\n";
   return 2;
 }
 

@@ -6,25 +6,21 @@
 
 namespace qspr {
 
-std::vector<Program> make_batch_corpus(bool full) {
+std::vector<Program> make_batch_corpus() {
   // Mixed sizes on purpose: large members interleave with small ones on the
   // shared executor instead of serialising the batch.
   std::vector<Program> corpus;
   corpus.push_back(make_encoder(QeccCode::Q5_1_3));
   corpus.push_back(make_encoder(QeccCode::Q7_1_3));
-  if (full) {
-    corpus.push_back(make_encoder(QeccCode::Q9_1_3));
-    corpus.push_back(make_encoder(QeccCode::Q14_8_3));
-  }
+  corpus.push_back(make_encoder(QeccCode::Q9_1_3));
+  corpus.push_back(make_encoder(QeccCode::Q14_8_3));
   Rng rng(7);
   Program random_small = make_random_circuit({8, 40, 0.7}, rng);
   random_small.set_name("random_8q_40g");
   corpus.push_back(std::move(random_small));
-  if (full) {
-    Program random_large = make_random_circuit({12, 60, 0.7}, rng);
-    random_large.set_name("random_12q_60g");
-    corpus.push_back(std::move(random_large));
-  }
+  Program random_large = make_random_circuit({12, 60, 0.7}, rng);
+  random_large.set_name("random_12q_60g");
+  corpus.push_back(std::move(random_large));
   return corpus;
 }
 

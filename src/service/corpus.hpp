@@ -1,7 +1,6 @@
-// The mixed-size batch corpus: one definition shared by the
-// batch_throughput bench suite, the batch_corpus example (which writes it
-// to .qasm files for qspr_batch), and the CI fault-isolation smoke — so
-// "the bench corpus" and "the smoke corpus" stay the same workload.
+// The mixed-size batch corpus and the broken-QASM corpus. The batch_corpus
+// example writes the first to .qasm files for qspr_batch, which CI's batch
+// smoke maps; the parser-robustness tests and that smoke drive the second.
 #pragma once
 
 #include <string>
@@ -11,10 +10,9 @@
 
 namespace qspr {
 
-/// Deterministic mixed-size programs: QECC encoders plus named random
-/// circuits. `full` adds the larger members (Q9/Q14 encoders, the 12-qubit
-/// random circuit); the small set is what smoke runs use.
-[[nodiscard]] std::vector<Program> make_batch_corpus(bool full);
+/// Deterministic mixed-size programs: four QECC encoders (5 to 14 qubits)
+/// plus two named random circuits (8 and 12 qubits).
+[[nodiscard]] std::vector<Program> make_batch_corpus();
 
 /// One intentionally-broken QASM input: `text` must make parse_qasm throw a
 /// clean Error (never crash, never parse). `reason` names what is wrong.

@@ -222,11 +222,6 @@ ServeRequest parse_serve_request(std::string_view frame,
     request.options.rng_seed =
         static_cast<std::uint64_t>(value > kSeedMax ? kSeedMax : value);
   }
-  // Bounded-suboptimality weight of the negotiation diagnostic (absent =
-  // the service default; 1.0 keeps the exact search).
-  request.options.route_heuristic_weight =
-      number_field(root, "heuristic_weight",
-                   request.options.route_heuristic_weight, 1.0, 16.0);
   return request;
 }
 

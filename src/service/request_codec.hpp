@@ -102,8 +102,8 @@ struct ServeRequest {
   /// Client-requested deadline for this request, measured from admission;
   /// 0 = server default.
   double deadline_ms = 0.0;
-  /// Mapping options parsed from the request (mapper/placer/m/seed/
-  /// heuristic_weight), applied over the server's defaults.
+  /// Mapping options parsed from the request (mapper/placer/m/seed),
+  /// applied over the server's defaults.
   MapperOptions options;
 };
 

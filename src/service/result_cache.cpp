@@ -61,8 +61,6 @@ std::uint64_t mapper_options_fingerprint(const MapperOptions& options) {
   hash.u64(static_cast<std::uint64_t>(options.mvfb_seeds));
   hash.u64(static_cast<std::uint64_t>(options.monte_carlo_trials));
   hash.u64(options.rng_seed);
-  hash.u64(double_bits(options.route_heuristic_weight));
-  hash.u64(options.negotiation_report ? 1 : 0);
   mix_optional(hash, options.turn_aware);
   mix_optional(hash, options.dual_move);
   mix_optional(hash, options.return_home);

@@ -38,9 +38,10 @@ namespace qspr {
 
 /// Fingerprint of the MapperOptions fields that are contractual for the
 /// mapped result: kind, technology parameters, priorities, placer and trial
-/// budgets, rng_seed, route_heuristic_weight, negotiation_report, and the
-/// ablation overrides. jobs is excluded — results are bit-identical at any
-/// value.
+/// budgets, rng_seed, and the ablation overrides. jobs is excluded — results
+/// are bit-identical at any value — and so are negotiation_report and
+/// route_heuristic_weight: they only shape the negotiation diagnostic, which
+/// no MapReply field carries.
 [[nodiscard]] std::uint64_t mapper_options_fingerprint(
     const MapperOptions& options);
 

@@ -3,11 +3,11 @@
 // and the client's retry pacing) and a blocking framed NDJSON client with
 // connect/request timeouts and a bounded retry budget.
 //
-// ShardClient is what the chaos harness and the failover bench use to talk
-// to qspr_shard: it retries transport failures (connection refused, reset,
-// timeout) and explicit back-off replies (`overloaded`, `shard_down`,
-// `draining`) — honouring the server's retry_after_ms hint — and gives up
-// with qspr::Error once the attempt budget is spent. Retrying a map request
+// ShardClient is what the shard chaos tests use to talk to qspr_shard: it
+// retries transport failures (connection refused, reset, timeout) and
+// explicit back-off replies (`overloaded`, `shard_down`, `draining`) —
+// honouring the server's retry_after_ms hint — and gives up with
+// qspr::Error once the attempt budget is spent. Retrying a map request
 // is safe by contract: mapping is pure, so a duplicate execution returns a
 // bit-identical result (same result_fp).
 #pragma once

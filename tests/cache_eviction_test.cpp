@@ -219,5 +219,21 @@ TEST(ProgramFingerprint, SeesOperandsInitValuesAndWidthButNotNames) {
   EXPECT_EQ(program_fingerprint(gate_pairs({{0, 1}, {2, 3}}, 0, "r")), key);
 }
 
+TEST(MapperOptionsFingerprint, IgnoresTheNegotiationDiagnosticAndItsWeight) {
+  // The diagnostic and its search weight change no MapReply field, so a
+  // reply cached with them is the reply without them.
+  MapperOptions plain;
+  MapperOptions diagnosed;
+  diagnosed.negotiation_report = true;
+  diagnosed.route_heuristic_weight = 1.5;
+  EXPECT_EQ(mapper_options_fingerprint(diagnosed),
+            mapper_options_fingerprint(plain));
+
+  MapperOptions reseeded;
+  reseeded.rng_seed = plain.rng_seed + 1;
+  EXPECT_NE(mapper_options_fingerprint(reseeded),
+            mapper_options_fingerprint(plain));
+}
+
 }  // namespace
 }  // namespace qspr

@@ -118,27 +118,10 @@ TEST_F(ParseRequestTest, NegativeMIsRejected) {
   }
 }
 
-TEST_F(ParseRequestTest, HeuristicWeightAppliesInsideItsRange) {
-  defaults_.route_heuristic_weight = 1.25;
-  EXPECT_EQ(parse(R"({"type":"map","id":"r1","qasm":"q"})")
-                .options.route_heuristic_weight,
-            1.25);
-  const std::string head =
-      R"({"type":"map","id":"r1","qasm":"q","heuristic_weight":)";
-  for (const double weight : {1.0, 1.5, 16.0}) {
-    EXPECT_EQ(parse(head + std::to_string(weight) + "}")
-                  .options.route_heuristic_weight,
-              weight);
-  }
-  for (const char* weight : {"0.5", "0.999", "16.5", "\"1.5\""}) {
-    EXPECT_THROW(parse(head + weight + "}"), Error)
-        << "heuristic_weight = " << weight;
-  }
-}
-
 TEST_F(ParseRequestTest, OldClientLandmarksFieldIsIgnored) {
-  // Older clients may still send the removed "landmarks" knob; like every
-  // other unknown field, it changes nothing.
+  // Older clients may still send the removed "landmarks" and
+  // "heuristic_weight" knobs; like every other unknown field, they change
+  // nothing, whatever their value.
   const ServeRequest plain =
       parse(R"({"type":"map","id":"r1","qasm":"q","m":3,"seed":2})");
   const ServeRequest with_landmarks = parse(
@@ -147,6 +130,11 @@ TEST_F(ParseRequestTest, OldClientLandmarksFieldIsIgnored) {
             mapper_options_fingerprint(plain.options));
   EXPECT_NO_THROW(parse(
       R"({"type":"map","id":"r1","qasm":"q","landmarks":"bogus"})"));
+
+  defaults_.route_heuristic_weight = 1.25;
+  const ServeRequest with_weight = parse(
+      R"({"type":"map","id":"r1","qasm":"q","heuristic_weight":0.5})");
+  EXPECT_EQ(with_weight.options.route_heuristic_weight, 1.25);
 }
 
 TEST_F(ParseRequestTest, SeedRoundTripsUpTo2To53AndClampsAbove) {
