@@ -67,6 +67,12 @@ int main(int argc, char** argv) {
     std::ostringstream buffer;
     buffer << input.rdbuf();
     const Trace trace = parse_trace(buffer.str());
+    if (trace.size() == 0) {
+      throw Error(
+          "the trace holds no micro-ops, so there is nothing to replay "
+          "(qspr_map --mapper baseline computes the ideal bound and writes "
+          "an empty trace)");
+    }
     std::cout << "loaded " << trace.size() << " micro-ops, makespan "
               << trace.makespan() << " us\n";
 

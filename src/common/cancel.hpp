@@ -75,10 +75,6 @@ class CancelToken {
     return CancelReason::None;
   }
 
-  [[nodiscard]] bool stop_requested() const {
-    return reason() != CancelReason::None;
-  }
-
   /// Polled at trial boundaries: throws CancelledError when the job should
   /// stop, otherwise returns.
   void check() const {

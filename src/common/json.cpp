@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
 
 #include "common/error.hpp"
 
@@ -303,14 +302,6 @@ class JsonParser {
 
 JsonValue parse_json(std::string_view text, const JsonLimits& limits) {
   return JsonParser(text, limits).parse_document();
-}
-
-JsonValue parse_json_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw Error("cannot read JSON file: " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return parse_json(buffer.str());
 }
 
 }  // namespace qspr

@@ -74,9 +74,6 @@ struct JsonLimits {
 /// that violates `limits`.
 JsonValue parse_json(std::string_view text, const JsonLimits& limits = {});
 
-/// Reads and parses a JSON file. Throws qspr::Error if unreadable.
-JsonValue parse_json_file(const std::string& path);
-
 /// Streaming JSON writer, just enough for flat-ish machine-readable reports:
 /// objects, arrays, string/number/bool scalars, correct comma placement.
 class JsonWriter {

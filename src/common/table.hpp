@@ -19,8 +19,6 @@ class TextTable {
 
   [[nodiscard]] std::string to_string() const;
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

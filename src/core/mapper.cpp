@@ -93,9 +93,6 @@ ExecutionOptions execution_options_for(const MapperOptions& options) {
   if (options.channel_capacity.has_value()) {
     exec.tech.channel_capacity = *options.channel_capacity;
   }
-  if (options.trap_selection.has_value()) {
-    exec.trap_selection = *options.trap_selection;
-  }
   return exec;
 }
 

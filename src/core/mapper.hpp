@@ -62,8 +62,6 @@ struct MapperOptions {
   std::optional<bool> return_home;
   std::optional<int> channel_capacity;
   std::optional<SchedulePolicy> schedule_policy;
-  /// Extension (not in the paper): congestion-aware target trap selection.
-  std::optional<TrapSelectionPolicy> trap_selection;
 };
 
 /// Congestion stress diagnostic of a mapped circuit: every trap-to-trap

@@ -71,11 +71,6 @@ int AdmissionQueue::depth() const {
   return static_cast<int>(queue_.size());
 }
 
-bool AdmissionQueue::draining() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return draining_;
-}
-
 RetryAfterEstimator::RetryAfterEstimator(RetryEstimatorOptions options)
     : options_(options) {
   require(options_.alpha >= 0.0 && options_.alpha <= 1.0,
@@ -134,6 +129,11 @@ void ServeMetrics::enter_flight() {
 void ServeMetrics::leave_flight() {
   const std::lock_guard<std::mutex> lock(mutex_);
   --in_flight_;
+}
+
+int ServeMetrics::in_flight() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return in_flight_;
 }
 
 void ServeMetrics::record_trial_cpu_ms(double ms) {

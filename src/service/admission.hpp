@@ -114,7 +114,6 @@ class AdmissionQueue {
   void cancel_queued();
 
   [[nodiscard]] int depth() const;
-  [[nodiscard]] bool draining() const;
 
  private:
   mutable std::mutex mutex_;
@@ -205,6 +204,9 @@ class ServeMetrics {
 
   void enter_flight();
   void leave_flight();
+  /// Requests between enter_flight and leave_flight, without the reservoir
+  /// copy and sort a snapshot() costs.
+  [[nodiscard]] int in_flight() const;
 
   /// Records one completed request's trial CPU time into the percentile
   /// reservoir (ring of the most recent kReservoirCapacity samples).

@@ -66,7 +66,6 @@ std::uint64_t mapper_options_fingerprint(const MapperOptions& options) {
   mix_optional(hash, options.return_home);
   mix_optional(hash, options.channel_capacity);
   mix_optional(hash, options.schedule_policy);
-  mix_optional(hash, options.trap_selection);
   return hash.value();
 }
 

@@ -319,7 +319,7 @@ int MappingServer::serve() {
 
 bool MappingServer::quiescent() {
   if (queue_.depth() != 0) return false;
-  if (metrics_.snapshot().in_flight != 0) return false;
+  if (metrics_.in_flight() != 0) return false;
   {
     const std::lock_guard<std::mutex> lock(completions_mutex_);
     if (!completions_.empty()) return false;
@@ -398,7 +398,7 @@ void MappingServer::handle_frame(Connection& conn, std::string_view frame) {
       metrics_.count_health_probe();
       enqueue_reply(conn, serve_health_json(request.id, draining_, uptime_ms(),
                                             options_.shard_id, queue_.depth(),
-                                            metrics_.snapshot().in_flight));
+                                            metrics_.in_flight()));
       return;
     case RequestKind::Cancel: {
       const auto it = conn.pending.find(request.cancel_target);

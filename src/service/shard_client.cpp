@@ -148,16 +148,12 @@ bool ShardClient::recv_line(std::string& reply, int deadline_ms) {
 }
 
 bool ShardClient::try_request(const std::string& line, std::string& reply) {
-  if (!ensure_connected()) {
-    ++transport_failures_;
-    return false;
-  }
+  if (!ensure_connected()) return false;
   if (!send_all(line + "\n", options_.request_timeout_ms) ||
       !recv_line(reply, options_.request_timeout_ms)) {
     // A half-done round trip poisons the framing (a late reply would pair
     // with the wrong request), so the connection never survives a failure.
     disconnect();
-    ++transport_failures_;
     return false;
   }
   return true;

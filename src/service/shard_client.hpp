@@ -86,13 +86,6 @@ class ShardClient {
   /// Drops the current connection (next request reconnects).
   void disconnect();
 
-  [[nodiscard]] bool connected() const { return fd_.valid(); }
-
-  /// Transport attempts that failed so far (diagnostics for the bench).
-  [[nodiscard]] long long transport_failures() const {
-    return transport_failures_;
-  }
-
  private:
   [[nodiscard]] bool ensure_connected();
   [[nodiscard]] bool send_all(const std::string& payload, int deadline_ms);
@@ -102,7 +95,6 @@ class ShardClient {
   BackoffPolicy backoff_;
   FileDescriptor fd_;
   std::string inbox_;  // bytes received past the last returned line
-  long long transport_failures_ = 0;
 };
 
 }  // namespace qspr

@@ -174,20 +174,16 @@ bool EventSimulator::issue_two_qubit(Workspace& state, InstructionId id,
     return true;
   }
 
-  // Target trap selection (§IV.B): QSPR takes the nearest available trap to
-  // the median of the operand positions; the destination-fixed policy of
-  // prior art prefers the destination qubit's own trap.
-  TrapId target;
+  // Target trap selection (§IV.B): the nearest available trap to an anchor.
+  // QSPR anchors at the median of the operand positions; the
+  // destination-fixed policy of prior art anchors at the destination qubit,
+  // whose own trap is the first one the search offers.
+  Position anchor = fabric_->trap(trap_b).position;
   if (options_.dual_move) {
-    const Position pa = qubit_position(state, a);
-    const Position pb = qubit_position(state, b);
-    const Position median{(pa.row + pb.row) / 2, (pa.col + pb.col) / 2};
-    target = find_target_trap(state, median, instr);
-  } else if (trap_available(state, trap_b, instr)) {
-    target = trap_b;
-  } else {
-    target = find_target_trap(state, qubit_position(state, b), instr);
+    const Position pa = fabric_->trap(trap_a).position;
+    anchor = {(pa.row + anchor.row) / 2, (pa.col + anchor.col) / 2};
   }
+  const TrapId target = find_target_trap(state, anchor, instr);
   if (!target.is_valid()) return false;
 
   std::array<QubitId, 2> moving;
@@ -418,31 +414,9 @@ bool EventSimulator::trap_available(const Workspace& state, TrapId trap,
 TrapId EventSimulator::find_target_trap(const Workspace& state,
                                         Position anchor,
                                         const Instruction& instr) const {
-  if (options_.trap_selection == TrapSelectionPolicy::NearestToAnchor) {
-    return fabric_->find_nearest_trap(anchor, [&](TrapId trap) {
-      return trap_available(state, trap, instr);
-    });
-  }
-
-  // CongestionAware: collect the nearest available candidates and pick the
-  // one whose access channels carry the least load (ties: nearer first).
-  TrapId best;
-  int best_load = 0;
-  int collected = 0;
-  fabric_->find_nearest_trap(anchor, [&](TrapId trap) {
-    if (!trap_available(state, trap, instr)) return false;
-    int load = 0;
-    for (const TrapPort& port : fabric_->trap(trap).ports) {
-      const SegmentId segment = fabric_->segment_at(port.channel_cell);
-      if (segment.is_valid()) load += state.congestion.segment_load(segment);
-    }
-    if (!best.is_valid() || load < best_load) {
-      best = trap;
-      best_load = load;
-    }
-    return ++collected >= options_.trap_candidates;
+  return fabric_->find_nearest_trap(anchor, [&](TrapId trap) {
+    return trap_available(state, trap, instr);
   });
-  return best;
 }
 
 TrapId EventSimulator::find_empty_trap(const Workspace& state,

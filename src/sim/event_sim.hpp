@@ -30,26 +30,12 @@
 
 namespace qspr {
 
-/// How the target trap of a 2-qubit gate is chosen among available traps.
-enum class TrapSelectionPolicy : std::uint8_t {
-  /// The paper's policy: nearest available trap to the anchor (median of the
-  /// operand positions for QSPR, the destination position for prior art).
-  NearestToAnchor,
-  /// Extension: among the nearest available candidates, prefer the one whose
-  /// access channels are least loaded — trading a slightly longer trip for
-  /// less queueing on congested fabrics.
-  CongestionAware,
-};
-
 struct ExecutionOptions {
   TechnologyParams tech;
   RouterOptions router;
   /// Move both operands toward the median trap (QSPR) instead of moving only
   /// the source toward the fixed destination qubit (QUALE/QPOS).
   bool dual_move = true;
-  TrapSelectionPolicy trap_selection = TrapSelectionPolicy::NearestToAnchor;
-  /// Candidate pool size for CongestionAware selection.
-  int trap_candidates = 8;
   /// QUALE's storage discipline: after a 2-qubit gate, the visiting ion
   /// shuttles back to its home trap and dependent instructions wait for the
   /// round trip. This keeps the placement static — exactly the property the
@@ -179,8 +165,8 @@ class EventSimulator {
   bool trap_available(const Workspace& state, TrapId trap,
                       const Instruction& instr) const;
 
-  /// Target trap for `instr` near `anchor` under options_.trap_selection
-  /// (invalid when no trap is available).
+  /// Nearest trap to `anchor` that can host `instr` (invalid when no trap is
+  /// available).
   TrapId find_target_trap(const Workspace& state, Position anchor,
                           const Instruction& instr) const;
 

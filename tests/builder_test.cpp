@@ -1,15 +1,13 @@
-// Tests for the calibrated cyclic-encoder builder, the trajectory renderer
-// and the congestion-aware trap-selection extension.
+// Tests for the calibrated cyclic-encoder builder and the trajectory
+// renderer.
 #include <gtest/gtest.h>
 
 #include "circuit/dependency_graph.hpp"
 #include "common/error.hpp"
-#include "core/mapper.hpp"
 #include "fabric/quale_fabric.hpp"
-#include "qecc/codes.hpp"
 #include "qecc/cyclic_builder.hpp"
-#include "service/request_codec.hpp"
-#include "sim/trace_validator.hpp"
+#include "route/routing_graph.hpp"
+#include "sim/event_sim.hpp"
 #include "sim/trajectory.hpp"
 
 namespace qspr {
@@ -158,73 +156,6 @@ TEST(Trajectory, StationaryQubitDrawsOnlyItsGateSites) {
   // No ops at all: the plain fabric rendering.
   EXPECT_EQ(drawing.find('*'), std::string::npos);
   EXPECT_EQ(drawing.find('@'), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Congestion-aware trap selection.
-// ---------------------------------------------------------------------------
-
-TEST(TrapSelection, PolicyPlumbsThroughMapperOptions) {
-  MapperOptions options;
-  EXPECT_EQ(execution_options_for(options).trap_selection,
-            TrapSelectionPolicy::NearestToAnchor);
-  options.trap_selection = TrapSelectionPolicy::CongestionAware;
-  EXPECT_EQ(execution_options_for(options).trap_selection,
-            TrapSelectionPolicy::CongestionAware);
-}
-
-TEST(TrapSelection, CongestionAwareProducesValidMappings) {
-  const Fabric fabric = make_paper_fabric();
-  const Program program = make_encoder(QeccCode::Q9_1_3);
-  const DependencyGraph graph = DependencyGraph::build(program);
-  MapperOptions options;
-  options.placer = PlacerKind::Center;
-  options.trap_selection = TrapSelectionPolicy::CongestionAware;
-  const MapResult result = map_program(program, fabric, options);
-  EXPECT_GE(result.latency, result.ideal_latency);
-  EXPECT_TRUE(validate_trace(result.trace, graph, fabric,
-                             result.initial_placement, TechnologyParams{})
-                  .empty());
-}
-
-TEST(TrapSelection, CongestionAwareResultIsPinned) {
-  // Pinned latency and fingerprint. The policy scores the first
-  // trap_candidates available traps in (distance, position) order, so a
-  // change in that order or in its cut-off moves this result.
-  MapperOptions options;
-  options.placer = PlacerKind::MonteCarlo;
-  options.monte_carlo_trials = 4;
-  options.rng_seed = 1;
-  options.trap_selection = TrapSelectionPolicy::CongestionAware;
-  const MapResult result = map_program(make_encoder(QeccCode::Q19_1_7),
-                                       make_paper_fabric(), options);
-  EXPECT_EQ(result.latency, 3128);
-  EXPECT_EQ(map_result_fingerprint(result), "12004e65f5215cd7");
-}
-
-TEST(TrapSelection, BothPoliciesAgreeWithoutCongestion) {
-  // A single 2-qubit gate: no congestion anywhere, so the congestion-aware
-  // policy (ties broken toward the anchor) picks the same trap.
-  const Fabric fabric = make_quale_fabric({3, 3, 4});
-  const RoutingGraph routing(fabric);
-  Program program;
-  const QubitId a = program.add_qubit("a");
-  const QubitId b = program.add_qubit("b");
-  program.add_gate(GateKind::CX, a, b);
-  const DependencyGraph graph = DependencyGraph::build(program);
-  Placement placement(2);
-  placement.set(a, fabric.trap_at({1, 1}));
-  placement.set(b, fabric.trap_at({5, 5}));
-
-  ExecutionOptions nearest;
-  ExecutionOptions aware;
-  aware.trap_selection = TrapSelectionPolicy::CongestionAware;
-  const ExecutionResult r1 =
-      execute_circuit(graph, fabric, routing, {0}, placement, nearest);
-  const ExecutionResult r2 =
-      execute_circuit(graph, fabric, routing, {0}, placement, aware);
-  EXPECT_EQ(r1.latency, r2.latency);
-  EXPECT_EQ(r1.timings[0].trap, r2.timings[0].trap);
 }
 
 }  // namespace

@@ -2,114 +2,26 @@
 //
 // Sessions let a client edit a circuit in place: a session pins a fabric,
 // remembers the last mapped circuit, and maps `qasm_append` edits against
-// it. These tests run a real MappingServer in-process (same harness idiom
-// as the fault-injection suite) and script byte-level clients against the
-// session wire protocol: name minting (standalone "s<N>" vs sharded
-// "s<shard>.<N>"), the exact-resubmission result-cache fast path, that an
-// edit maps exactly like the concatenated circuit, one-map-per-session
-// admission, the qasm_append contract, and drain behaviour with sessions
-// open.
+// it. These tests run a real MappingServer in-process (the harness of
+// serve_harness.hpp, shared with the fault-injection suite) and script
+// byte-level clients against the session wire protocol: name minting
+// (standalone "s<N>" vs sharded "s<shard>.<N>"), the exact-resubmission
+// result-cache fast path, that an edit maps exactly like the concatenated
+// circuit, one-map-per-session admission, the qasm_append contract, and
+// drain behaviour with sessions open.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/time.h>
-
-#include <chrono>
-#include <memory>
 #include <string>
-#include <thread>
 
 #include "common/json.hpp"
-#include "common/net.hpp"
 #include "core/qspr.hpp"
 #include "fabric/quale_fabric.hpp"
+#include "serve_harness.hpp"
 #include "service/request_codec.hpp"
 #include "service/serve_loop.hpp"
 
 namespace qspr {
 namespace {
-
-constexpr const char* kTinyQasm =
-    "QUBIT q0,0\nQUBIT q1,0\nQUBIT q2,0\nH q0\nC-X q0,q1\nC-X q1,q2\n"
-    "MEASURE q2\n";
-
-/// In-process daemon under test; destructor drains and joins.
-class ServeHarness {
- public:
-  explicit ServeHarness(ServeOptions options = {}) {
-    options.host = "127.0.0.1";
-    options.port = 0;
-    server_ = std::make_unique<MappingServer>(std::move(options));
-    server_->start();
-    thread_ = std::thread([this] { exit_code_ = server_->serve(); });
-  }
-
-  ~ServeHarness() { drain_and_join(); }
-
-  [[nodiscard]] int port() const { return server_->port(); }
-  [[nodiscard]] MappingServer& server() { return *server_; }
-
-  int drain_and_join() {
-    if (thread_.joinable()) {
-      server_->request_drain();
-      thread_.join();
-    }
-    return exit_code_;
-  }
-
- private:
-  std::unique_ptr<MappingServer> server_;
-  std::thread thread_;
-  int exit_code_ = -1;
-};
-
-/// Blocking scripted client with a receive timeout, so a daemon bug shows
-/// up as a test failure instead of a hung suite.
-class RawClient {
- public:
-  explicit RawClient(int port, int recv_timeout_ms = 30000)
-      : fd_(connect_client("127.0.0.1", port)) {
-    timeval timeout{};
-    timeout.tv_sec = recv_timeout_ms / 1000;
-    timeout.tv_usec = (recv_timeout_ms % 1000) * 1000;
-    setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-  }
-
-  void send_line(std::string_view line) {
-    std::string rest = std::string(line) + "\n";
-    std::string_view view = rest;
-    while (!view.empty()) {
-      const IoResult io = write_some(fd_.get(), view);
-      ASSERT_NE(io.status, IoStatus::Error) << "client write failed";
-      view.remove_prefix(io.bytes);
-    }
-  }
-
-  std::string recv_line() {
-    while (true) {
-      const std::size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const IoResult io = read_some(fd_.get(), chunk, sizeof chunk);
-      if (io.status != IoStatus::Ok) return {};  // timeout, EOF, or error
-      buffer_.append(chunk, io.bytes);
-    }
-  }
-
-  JsonValue recv_json() {
-    const std::string line = recv_line();
-    EXPECT_FALSE(line.empty()) << "no reply before timeout/EOF";
-    return line.empty() ? JsonValue() : parse_json(line);
-  }
-
- private:
-  FileDescriptor fd_;
-  std::string buffer_;
-};
 
 std::string session_map(const std::string& id, const std::string& session,
                         const std::string& qasm, bool append = false) {

@@ -119,6 +119,27 @@ TEST_F(SimTest, DestinationFixedRoutingMovesTheSource) {
   EXPECT_GT(result.latency, 100);
 }
 
+TEST_F(SimTest, DestinationFixedFallsBackToTheNearestAvailableTrap) {
+  Program program;
+  const QubitId a = program.add_qubit("a");
+  const QubitId b = program.add_qubit("b");
+  const QubitId d = program.add_qubit("d");
+  program.add_gate(GateKind::CX, a, b);
+  Placement placement(3);
+  placement.set(a, trap_at(1, 1));
+  placement.set(b, trap_at(3, 3));
+  placement.set(d, trap_at(3, 3));
+  ExecutionOptions options;
+  options.dual_move = false;
+  const ExecutionResult result = run(program, placement, options);
+  // d holds b's trap, so the gate runs in the nearest available trap to b,
+  // ties broken by position: (1,3) before (3,1).
+  EXPECT_EQ(result.timings[0].trap, trap_at(1, 3));
+  EXPECT_EQ(result.final_placement.trap_of(a), trap_at(1, 3));
+  EXPECT_EQ(result.final_placement.trap_of(b), trap_at(1, 3));
+  EXPECT_EQ(result.final_placement.trap_of(d), trap_at(3, 3));
+}
+
 TEST_F(SimTest, CoLocatedOperandsNeedNoRouting) {
   Program program;
   const QubitId a = program.add_qubit("a");
@@ -637,24 +658,22 @@ TEST(SimWorkspace, ReuseCarriesNoStateBetweenRuns) {
                                   centre, quale),
                   "QUALE");
 
-  // A congestion-aware map on a smaller fabric.
+  // Another program on a smaller fabric.
   const Fabric small = make_quale_fabric({7, 12, 4});
   const RoutingGraph small_routing(small);
   const DependencyGraph wide =
       DependencyGraph::build(make_encoder(QeccCode::Q23_1_7));
-  ExecutionOptions aware;
-  aware.trap_selection = TrapSelectionPolicy::CongestionAware;
-  const std::vector<int> aware_rank = make_schedule_rank(wide, aware.tech);
+  const std::vector<int> small_rank = make_schedule_rank(wide, qspr.tech);
   Rng placement_rng(3);
   const Placement scattered =
       random_center_placement(small, wide.qubit_count(), placement_rng);
-  const EventSimulator aware_sim(wide, small, small_routing, aware_rank,
-                                 aware);
-  const ExecutionResult aware_fresh = execute_circuit(
-      wide, small, small_routing, aware_rank, scattered, aware);
-  EXPECT_GT(aware_fresh.stats.moves, 0);
-  expect_same_run(aware_sim.run(scattered, workspace), aware_fresh,
-                  "CongestionAware");
+  const EventSimulator small_sim(wide, small, small_routing, small_rank,
+                                 qspr);
+  const ExecutionResult small_fresh = execute_circuit(
+      wide, small, small_routing, small_rank, scattered, qspr);
+  EXPECT_GT(small_fresh.stats.moves, 0);
+  expect_same_run(small_sim.run(scattered, workspace), small_fresh,
+                  "small fabric");
 
   // A run that stalls part-way on a fabric split in two. a cannot leave
   // b's trap for its 1-qubit gate (no empty trap), so that gate parks in
