@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
               << trace.makespan() << " us\n";
 
     // Reconstruct the initial placement: each qubit starts in the trap its
-    // first op leaves from (or, with no ops, cannot be recovered — replay
-    // requires every qubit to appear; gates pin the rest).
+    // first op leaves from. A qubit no op touches is idle: the trace cannot
+    // say where it sits and it constrains nothing, so it stays unplaced.
     const DependencyGraph graph = DependencyGraph::build(*program);
     Placement initial(program->qubit_count());
     for (std::size_t q = 0; q < program->qubit_count(); ++q) {
@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
           start = op.from;
         }
       }
-      if (!found) throw Error("qubit q" + std::to_string(q) +
-                              " never appears in the trace");
+      if (!found) continue;
       const TrapId trap = fabric->trap_at(start);
       if (!trap.is_valid()) {
         throw Error("q" + std::to_string(q) +

@@ -6,11 +6,12 @@
 // Clients speak the exact qspr_serve NDJSON protocol to the supervisor's
 // port; requests route to workers by fabric fingerprint (cache affinity),
 // worker crashes and wedges are detected (waitpid + queue-bypassing health
-// probes), workers restart under exponential backoff behind a per-shard
-// circuit breaker, and in-flight requests transparently re-dispatch — the
-// mapping is pure, so a re-run is bit-identical. SIGTERM drains the whole
-// tree: workers answer their in-flight work and exit 0, then the
-// supervisor exits 0. See docs/serve.md for the failure-semantics table.
+// probes), workers restart under exponential backoff, session frames route
+// to the shard their session name carries, and in-flight requests
+// transparently re-dispatch — the mapping is pure, so a re-run is
+// bit-identical. SIGTERM drains the whole tree: workers answer their
+// in-flight work and exit 0, then the supervisor exits 0. See docs/serve.md
+// for the failure-semantics table.
 #include <unistd.h>
 
 #include <atomic>
@@ -47,8 +48,6 @@ int usage(const char* argv0) {
       << "  --spawn-deadline-ms <n> worker bring-up budget (default 10000)\n"
       << "  --backoff-base-ms <n>   restart backoff base (default 50)\n"
       << "  --backoff-cap-ms <n>    restart backoff cap (default 2000)\n"
-      << "  --breaker-threshold <n> consecutive failures that open the\n"
-      << "                          shard's circuit breaker (default 3)\n"
       << "  --max-redispatch <n>    worker deaths one request may survive\n"
       << "                          before shard_down (default 2)\n"
       << "  --drain-ms <n>          drain budget before remaining work is\n"
@@ -120,8 +119,6 @@ int main(int argc, char** argv) {
         options.restart_backoff.base_ms = next_int(0, 3'600'000);
       } else if (arg == "--backoff-cap-ms") {
         options.restart_backoff.cap_ms = next_int(0, 3'600'000);
-      } else if (arg == "--breaker-threshold") {
-        options.breaker_threshold = next_int(1, 1000);
       } else if (arg == "--max-redispatch") {
         options.max_redispatch = next_int(0, 100);
       } else if (arg == "--drain-ms") {
@@ -150,6 +147,7 @@ int main(int argc, char** argv) {
       throw Error("--backoff-cap-ms must be >= --backoff-base-ms");
     }
 
+    const bool quiet = options.quiet;
     ShardSupervisor supervisor(std::move(options));
     supervisor.start();
     g_supervisor = &supervisor;
@@ -161,7 +159,7 @@ int main(int argc, char** argv) {
       if (!out) throw Error("cannot write port file: " + port_file);
       out << supervisor.port() << "\n";
     }
-    if (!options.quiet) {
+    if (!quiet) {
       std::cerr << "qspr_shard listening on port " << supervisor.port()
                 << "\n";
     }

@@ -24,8 +24,8 @@
 // carries the diagnostic), unknown_request (cancel target not in flight),
 // unknown_session (session id not open on this server — reopen and resubmit),
 // session_busy (one map in flight per session; wait for its reply),
-// shard_down (qspr_shard only: the target shard's breaker is open or the
-// request outlived its re-dispatch budget — back off retry_after_ms).
+// shard_down (qspr_shard only: the target shard is down or restarting, or
+// the request outlived its re-dispatch budget — back off retry_after_ms).
 //
 // The codec is pure data-plane: framing, parsing, response building. It
 // holds no sockets and no engine, which is what makes the fault-injection

@@ -435,14 +435,19 @@ void MappingServer::handle_session_open(Connection& conn,
     return;
   }
   auto session = std::make_shared<ServeSession>();
-  // Sharded workers prefix the shard index ("s2.7") so session names are
-  // unique across a qspr_shard fleet — the supervisor keys its
-  // session->shard affinity on the name and forwards frames verbatim, so
-  // two workers minting the same name would collide there.
-  session->name = options_.shard_id >= 0
-                      ? "s" + std::to_string(options_.shard_id) + "." +
-                            std::to_string(next_session_id_++)
-                      : "s" + std::to_string(next_session_id_++);
+  // Sharded workers name sessions "s<shard>.<start>.<n>": qspr_shard routes
+  // session frames by <shard>, and <start>, this process's start instant on
+  // the monotonic clock, keeps a replacement worker (spawned only after the
+  // dead one is reaped, so always later) from re-minting a dead one's names.
+  const std::string number = std::to_string(next_session_id_++);
+  if (options_.shard_id < 0) {
+    session->name = "s" + number;
+  } else {
+    const auto start = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        started_at_.time_since_epoch());
+    session->name = "s" + std::to_string(options_.shard_id) + "." +
+                    std::to_string(start.count()) + "." + number;
+  }
   session->fabric =
       request.fabric.empty() ? options_.default_fabric : request.fabric;
   sessions_.emplace(session->name, session);

@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -34,85 +36,43 @@ std::chrono::steady_clock::time_point after_ms(
   return from + std::chrono::microseconds(static_cast<long long>(ms * 1000.0));
 }
 
-/// Pulls the "id" out of one reply line, plus the optional "session" the
-/// worker names (session_open acks and session-map results both carry it;
-/// a close ack additionally carries open:false, reported via
-/// `session_closed`). Returns false when the line is not a JSON object —
-/// the caller drops it.
-bool reply_id(const std::string& line, std::string& id, std::string& session,
-              bool& session_closed) {
-  session.clear();
-  session_closed = false;
+/// Pulls the "id" out of one reply line ("" when it has none). Returns
+/// false when the line is not a JSON object — the caller drops it.
+bool reply_id(const std::string& line, std::string& id) {
   try {
     const JsonValue root = parse_json(line);
     if (!root.is_object()) return false;
-    const JsonValue* value = root.find("id");
-    if (value != nullptr && value->kind() == JsonValue::Kind::String) {
-      id = value->as_string();
-    } else {
-      id.clear();
-    }
-    const JsonValue* named = root.find("session");
-    if (named != nullptr && named->kind() == JsonValue::Kind::String) {
-      session = named->as_string();
-      const JsonValue* open = root.find("open");
-      session_closed = open != nullptr &&
-                       open->kind() == JsonValue::Kind::Bool &&
-                       !open->as_bool();
-    }
+    id = root.string_or("id", "");
     return true;
   } catch (const std::exception&) {
     return false;
   }
 }
 
+/// Consumes `c` and the decimal number right after it from the front of
+/// `text`; false when either is missing or the number overflows.
+bool take_field(std::string_view& text, char c, std::uint64_t& value) {
+  if (text.empty() || text.front() != c) return false;
+  const char* first = text.data() + 1;
+  const auto [end, error] =
+      std::from_chars(first, text.data() + text.size(), value);
+  if (error != std::errc() || end == first) return false;
+  text.remove_prefix(static_cast<std::size_t>(end - text.data()));
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Circuit breaker.
+// Restart schedule.
 
-CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
-    : options_(options), cooldown_(options.cooldown) {
-  require(options_.failure_threshold >= 1,
-          "breaker needs a failure threshold of at least 1");
-}
+RestartSchedule::RestartSchedule(BackoffOptions backoff) : backoff_(backoff) {}
 
-void CircuitBreaker::record_success() {
-  state_ = BreakerState::Closed;
-  consecutive_failures_ = 0;
-  trips_ = 0;
-}
-
-void CircuitBreaker::record_failure(TimePoint now) {
-  ++consecutive_failures_;
-  if (state_ == BreakerState::HalfOpen ||
-      consecutive_failures_ >= options_.failure_threshold) {
-    open(now);
-  }
-}
-
-void CircuitBreaker::force_open(TimePoint now) { open(now); }
-
-void CircuitBreaker::open(TimePoint now) {
-  state_ = BreakerState::Open;
-  consecutive_failures_ = 0;
-  reopen_at_ = after_ms(now, static_cast<double>(cooldown_.delay_ms(trips_)));
-  ++trips_;
-}
-
-bool CircuitBreaker::allow_probe(TimePoint now) {
-  switch (state_) {
-    case BreakerState::Closed:
-    case BreakerState::HalfOpen:
-      return true;
-    case BreakerState::Open:
-      if (now >= reopen_at_) {
-        state_ = BreakerState::HalfOpen;
-        return true;
-      }
-      return false;
-  }
-  return false;
+void RestartSchedule::record_failure(TimePoint now) {
+  restart_at_ =
+      after_ms(now, static_cast<double>(backoff_.delay_ms(failures_)));
+  // A zero backoff lets a failing fork() loop fast; never overflow the streak.
+  if (failures_ < std::numeric_limits<int>::max()) ++failures_;
 }
 
 // ---------------------------------------------------------------------------
@@ -132,18 +92,22 @@ int shard_for_fabric(const std::string& spec, int shard_count) {
                           static_cast<std::uint64_t>(shard_count));
 }
 
+int shard_for_session(std::string_view name, int shard_count) {
+  require(shard_count >= 1, "routing needs at least one shard");
+  std::uint64_t shard = 0;
+  std::uint64_t start = 0;
+  std::uint64_t n = 0;
+  const bool fleet_name = take_field(name, 's', shard) &&
+                          take_field(name, '.', start) &&
+                          take_field(name, '.', n) && name.empty();
+  if (!fleet_name || shard >= static_cast<std::uint64_t>(shard_count)) {
+    return -1;
+  }
+  return static_cast<int>(shard);
+}
+
 // ---------------------------------------------------------------------------
 // Internal structures.
-
-/// What the supervisor owes a reply for: one accepted map frame, its
-/// original bytes (for re-dispatch), and how many worker deaths it has
-/// already survived.
-struct ShardSupervisor::ParkedFrame {
-  std::uint64_t client = 0;
-  std::string request_id;
-  std::string frame;
-  int attempts = 0;
-};
 
 /// One client connection and its upstream lanes, one per shard it has
 /// talked to. Frames forward byte-verbatim in both directions, so the
@@ -151,14 +115,13 @@ struct ShardSupervisor::ParkedFrame {
 /// client disconnect from the worker's point of view (it cancels that
 /// connection's in-flight work), which is how client death propagates.
 struct ShardSupervisor::Client : NdjsonConnection {
-  Client(std::uint64_t id_in, FileDescriptor fd,
-         const ShardSupervisorOptions& options)
+  Client(FileDescriptor fd, const ShardSupervisorOptions& options)
       : NdjsonConnection(std::move(fd), options.max_frame_bytes,
-                         options.max_outbox_bytes),
-        id(id_in) {}
+                         options.max_outbox_bytes) {}
 
-  std::uint64_t id;
-
+  /// A reply this client is owed: one accepted frame, its original bytes
+  /// (for re-dispatch), and how many worker deaths it has survived. A
+  /// frame parked until a restart has no shard.
   struct Pending {
     int shard = -1;
     std::string frame;
@@ -175,7 +138,7 @@ struct ShardSupervisor::Shard {
   int port = 0;
   std::string port_file;
   bool spawned_ever = false;
-  CircuitBreaker breaker;
+  RestartSchedule restarts;
   std::chrono::steady_clock::time_point phase_deadline{};
 
   // Supervisor-owned control lane: health probes only. Kept separate from
@@ -185,8 +148,8 @@ struct ShardSupervisor::Shard {
   std::chrono::steady_clock::time_point probe_sent_at{};
   std::chrono::steady_clock::time_point next_probe_at{};
 
-  explicit Shard(int index_in, const CircuitBreakerOptions& breaker_options)
-      : index(index_in), breaker(breaker_options) {}
+  Shard(int index_in, const BackoffOptions& backoff)
+      : index(index_in), restarts(backoff) {}
 
   void reset_control() {
     control.reset();
@@ -225,25 +188,17 @@ void ShardSupervisor::start() {
   started_at_ = std::chrono::steady_clock::now();
   listen_ = ListenSocket(options_.host, options_.port);
 
-  CircuitBreakerOptions breaker_options;
-  breaker_options.failure_threshold = options_.breaker_threshold;
-  breaker_options.cooldown = options_.restart_backoff;
-
   shards_.reserve(static_cast<std::size_t>(options_.shard_count));
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     worker_pids_.assign(static_cast<std::size_t>(options_.shard_count), -1);
   }
   for (int i = 0; i < options_.shard_count; ++i) {
-    auto shard = std::make_unique<Shard>(i, breaker_options);
     // Seed each shard's restart schedule differently so a mass failure
     // does not restart every worker in lockstep.
-    shard->breaker = CircuitBreaker([&] {
-      CircuitBreakerOptions per_shard = breaker_options;
-      per_shard.cooldown.seed =
-          breaker_options.cooldown.seed + static_cast<std::uint64_t>(i);
-      return per_shard;
-    }());
+    BackoffOptions backoff = options_.restart_backoff;
+    backoff.seed += static_cast<std::uint64_t>(i);
+    auto shard = std::make_unique<Shard>(i, backoff);
     shard->port_file = options_.port_file_dir + "/qspr_shard_" +
                        std::to_string(::getpid()) + "_" + std::to_string(i) +
                        ".port";
@@ -307,7 +262,8 @@ void ShardSupervisor::spawn_shard(int index) {
   const pid_t supervisor = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
-    shard_failed(index, "fork failed");
+    shard.phase = ShardPhase::Spawning;  // a failed bring-up, not a no-op
+    shard_down(index, "fork failed");
     return;
   }
   if (pid == 0) {
@@ -329,7 +285,6 @@ void ShardSupervisor::spawn_shard(int index) {
   shard.phase = ShardPhase::Spawning;
   shard.phase_deadline = after_ms(std::chrono::steady_clock::now(),
                                   static_cast<double>(options_.spawn_deadline_ms));
-  shard.reset_control();
   set_worker_pid(index, shard.pid);
   count(&SupervisorMetrics::spawns);
   if (shard.spawned_ever) count(&SupervisorMetrics::restarts);
@@ -340,32 +295,23 @@ void ShardSupervisor::spawn_shard(int index) {
   }
 }
 
-void ShardSupervisor::kill_shard(int index, int signal) {
+void ShardSupervisor::shard_down(int index, const char* why) {
   Shard& shard = *shards_[static_cast<std::size_t>(index)];
-  if (shard.pid > 0) ::kill(shard.pid, signal);
-}
-
-/// A bring-up or health failure: put the shard Down, ensure the process is
-/// on its way out, and let the breaker schedule the next attempt.
-void ShardSupervisor::shard_failed(int index, const char* why) {
-  Shard& shard = *shards_[static_cast<std::size_t>(index)];
-  if (!options_.quiet) {
-    std::cerr << "qspr_shard: shard " << index << " failed: " << why << "\n";
-  }
+  if (shard.phase == ShardPhase::Down) return;
+  // Whichever detector notices a death first — lane EOF, probe timeout,
+  // bring-up deadline or the waitpid sweep — takes the shard down; the
+  // others find it Down. A live process is killed here, so a Down shard's
+  // pid is always dead or dying and the waitpid sweep only reaps it.
   if (shard.pid > 0) ::kill(shard.pid, SIGKILL);
   const bool was_up = shard.phase == ShardPhase::Up;
   shard.phase = ShardPhase::Down;
   shard.reset_control();
-  on_shard_down(index);
-  // Whichever detector notices a death first — this one (lane EOF, probe
-  // timeout) or the waitpid sweep — applies the one breaker action; the
-  // other sees phase Down and only reaps.
-  if (was_up) {
-    count(&SupervisorMetrics::crashes);
-    shard.breaker.force_open(std::chrono::steady_clock::now());
-  } else {
-    shard.breaker.record_failure(std::chrono::steady_clock::now());
+  if (!options_.quiet) {
+    std::cerr << "qspr_shard: shard " << index << " down: " << why << "\n";
   }
+  if (draining_) return;  // drained workers are neither crashes nor respawned
+  if (was_up) count(&SupervisorMetrics::crashes);
+  shard.restarts.record_failure(std::chrono::steady_clock::now());
 }
 
 void ShardSupervisor::reap_children() {
@@ -378,32 +324,10 @@ void ShardSupervisor::reap_children() {
     count(&SupervisorMetrics::reaps);
     set_worker_pid(shard.index, -1);
     shard.pid = -1;
-    if (draining_ || shard.phase == ShardPhase::Down) {
-      // Drain exits are expected; Down means shard_failed already
-      // classified this death and charged the breaker.
-      shard.phase = ShardPhase::Down;
-      shard.reset_control();
-      continue;
-    }
-    const bool was_up = shard.phase == ShardPhase::Up;
-    shard.reset_control();
-    shard.phase = ShardPhase::Down;
-    on_shard_down(shard.index);
-    const auto now = std::chrono::steady_clock::now();
-    if (was_up) {
-      // Unexpected death of a serving worker: crash. Client lanes to it
-      // will EOF — buffered replies still arrive, then the unanswered
-      // remainder re-dispatches through fail_lane.
-      count(&SupervisorMetrics::crashes);
-      shard.breaker.force_open(now);
-    } else {
-      // Died during bring-up (exec failure exits 127, crash on boot...).
-      shard.breaker.record_failure(now);
-    }
-    if (!options_.quiet) {
-      std::cerr << "qspr_shard: shard " << shard.index << " exited ("
-                << (was_up ? "crash" : "bring-up failure") << ")\n";
-    }
+    // Client lanes to a dead serving worker EOF: buffered replies still
+    // arrive, then the unanswered remainder re-dispatches through
+    // fail_lane.
+    shard_down(shard.index, "worker exited");
   }
 }
 
@@ -414,7 +338,7 @@ void ShardSupervisor::pump_shard_bringup(int index) {
       shard.phase == ShardPhase::Connecting ||
       shard.phase == ShardPhase::Probing) {
     if (now >= shard.phase_deadline) {
-      shard_failed(index, "bring-up deadline");
+      shard_down(index, "bring-up deadline");
       return;
     }
   }
@@ -451,7 +375,7 @@ void ShardSupervisor::send_probe(Shard& shard) {
   shard.probe_outstanding = true;
   shard.probe_sent_at = std::chrono::steady_clock::now();
   if (!shard.control->queue(R"({"type":"health","id":"hb"})")) {
-    shard_failed(shard.index, "control lane write");
+    shard_down(shard.index, "control lane write");
   }
 }
 
@@ -469,14 +393,7 @@ void ShardSupervisor::check_health_timeouts() {
     // SIGKILL it and run the crash path.
     count(&SupervisorMetrics::wedges);
     count(&SupervisorMetrics::health_failures);
-    if (!options_.quiet) {
-      std::cerr << "qspr_shard: shard " << shard.index
-                << " wedged (health timeout); killing\n";
-    }
-    kill_shard(shard.index, SIGKILL);
-    shard.phase = ShardPhase::Down;
-    shard.reset_control();
-    shard.breaker.force_open(now);
+    shard_down(shard.index, "wedged (health timeout)");
   }
 }
 
@@ -500,7 +417,7 @@ void ShardSupervisor::read_control(int index) {
         after_ms(now, static_cast<double>(options_.health_interval_ms));
     if (healthy) {
       count(&SupervisorMetrics::health_ok);
-      shard.breaker.record_success();
+      shard.restarts.record_success();
       if (shard.phase == ShardPhase::Probing) {
         shard.phase = ShardPhase::Up;
         if (!options_.quiet) {
@@ -511,21 +428,16 @@ void ShardSupervisor::read_control(int index) {
       }
     } else {
       count(&SupervisorMetrics::health_failures);
-      shard.breaker.record_failure(now);
-      if (shard.breaker.state() == BreakerState::Open) {
-        rejected = true;
-        shard.control->mark_broken();  // stop reading; shard_failed below
-      }
+      rejected = true;
+      shard.control->mark_broken();  // stop reading; shard_down below
     }
   });
   if (rejected) {
-    shard_failed(index, "health probe rejected");
+    shard_down(index, "health probe rejected");
   } else if (end == Lane::ReadEnd::Oversized) {
-    shard_failed(index, "oversized control reply");
-  } else if ((end == Lane::ReadEnd::Closed || end == Lane::ReadEnd::Error) &&
-             (shard.phase == ShardPhase::Up ||
-              shard.phase == ShardPhase::Probing)) {
-    shard_failed(index, "control lane closed");
+    shard_down(index, "oversized control reply");
+  } else if (end == Lane::ReadEnd::Closed || end == Lane::ReadEnd::Error) {
+    shard_down(index, "control lane closed");
   }
 }
 
@@ -543,9 +455,8 @@ void ShardSupervisor::accept_clients() {
       (void)write_some(client_fd.get(), refusal);
       continue;
     }
-    const std::uint64_t id = next_client_id_++;
-    clients_.emplace(id, std::make_unique<Client>(id, std::move(client_fd),
-                                                  options_));
+    clients_.emplace(next_client_id_++,
+                     std::make_unique<Client>(std::move(client_fd), options_));
   }
 }
 
@@ -588,7 +499,7 @@ void ShardSupervisor::handle_client_frame(Client& client, std::string frame) {
       }
       const auto lane_it = client.lanes.find(it->second.shard);
       if (lane_it == client.lanes.end() || lane_it->second.broken()) {
-        // The worker died; the map request itself is already on the
+        // Parked, or the worker died: the map request itself is on the
         // re-dispatch path, so the cancel finds nothing to stop.
         client.queue(serve_cancel_ack_json(request.id, request.cancel_target,
                                            /*found=*/false));
@@ -601,7 +512,7 @@ void ShardSupervisor::handle_client_frame(Client& client, std::string frame) {
     case RequestKind::SessionClose:
     case RequestKind::Map:
       // All three take the accepted/pending path and are owed exactly one
-      // reply; route_map picks the shard (fabric hash vs session affinity).
+      // reply; route_map picks the shard (fabric hash vs session name).
       route_map(client, request, std::move(frame));
       return;
   }
@@ -620,23 +531,19 @@ void ShardSupervisor::route_map(Client& client, const ServeRequest& request,
                                   "healthy instance"));
     return;
   }
-  int target;
-  if (!request.session.empty()) {
-    // Session frames follow the session, not the fabric: its circuit
-    // lives in exactly one worker. No affinity entry means
-    // the session never opened here or died with its shard — tell the
-    // client to reopen rather than guessing a shard.
-    const auto it = session_shards_.find(request.session);
-    if (it == session_shards_.end()) {
-      client.queue(serve_error_json(
-          request.id, "unknown_session",
-          "session not open on this fleet (its shard may have restarted; "
-          "reopen): " + request.session));
-      return;
-    }
-    target = it->second;
-  } else {
-    target = shard_for_fabric(request.fabric, options_.shard_count);
+  // Session frames follow the session, not the fabric: its circuit lives
+  // in the worker whose shard its name carries. A name that names no shard
+  // was never minted here; a stale one reaches a worker that never minted
+  // it, which answers unknown_session itself.
+  const int target =
+      request.session.empty()
+          ? shard_for_fabric(request.fabric, options_.shard_count)
+          : shard_for_session(request.session, options_.shard_count);
+  if (target < 0) {
+    client.queue(serve_error_json(
+        request.id, "unknown_session",
+        "session not open on this fleet (reopen): " + request.session));
+    return;
   }
   if (shards_[static_cast<std::size_t>(target)]->phase != ShardPhase::Up) {
     // Explicit shedding, no silent rerouting: affinity-preserving clients
@@ -646,21 +553,6 @@ void ShardSupervisor::route_map(Client& client, const ServeRequest& request,
   }
   count(&SupervisorMetrics::accepted);
   dispatch(client, request.id, std::move(frame), target, /*attempts=*/0);
-}
-
-void ShardSupervisor::on_shard_down(int index) {
-  // Sessions live in the worker process; its death loses them. Dropping
-  // the affinity entries now is what turns the next frame for such a
-  // session into an explicit unknown_session instead of silently aliasing
-  // a fresh session minted by the replacement worker (which restarts its
-  // session counter).
-  for (auto it = session_shards_.begin(); it != session_shards_.end();) {
-    if (it->second == index) {
-      it = session_shards_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void ShardSupervisor::shed(Client& client, const std::string& request_id,
@@ -678,11 +570,7 @@ void ShardSupervisor::dispatch(Client& client, const std::string& request_id,
   // A write failure leaves the lane broken; the end of the poll pass
   // re-dispatches what it owed through fail_lane.
   lane_for(client, shard_index).queue(frame);
-  Client::Pending pending;
-  pending.shard = shard_index;
-  pending.frame = std::move(frame);
-  pending.attempts = attempts;
-  client.pending[request_id] = std::move(pending);
+  client.pending[request_id] = {shard_index, std::move(frame), attempts};
 }
 
 ShardSupervisor::Lane ShardSupervisor::open_lane(
@@ -712,11 +600,7 @@ ShardSupervisor::Lane& ShardSupervisor::lane_for(Client& client,
 void ShardSupervisor::read_lane(Client& client, int shard_index, Lane& lane) {
   const Lane::ReadEnd end = lane.read([&](const std::string& frame) {
     std::string id;
-    std::string session;
-    bool session_closed = false;
-    if (!reply_id(frame, id, session, session_closed)) {
-      return;  // not JSON: drop, never forward
-    }
+    if (!reply_id(frame, id)) return;  // not JSON: drop, never forward
     const auto pending_it = client.pending.find(id);
     if (pending_it != client.pending.end() &&
         pending_it->second.shard == shard_index) {
@@ -725,16 +609,6 @@ void ShardSupervisor::read_lane(Client& client, int shard_index, Lane& lane) {
       // requests that were truly never answered.
       client.pending.erase(pending_it);
       count(&SupervisorMetrics::answered);
-    }
-    // Affinity follows what the worker reports: an open ack or a
-    // session-map result pins the session to this shard (idempotent on
-    // repeats), a close ack (open:false) releases it.
-    if (!session.empty()) {
-      if (session_closed) {
-        session_shards_.erase(session);
-      } else {
-        session_shards_[session] = shard_index;
-      }
     }
     client.queue(frame);
   });
@@ -788,17 +662,13 @@ void ShardSupervisor::redispatch_or_park(Client& client,
                                   shard_retry_hint_ms(-1)));
     return;
   }
-  const int target = pick_up_shard(/*preferred=*/-1);
+  const int target = first_up_shard();
   if (target < 0) {
-    // No shard alive right now: park until a restart comes Up. The client
-    // just waits a little longer — its request is not lost.
+    // No shard alive right now: park until a restart comes Up (an entry
+    // with no shard). The client just waits a little longer — its request
+    // is not lost.
     count(&SupervisorMetrics::parked);
-    ParkedFrame parked;
-    parked.client = client.id;
-    parked.request_id = request_id;
-    parked.frame = std::move(frame);
-    parked.attempts = attempts + 1;
-    parked_.push_back(std::move(parked));
+    client.pending[request_id] = {-1, std::move(frame), attempts + 1};
     return;
   }
   count(&SupervisorMetrics::redispatches);
@@ -806,17 +676,13 @@ void ShardSupervisor::redispatch_or_park(Client& client,
 }
 
 void ShardSupervisor::flush_parked(int up_shard) {
-  std::deque<ParkedFrame> waiting;
-  waiting.swap(parked_);
-  for (ParkedFrame& parked : waiting) {
-    const auto it = clients_.find(parked.client);
-    if (it == clients_.end()) {
-      count(&SupervisorMetrics::answered);  // owed reply died with the client
-      continue;
+  for (auto& [id, client] : clients_) {
+    for (auto& [request_id, pending] : client->pending) {
+      if (pending.shard >= 0) continue;
+      count(&SupervisorMetrics::redispatches);
+      pending.shard = up_shard;
+      lane_for(*client, up_shard).queue(pending.frame);
     }
-    count(&SupervisorMetrics::redispatches);
-    dispatch(*it->second, parked.request_id, std::move(parked.frame), up_shard,
-             parked.attempts);
   }
 }
 
@@ -827,14 +693,6 @@ void ShardSupervisor::destroy_client(std::uint64_t id) {
   // from this client drop and cancels that connection's in-flight work.
   const long long owed = static_cast<long long>(it->second->pending.size());
   if (owed > 0) count(&SupervisorMetrics::answered, owed);
-  for (auto parked_it = parked_.begin(); parked_it != parked_.end();) {
-    if (parked_it->client == id) {
-      count(&SupervisorMetrics::answered);
-      parked_it = parked_.erase(parked_it);
-    } else {
-      ++parked_it;
-    }
-  }
   clients_.erase(it);
 }
 
@@ -852,15 +710,17 @@ void ShardSupervisor::begin_drain() {
     if (shard->pid > 0) ::kill(shard->pid, SIGTERM);
   }
   // Parked frames are not running anywhere; answer them now.
-  std::deque<ParkedFrame> waiting;
-  waiting.swap(parked_);
-  for (const ParkedFrame& parked : waiting) {
-    const auto it = clients_.find(parked.client);
-    count(&SupervisorMetrics::answered);
-    if (it == clients_.end()) continue;
-    it->second->queue(serve_error_json(
-        parked.request_id, "draining",
-        "supervisor is draining; retry elsewhere"));
+  for (auto& [id, client] : clients_) {
+    for (auto it = client->pending.begin(); it != client->pending.end();) {
+      if (it->second.shard >= 0) {
+        ++it;
+        continue;
+      }
+      count(&SupervisorMetrics::answered);
+      client->queue(serve_error_json(
+          it->first, "draining", "supervisor is draining; retry elsewhere"));
+      it = client->pending.erase(it);
+    }
   }
   if (!options_.quiet) std::cerr << "qspr_shard: draining\n";
 }
@@ -870,16 +730,14 @@ void ShardSupervisor::finish_drain() {
   // prompt EOFs and waitpid results; unanswered requests get `cancelled`.
   drain_killed_ = true;
   for (const std::unique_ptr<Shard>& shard : shards_) {
+    shard_down(shard->index, "drain deadline");
     if (shard->pid > 0) {
-      ::kill(shard->pid, SIGKILL);
       int status = 0;
       (void)::waitpid(shard->pid, &status, 0);
       count(&SupervisorMetrics::reaps);
       set_worker_pid(shard->index, -1);
       shard->pid = -1;
     }
-    shard->phase = ShardPhase::Down;
-    shard->reset_control();
   }
   for (auto& [id, client] : clients_) {
     std::vector<std::string> owed;
@@ -925,11 +783,7 @@ int ShardSupervisor::poll_timeout_ms() const {
         break;
       case ShardPhase::Down:
         if (!draining_ && shard->pid <= 0) {
-          if (shard->breaker.state() == BreakerState::Open) {
-            consider(shard->breaker.reopen_at());
-          } else {
-            timeout = timeout < 0.0 ? 20.0 : std::min(timeout, 20.0);
-          }
+          consider(shard->restarts.restart_at());
         } else if (shard->pid > 0) {
           // Awaiting the waitpid of a killed process: tick soon.
           timeout = timeout < 0.0 ? 20.0 : std::min(timeout, 20.0);
@@ -942,11 +796,7 @@ int ShardSupervisor::poll_timeout_ms() const {
   return static_cast<int>(timeout) + 1;
 }
 
-int ShardSupervisor::pick_up_shard(int preferred) const {
-  if (preferred >= 0 &&
-      shards_[static_cast<std::size_t>(preferred)]->phase == ShardPhase::Up) {
-    return preferred;
-  }
+int ShardSupervisor::first_up_shard() const {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->phase == ShardPhase::Up) return shard->index;
   }
@@ -954,17 +804,14 @@ int ShardSupervisor::pick_up_shard(int preferred) const {
 }
 
 int ShardSupervisor::shard_retry_hint_ms(int index) const {
-  double hint = 100.0;
+  double left = 0.0;  // until the shard's next spawn may start
   if (index >= 0) {
-    const Shard& shard = *shards_[static_cast<std::size_t>(index)];
-    if (shard.breaker.state() == BreakerState::Open) {
-      hint = std::max(
-          hint, ms_between(std::chrono::steady_clock::now(),
-                           shard.breaker.reopen_at()) +
-                    100.0);
-    }
+    left = std::max(
+        0.0, ms_between(std::chrono::steady_clock::now(),
+                        shards_[static_cast<std::size_t>(index)]
+                            ->restarts.restart_at()));
   }
-  return static_cast<int>(std::clamp(hint, 50.0, 5000.0));
+  return static_cast<int>(std::clamp(left + 100.0, 50.0, 5000.0));
 }
 
 int ShardSupervisor::serve() {
@@ -995,7 +842,7 @@ int ShardSupervisor::serve() {
       const auto now = std::chrono::steady_clock::now();
       for (const std::unique_ptr<Shard>& shard : shards_) {
         if (shard->phase == ShardPhase::Down && shard->pid <= 0 &&
-            shard->breaker.allow_probe(now)) {
+            now >= shard->restarts.restart_at()) {
           spawn_shard(shard->index);
         }
       }
@@ -1009,15 +856,7 @@ int ShardSupervisor::serve() {
     // Reap clients exactly like the worker's serve loop does.
     scratch_ids.clear();
     for (const auto& [id, client] : clients_) {
-      bool has_parked = false;
-      for (const ParkedFrame& parked : parked_) {
-        if (parked.client == id) {
-          has_parked = true;
-          break;
-        }
-      }
-      if (client->finished(/*replies_owed=*/!client->pending.empty() ||
-                           has_parked)) {
+      if (client->finished(/*replies_owed=*/!client->pending.empty())) {
         scratch_ids.push_back(id);
       }
     }
@@ -1028,7 +867,7 @@ int ShardSupervisor::serve() {
       for (const std::unique_ptr<Shard>& shard : shards_) {
         if (shard->pid > 0) workers_gone = false;
       }
-      bool replies_owed = !parked_.empty();
+      bool replies_owed = false;
       bool unflushed = false;
       for (const auto& [id, client] : clients_) {
         if (client->broken()) continue;
@@ -1093,7 +932,7 @@ int ShardSupervisor::serve() {
           }
           if (entry.readable || entry.broken) read_control(ref.shard);
           if (shard.control && entry.writable && !shard.control->flush()) {
-            shard_failed(ref.shard, "control lane write");
+            shard_down(ref.shard, "control lane write");
           }
           break;
         }
@@ -1176,10 +1015,7 @@ int ShardSupervisor::serve() {
 }
 
 std::string ShardSupervisor::stats_json(const std::string& id) const {
-  const SupervisorMetrics snap = [&] {
-    const std::lock_guard<std::mutex> lock(shared_mutex_);
-    return metrics_;
-  }();
+  const SupervisorMetrics snap = metrics();
   int up = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->phase == ShardPhase::Up) ++up;
@@ -1195,7 +1031,6 @@ std::string ShardSupervisor::stats_json(const std::string& id) const {
   json.field("uptime_ms",
              ms_between(started_at_, std::chrono::steady_clock::now()));
   json.field("connections", static_cast<long long>(clients_.size()));
-  json.field("sessions", static_cast<long long>(session_shards_.size()));
   json.field("accepted", snap.accepted);
   json.field("answered", snap.answered);
   json.field("redispatches", snap.redispatches);

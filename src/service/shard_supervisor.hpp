@@ -1,5 +1,5 @@
 // ShardSupervisor: the crash-tolerant front-end of a fleet of qspr_serve
-// worker processes (the tentpole of the sharded mapping service).
+// worker processes (the sharded mapping service behind qspr_shard).
 //
 // One poll-loop thread owns everything: the client listener, one NDJSON
 // "lane" per (client, shard) pair for verbatim frame forwarding, one
@@ -18,15 +18,17 @@
 //     bit-identical result (same result_fp);
 //   * wedge (SIGSTOP, infinite loop): the health probe times out, the
 //     supervisor SIGKILLs the worker and treats it as a crash;
-//   * restart: deterministic exponential backoff with seeded jitter and a
-//     cap; a per-shard circuit breaker (closed -> open -> half-open) gates
-//     bring-up, and while it is open NEW requests routed to that shard are
-//     shed with an explicit `shard_down` reply + retry hint — no silent
-//     rerouting, so cache affinity is preserved for well-behaved clients;
+//   * restart: every failure (a lost worker, a failed bring-up) waits a
+//     deterministic exponential backoff with seeded jitter and a cap before
+//     the next spawn; a healthy probe ends the failure streak. While a
+//     shard is down, NEW requests routed to it are shed with an explicit
+//     `shard_down` reply + retry hint — no silent rerouting, so cache
+//     affinity is preserved for well-behaved clients;
 //   * drain (SIGTERM): cascades SIGTERM to the workers (they answer their
 //     in-flight work), parks nothing new, answers parked requests with
 //     `draining`, cancels what is left past the deadline, reaps every
-//     child, and serve() returns 0. No worker outlives the supervisor;
+//     child, and serve() returns 0. Drained workers are not crashes. No
+//     worker outlives the supervisor;
 //   * supervisor death (SIGKILL, crash): every worker is spawned with
 //     PR_SET_PDEATHSIG = SIGKILL, so the kernel kills the fleet with it.
 //
@@ -35,29 +37,31 @@
 // the worker whose artifact cache is already warm. The hash is
 // a pure function — routing is stable across worker restarts.
 //
-// Sessions: a `session_open` routes by fabric like a map; the worker's
-// reply names the session ("s<shard>.<n>", fleet-unique) and the
-// supervisor records session -> shard affinity from it. Frames carrying a
-// `session` then route by that affinity, byte-verbatim like everything
-// else — the session's circuit and cached results live in that worker.
-// Session state dies with its worker: a crash drops the affinity entries,
-// and a session frame that can no longer reach its shard (or was
-// re-dispatched to a sibling after a death) gets an explicit
-// unknown_session reply — the client reopens and resubmits cold.
+// Sessions: a `session_open` routes by fabric like a map; the worker names
+// the session "s<shard>.<start>.<n>", where <start> is the worker's start
+// instant on the monotonic clock. Frames carrying a `session` route to the
+// <shard> their name carries, byte-verbatim like everything else — the
+// session's circuit and cached results live in that worker. Session state
+// dies with its worker, and the supervisor reaps a worker before it spawns
+// the replacement, so the replacement never mints a dead worker's name: a
+// stale name reaches a worker that answers unknown_session, and the client
+// reopens and resubmits cold. The supervisor keeps no session table.
 //
 // Exactly-once: every accepted map frame produces exactly one reply line to
 // its client — the forwarded worker reply, or one supervisor-built
-// shard_down / draining / cancelled error. The pending registry is erased
-// at forward time and re-dispatch only ever resends unanswered entries.
+// shard_down / draining / cancelled error. Each client's pending registry
+// holds every reply owed (a frame parked for a restart is an entry with no
+// shard); an entry is erased at forward time and re-dispatch only ever
+// resends unanswered entries.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,58 +73,32 @@
 namespace qspr {
 
 // ---------------------------------------------------------------------------
-// Circuit breaker (pure state machine; the caller supplies every clock
-// reading, so the unit tests drive it with a fake clock).
+// Restart schedule (pure; the caller supplies every clock reading, so the
+// unit tests drive it with a fake clock).
 
-enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
-
-struct CircuitBreakerOptions {
-  /// Consecutive recorded failures that trip Closed -> Open. A failure in
-  /// HalfOpen re-opens immediately regardless.
-  int failure_threshold = 3;
-  /// Open -> HalfOpen cooldown schedule; the delay escalates with the trip
-  /// count and resets on success.
-  BackoffOptions cooldown;
-};
-
-/// Per-shard breaker: Closed admits traffic; Open sheds it until the
-/// cooldown lapses; HalfOpen admits exactly the probe traffic needed to
-/// decide. Time is injected (steady_clock::time_point) — no internal clock.
-class CircuitBreaker {
+/// When a shard's next worker may spawn: each failure pushes the spawn out
+/// by the backoff delay of the current failure streak, and a healthy probe
+/// ends the streak, so the next failure waits the base delay again.
+class RestartSchedule {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;
 
-  explicit CircuitBreaker(CircuitBreakerOptions options = {});
+  explicit RestartSchedule(BackoffOptions backoff = {});
 
-  /// Healthy evidence: -> Closed, consecutive failures and trips reset.
-  void record_success();
-
-  /// Unhealthy evidence at `now`. HalfOpen re-opens immediately; Closed
-  /// opens once failure_threshold consecutive failures accumulate.
+  /// A failure at `now`: the next spawn waits delay_ms(streak), and the
+  /// streak grows by one.
   void record_failure(TimePoint now);
 
-  /// Hard failure (crash, wedge): -> Open immediately at `now`.
-  void force_open(TimePoint now);
+  /// A healthy probe: the streak is over.
+  void record_success() { failures_ = 0; }
 
-  /// True when a bring-up/probe attempt may proceed at `now`: always in
-  /// Closed and HalfOpen; in Open only once the cooldown has lapsed, which
-  /// transitions to HalfOpen (one caller gets the probe).
-  [[nodiscard]] bool allow_probe(TimePoint now);
-
-  [[nodiscard]] BreakerState state() const { return state_; }
-  /// When an Open breaker next admits a probe (meaningless otherwise).
-  [[nodiscard]] TimePoint reopen_at() const { return reopen_at_; }
-  [[nodiscard]] int trips() const { return trips_; }
+  /// The earliest instant the next spawn may start.
+  [[nodiscard]] TimePoint restart_at() const { return restart_at_; }
 
  private:
-  void open(TimePoint now);
-
-  CircuitBreakerOptions options_;
-  BackoffPolicy cooldown_;
-  BreakerState state_ = BreakerState::Closed;
-  TimePoint reopen_at_{};
-  int consecutive_failures_ = 0;
-  int trips_ = 0;  // escalates the cooldown; reset by success
+  BackoffPolicy backoff_;
+  int failures_ = 0;
+  TimePoint restart_at_{};
 };
 
 // ---------------------------------------------------------------------------
@@ -133,6 +111,10 @@ class CircuitBreaker {
 
 /// The shard a fabric spec routes to among `shard_count` shards.
 [[nodiscard]] int shard_for_fabric(const std::string& spec, int shard_count);
+
+/// The shard a fleet session name ("s<shard>.<start>.<n>") belongs to, or -1
+/// when the name has another shape or names no shard among `shard_count`.
+[[nodiscard]] int shard_for_session(std::string_view name, int shard_count);
 
 // ---------------------------------------------------------------------------
 // Supervisor.
@@ -159,7 +141,6 @@ struct ShardSupervisorOptions {
   int spawn_deadline_ms = 10'000;
   /// Restart schedule (shared shape with the client's retry pacing).
   BackoffOptions restart_backoff;
-  int breaker_threshold = 3;
   /// Times one request may be re-dispatched after worker deaths before the
   /// client gets a shard_down reply instead.
   int max_redispatch = 2;
@@ -175,7 +156,7 @@ struct SupervisorMetrics {
   long long spawns = 0;          // fork/exec attempts
   long long reaps = 0;           // children collected via waitpid
   long long restarts = 0;        // spawns after the initial bring-up
-  long long crashes = 0;         // unexpected worker exits while Up
+  long long crashes = 0;         // serving workers lost outside a drain
   long long wedges = 0;          // health-timeout SIGKILLs
   long long health_ok = 0;
   long long health_failures = 0;
@@ -218,7 +199,7 @@ class ShardSupervisor {
 
  private:
   enum class ShardPhase : std::uint8_t {
-    Down,        // no process; respawn gated by the breaker cooldown
+    Down,        // no process; respawn waits for the restart schedule
     Spawning,    // forked; waiting for the port file
     Connecting,  // port known; control-lane connect in flight
     Probing,     // control lane up; first health probe outstanding
@@ -227,7 +208,6 @@ class ShardSupervisor {
 
   struct Shard;
   struct Client;
-  struct ParkedFrame;
   /// A worker-facing connection: one client's lane to one shard, or a
   /// shard's control lane. Uncapped — the supervisor writes only what its
   /// clients sent or its own probes.
@@ -235,8 +215,10 @@ class ShardSupervisor {
 
   // Worker lifecycle.
   void spawn_shard(int index);
-  void shard_failed(int index, const char* why);
-  void kill_shard(int index, int signal);
+  /// The one way down: SIGKILLs a live worker, drops its control lane and,
+  /// outside a drain, counts a lost serving worker as a crash and schedules
+  /// the next spawn. A no-op on a shard that is already Down.
+  void shard_down(int index, const char* why);
   void reap_children();
   void pump_shard_bringup(int index);
   void send_health_probes();
@@ -246,7 +228,7 @@ class ShardSupervisor {
 
   // Client plumbing. route_map also carries session_open / session_close
   // frames — same accept/shed/dispatch path, only the target shard differs
-  // (fabric hash for stateless + open, recorded affinity for the rest).
+  // (fabric hash for stateless + open, the session name for the rest).
   void accept_clients();
   void read_client(Client& client);
   void handle_client_frame(Client& client, std::string frame);
@@ -265,18 +247,16 @@ class ShardSupervisor {
   // Failure routing.
   void redispatch_or_park(Client& client, const std::string& request_id,
                           std::string frame, int attempts);
+  /// Sends every parked frame (a pending entry with no shard) to `up_shard`.
   void flush_parked(int up_shard);
   void shed(Client& client, const std::string& request_id, int shard_index);
-  /// Drops supervisor state that died with the worker on shard `index` —
-  /// today that is its session-affinity entries.
-  void on_shard_down(int index);
 
   // Drain.
   void begin_drain();
   void finish_drain();
 
   [[nodiscard]] int poll_timeout_ms() const;
-  [[nodiscard]] int pick_up_shard(int preferred) const;
+  [[nodiscard]] int first_up_shard() const;
   [[nodiscard]] int shard_retry_hint_ms(int index) const;
   [[nodiscard]] std::string stats_json(const std::string& id) const;
   [[nodiscard]] std::string health_json(const std::string& id) const;
@@ -291,13 +271,6 @@ class ShardSupervisor {
   std::chrono::steady_clock::time_point started_at_{};
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::deque<ParkedFrame> parked_;
-
-  // session name -> shard index, learned from worker replies that name a
-  // session and released on close replies (open:false) and shard deaths
-  // (on_shard_down — mandatory, not hygiene: a replacement worker restarts
-  // its session counter, so a stale entry could alias a new session).
-  std::unordered_map<std::string, int> session_shards_;
 
   std::atomic<bool> drain_requested_{false};
   bool draining_ = false;

@@ -132,6 +132,13 @@ std::vector<std::string> validate_trace(const Trace& trace,
                        return a->start < b->start;
                      });
     const TrapId start_trap = initial.trap_of(QubitId::from_index(q));
+    if (!start_trap.is_valid()) {  // idle: it must stay out of the trace
+      if (!ops.empty()) {
+        report("q" + std::to_string(q) +
+               " has no initial trap but the trace relocates it");
+      }
+      continue;
+    }
     Position position = fabric.trap(start_trap).position;
     TimePoint clock = 0;
 
@@ -198,6 +205,12 @@ std::vector<std::string> validate_trace(const Trace& trace,
     const TrapId trap = fabric.trap_at(gate->from);
     if (!trap.is_valid()) continue;  // already reported
     for (const QubitId operand : instr.operands()) {
+      if (!initial.trap_of(operand).is_valid()) {
+        report("q" + std::to_string(operand.value()) +
+               " has no initial trap but gate #" + std::to_string(i) +
+               " uses it");
+        continue;
+      }
       // Replay the operand's trajectory to find its position at gate time.
       Position position =
           fabric.trap(initial.trap_of(operand)).position;

@@ -26,7 +26,8 @@
 namespace qspr {
 
 /// Returns human-readable violations; an empty vector means the trace is a
-/// physically consistent execution of `graph` from `initial`.
+/// physically consistent execution of `graph` from `initial`. A qubit with
+/// no trap in `initial` is idle: no op of the trace may move it or use it.
 std::vector<std::string> validate_trace(const Trace& trace,
                                         const DependencyGraph& graph,
                                         const Fabric& fabric,

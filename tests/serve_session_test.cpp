@@ -5,10 +5,10 @@
 // it. These tests run a real MappingServer in-process (the harness of
 // serve_harness.hpp, shared with the fault-injection suite) and script
 // byte-level clients against the session wire protocol: name minting
-// (standalone "s<N>" vs sharded "s<shard>.<N>"), the exact-resubmission
-// result-cache fast path, that an edit maps exactly like the concatenated
-// circuit, one-map-per-session admission, the qasm_append contract, and
-// drain behaviour with sessions open.
+// (standalone "s<N>" vs sharded "s<shard>.<start>.<N>"), the
+// exact-resubmission result-cache fast path, that an edit maps exactly like
+// the concatenated circuit, one-map-per-session admission, the qasm_append
+// contract, and drain behaviour with sessions open.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -276,15 +276,22 @@ TEST(ServeSession, QasmAppendNeedsAMappedBaseCircuit) {
 }
 
 TEST(ServeSession, ShardedDaemonsMintShardPrefixedNames) {
-  // Sharded workers prefix the shard index so names are unique across a
-  // qspr_shard fleet: the supervisor keys session->shard affinity on them.
+  // Sharded workers name sessions "s<shard>.<start>.<n>": the qspr_shard
+  // supervisor routes by the shard index, and the worker's start instant
+  // keeps a restarted worker from re-minting a dead one's names.
   ServeOptions options;
   options.shard_id = 2;
   ServeHarness harness(options);
   RawClient client(harness.port());
 
-  EXPECT_EQ(open_session(client, "o1"), "s2.1");
-  EXPECT_EQ(open_session(client, "o2"), "s2.2");
+  const std::string first = open_session(client, "o1");
+  const std::size_t last_dot = first.rfind('.');
+  ASSERT_TRUE(last_dot != std::string::npos && last_dot > 3) << first;
+  const std::string token = first.substr(3, last_dot - 3);
+  EXPECT_EQ(token.find_first_not_of("0123456789"), std::string::npos)
+      << first;
+  EXPECT_EQ(first, "s2." + token + ".1");
+  EXPECT_EQ(open_session(client, "o2"), "s2." + token + ".2");
   EXPECT_EQ(harness.drain_and_join(), 0);
 }
 

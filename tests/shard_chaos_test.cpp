@@ -10,12 +10,15 @@
 //      mapping is pure;
 //   3. wedges (SIGSTOP) are detected by the queue-bypassing health probe,
 //      SIGKILLed, and replaced;
-//   4. a crash-looping worker binary turns into explicit `shard_down`
-//      shedding behind the circuit breaker, not a hang;
-//   5. drain cascades: SIGTERM answers what is in flight, reaps every
-//      child (spawns == reaps, kill(pid, 0) => ESRCH), exits 0 — no
-//      leaked workers, no leftover port files;
-//   6. a SIGKILLed qspr_shard takes its workers with it.
+//   4. a session opened on a worker that crashes or wedges is gone with
+//      it: its name answers unknown_session after the restart and never
+//      aliases a session the replacement worker opens;
+//   5. a crash-looping worker binary turns into explicit `shard_down`
+//      shedding while the restart backoff holds the shard down, not a hang;
+//   6. drain cascades: SIGTERM answers what is in flight, reaps every
+//      child (spawns == reaps, kill(pid, 0) => ESRCH), exits 0 and counts
+//      no crash — no leaked workers, no leftover port files;
+//   7. a SIGKILLed qspr_shard takes its workers with it.
 //
 // No assertion depends on how long a map takes: a kill meant to land
 // mid-request freezes its target before the request is sent, and every
@@ -82,6 +85,22 @@ std::string map_request(const std::string& id, int m) {
   json.field("qasm", kTinyQasm);
   json.field("placer", "mc");
   json.field("m", m);
+  json.field("seed", 1);
+  json.end_object();
+  return json.str();
+}
+
+/// A map of kTinyQasm in session `session`.
+std::string session_map_request(const std::string& id,
+                                const std::string& session) {
+  JsonWriter json;
+  json.begin_object();
+  json.field("type", "map");
+  json.field("id", id);
+  json.field("session", session);
+  json.field("qasm", kTinyQasm);
+  json.field("placer", "mc");
+  json.field("m", 4);
   json.field("seed", 1);
   json.end_object();
   return json.str();
@@ -405,10 +424,71 @@ TEST(ShardChaos, WedgedWorkerIsDetectedKilledAndReplaced) {
   EXPECT_FALSE(process_exists(wedged_pid));
 }
 
+/// Opens a session through the supervisor and returns its name.
+std::string open_session(ShardClient& client, const std::string& id) {
+  const JsonValue ack = parse_json(client.request(
+      R"({"type":"session_open","id":")" + id + R"(","fabric":"paper"})"));
+  EXPECT_TRUE(ack.bool_or("ok", false));
+  return ack.string_or("session", "");
+}
+
+/// Client A opens a session on a one-shard fleet and maps in it; then
+/// `signal` takes the worker down (SIGKILL: a crash; SIGSTOP: a wedge the
+/// health probe turns into a kill). After the restart, client B opens a
+/// session of its own. A's next map in its old session must answer
+/// unknown_session — not run in B's session and replace B's circuit.
+void expect_lost_session_stays_lost(int signal) {
+  ShardSupervisorOptions options = fast_options(1);
+  options.health_timeout_ms = 600;  // fast wedge verdicts
+  ShardHarness harness(options);
+  ASSERT_TRUE(harness.wait_for_up(1));
+
+  ShardClient a(client_options(harness.port()));
+  const std::string lost = open_session(a, "a_open");
+  ASSERT_FALSE(lost.empty());
+  ASSERT_TRUE(parse_json(a.request(session_map_request("a1", lost)))
+                  .bool_or("ok", false));
+
+  const int victim = harness.supervisor().worker_pids()[0];
+  ASSERT_GT(victim, 0);
+  ASSERT_EQ(::kill(victim, signal), 0);
+  ASSERT_TRUE(wait_until(
+      [&] { return harness.supervisor().metrics().restarts >= 1; }));
+  ASSERT_TRUE(harness.wait_for_up(1));
+
+  ShardClient b(client_options(harness.port()));
+  const std::string fresh = open_session(b, "b_open");
+  EXPECT_FALSE(fresh.empty());
+  EXPECT_NE(fresh, lost);
+  EXPECT_TRUE(parse_json(b.request(session_map_request("b1", fresh)))
+                  .bool_or("ok", false));
+
+  const std::string stale_line = a.request(session_map_request("a2", lost));
+  const JsonValue stale = parse_json(stale_line);
+  EXPECT_FALSE(stale.bool_or("ok", true)) << stale_line;
+  EXPECT_EQ(stale.string_or("code", ""), "unknown_session") << stale_line;
+
+  EXPECT_EQ(harness.drain_and_join(), 0);
+  const SupervisorMetrics metrics = harness.supervisor().metrics();
+  EXPECT_GE(metrics.crashes, 1);  // a wedge kill is a crash too
+  if (signal == SIGSTOP) {
+    EXPECT_GE(metrics.wedges, 1);
+  }
+  EXPECT_EQ(metrics.accepted, metrics.answered);
+  EXPECT_FALSE(process_exists(victim));
+}
+
+TEST(ShardChaos, SessionOfACrashedWorkerAnswersUnknownSessionAfterRestart) {
+  expect_lost_session_stays_lost(SIGKILL);
+}
+
+TEST(ShardChaos, SessionOfAWedgedWorkerAnswersUnknownSessionAfterRestart) {
+  expect_lost_session_stays_lost(SIGSTOP);
+}
+
 TEST(ShardChaos, CrashLoopingWorkerBinaryShedsExplicitly) {
   ShardSupervisorOptions options = fast_options(1);
   options.worker_binary = "/nonexistent/qspr_serve";
-  options.breaker_threshold = 2;
   ShardHarness harness(options);
 
   // The shard can never come up; a map request gets an explicit, prompt
@@ -423,7 +503,7 @@ TEST(ShardChaos, CrashLoopingWorkerBinaryShedsExplicitly) {
   EXPECT_EQ(reply.string_or("code", ""), "shard_down");
   EXPECT_GT(reply.number_or("retry_after_ms", -1), 0);
 
-  // The exec failures were observed (exit 127 -> reaped, breaker cycling).
+  // The exec failures were observed (exit 127 -> reaped, restart backoff).
   const SupervisorMetrics metrics = harness.supervisor().metrics();
   EXPECT_GE(metrics.spawns, 1);
 
@@ -460,9 +540,11 @@ TEST(ShardChaos, DrainCascadeAnswersInFlightReapsAllWorkersExitsZero) {
         << reply_line;
   }
 
-  // No leaked workers: every spawned pid was reaped and is gone.
+  // No leaked workers: every spawned pid was reaped and is gone. Drained
+  // workers exit on request, so none of them counts as a crash.
   const SupervisorMetrics metrics = harness.supervisor().metrics();
   EXPECT_EQ(metrics.spawns, metrics.reaps);
+  EXPECT_EQ(metrics.crashes, 0);
   for (const int pid : pids) EXPECT_FALSE(process_exists(pid)) << pid;
 
   // No leftover port files either.

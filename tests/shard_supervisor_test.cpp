@@ -1,10 +1,12 @@
 // Supervisor internals, unit-tested without a single process spawn: the
 // deterministic restart backoff (exact replay under a seed, monotonicity,
-// cap, jitter bounds), the per-shard circuit breaker driven by a fake
-// clock (threshold trip, half-open probe outcomes, cooldown escalation),
-// and the fabric-fingerprint routing (stability across calls — i.e. across
-// worker restarts — the "" == "paper" canonicalisation, and a pinned hash
-// value so the routing key can never drift silently between releases).
+// cap, jitter bounds), the per-shard restart schedule driven by a fake
+// clock (every failure waits its backoff, escalation, reset on a healthy
+// probe), the fabric-fingerprint routing (stability across calls — i.e.
+// across worker restarts — the "" == "paper" canonicalisation, and a pinned
+// hash value so the routing key can never drift silently between
+// releases), and the session-name routing (the shard a fleet name carries,
+// -1 for any other shape).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -106,98 +108,40 @@ TEST(BackoffPolicy, RejectsNonsenseOptions) {
 }
 
 // ---------------------------------------------------------------------------
-// CircuitBreaker (fake clock: every transition is injected time)
+// RestartSchedule (fake clock: every failure is injected time)
 // ---------------------------------------------------------------------------
 
-CircuitBreakerOptions breaker_options(int threshold, int base_ms,
-                                      int cap_ms) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = threshold;
-  options.cooldown.base_ms = base_ms;
-  options.cooldown.cap_ms = cap_ms;
-  options.cooldown.jitter_frac = 0.0;  // exact cooldowns for the test
-  return options;
+RestartSchedule exact_schedule(int base_ms, int cap_ms) {
+  BackoffOptions options;
+  options.base_ms = base_ms;
+  options.cap_ms = cap_ms;
+  options.jitter_frac = 0.0;  // exact delays for the test
+  return RestartSchedule(options);
 }
 
-TEST(CircuitBreaker, ClosedUntilThresholdConsecutiveFailures) {
-  CircuitBreaker breaker(breaker_options(3, 100, 10'000));
-  EXPECT_EQ(breaker.state(), BreakerState::Closed);
-  breaker.record_failure(tick(0));
-  breaker.record_failure(tick(1));
-  EXPECT_EQ(breaker.state(), BreakerState::Closed);
-  breaker.record_failure(tick(2));
-  EXPECT_EQ(breaker.state(), BreakerState::Open);
-  EXPECT_EQ(breaker.reopen_at(), tick(2 + 100));
+TEST(RestartSchedule, EveryFailureWaitsAnEscalatingCappedBackoff) {
+  RestartSchedule schedule = exact_schedule(100, 400);
+  EXPECT_EQ(schedule.restart_at(), tick(0));  // the first spawn is not held
+  // Even the first failure waits the base delay; the streak escalates it.
+  schedule.record_failure(tick(10));
+  EXPECT_EQ(schedule.restart_at(), tick(10 + 100));
+  schedule.record_failure(tick(110));
+  EXPECT_EQ(schedule.restart_at(), tick(110 + 200));
+  schedule.record_failure(tick(310));
+  EXPECT_EQ(schedule.restart_at(), tick(310 + 400));
+  schedule.record_failure(tick(710));
+  EXPECT_EQ(schedule.restart_at(), tick(710 + 400));  // capped
 }
 
-TEST(CircuitBreaker, SuccessResetsTheConsecutiveCount) {
-  CircuitBreaker breaker(breaker_options(3, 100, 10'000));
-  breaker.record_failure(tick(0));
-  breaker.record_failure(tick(1));
-  breaker.record_success();
-  breaker.record_failure(tick(2));
-  breaker.record_failure(tick(3));
-  EXPECT_EQ(breaker.state(), BreakerState::Closed);
-}
-
-TEST(CircuitBreaker, OpenShedsUntilTheCooldownThenHalfOpens) {
-  CircuitBreaker breaker(breaker_options(1, 100, 10'000));
-  breaker.record_failure(tick(0));
-  ASSERT_EQ(breaker.state(), BreakerState::Open);
-  EXPECT_FALSE(breaker.allow_probe(tick(50)));
-  EXPECT_EQ(breaker.state(), BreakerState::Open);
-  EXPECT_TRUE(breaker.allow_probe(tick(100)));
-  EXPECT_EQ(breaker.state(), BreakerState::HalfOpen);
-  // Half-open admits the probe traffic (idempotent until the verdict).
-  EXPECT_TRUE(breaker.allow_probe(tick(101)));
-}
-
-TEST(CircuitBreaker, HalfOpenFailureReopensWithEscalatedCooldown) {
-  CircuitBreaker breaker(breaker_options(1, 100, 10'000));
-  breaker.record_failure(tick(0));           // trip 1: cooldown 100
-  ASSERT_TRUE(breaker.allow_probe(tick(100)));
-  breaker.record_failure(tick(100));         // trip 2: cooldown 200
-  EXPECT_EQ(breaker.state(), BreakerState::Open);
-  EXPECT_EQ(breaker.reopen_at(), tick(100 + 200));
-  ASSERT_TRUE(breaker.allow_probe(tick(300)));
-  breaker.record_failure(tick(300));         // trip 3: cooldown 400
-  EXPECT_EQ(breaker.reopen_at(), tick(300 + 400));
-  EXPECT_EQ(breaker.trips(), 3);
-}
-
-TEST(CircuitBreaker, CooldownEscalationIsCapped) {
-  CircuitBreaker breaker(breaker_options(1, 100, 400));
-  long long now = 0;
-  for (int round = 0; round < 8; ++round) {
-    breaker.record_failure(tick(now));
-    const auto reopen = breaker.reopen_at();
-    const auto cooldown = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              reopen - tick(now))
-                              .count();
-    EXPECT_LE(cooldown, 400) << round;
-    now += cooldown;
-    ASSERT_TRUE(breaker.allow_probe(tick(now)));
-  }
-}
-
-TEST(CircuitBreaker, SuccessFromHalfOpenClosesAndResetsTrips) {
-  CircuitBreaker breaker(breaker_options(1, 100, 10'000));
-  breaker.record_failure(tick(0));
-  ASSERT_TRUE(breaker.allow_probe(tick(100)));
-  breaker.record_success();
-  EXPECT_EQ(breaker.state(), BreakerState::Closed);
-  EXPECT_EQ(breaker.trips(), 0);
-  // The next trip starts back at the base cooldown, not the escalated one.
-  breaker.record_failure(tick(200));
-  EXPECT_EQ(breaker.reopen_at(), tick(200 + 100));
-}
-
-TEST(CircuitBreaker, ForceOpenIsImmediate) {
-  CircuitBreaker breaker(breaker_options(5, 100, 10'000));
-  breaker.force_open(tick(10));
-  EXPECT_EQ(breaker.state(), BreakerState::Open);
-  EXPECT_FALSE(breaker.allow_probe(tick(10)));
-  EXPECT_TRUE(breaker.allow_probe(tick(110)));
+TEST(RestartSchedule, AHealthyProbeEndsTheStreak) {
+  RestartSchedule schedule = exact_schedule(100, 10'000);
+  schedule.record_failure(tick(0));
+  schedule.record_failure(tick(100));
+  EXPECT_EQ(schedule.restart_at(), tick(100 + 200));
+  schedule.record_success();
+  // The next failure starts back at the base delay, not the escalated one.
+  schedule.record_failure(tick(1000));
+  EXPECT_EQ(schedule.restart_at(), tick(1000 + 100));
 }
 
 // ---------------------------------------------------------------------------
@@ -241,6 +185,26 @@ TEST(ShardRouting, DistinctSpecsSpreadAcrossShards) {
   int populated = 0;
   for (const int count : hits) populated += count > 0 ? 1 : 0;
   EXPECT_GE(populated, 3);
+}
+
+TEST(ShardRouting, SessionNamesRouteToTheShardTheyCarry) {
+  EXPECT_EQ(shard_for_session("s0.1234567.1", 2), 0);
+  EXPECT_EQ(shard_for_session("s1.1234567.42", 2), 1);
+  EXPECT_EQ(shard_for_session("s3.0.0", 4), 3);
+}
+
+TEST(ShardRouting, SessionNamesOfAnotherShapeOrShardRouteNowhere) {
+  // Out of range: the fleet has no such shard.
+  EXPECT_EQ(shard_for_session("s2.1234567.1", 2), -1);
+  EXPECT_EQ(shard_for_session("s99999999999999999999.1.1", 2), -1);
+  // Malformed: standalone and older two-part names, wrong separators,
+  // empty, signed or non-numeric fields, trailing bytes.
+  for (const char* name :
+       {"", "s", "s1", "s0.1", "s0.1.", "s0..1", "s.1.1", "x0.1.1", "S0.1.1",
+        "s-1.1.1", "s+1.1.1", "s0.-1.1", "s0.1.1x", "s0.1.1.1", "s0:1:1",
+        " s0.1.1", "s0.1.1 ", "s0.1.99999999999999999999"}) {
+    EXPECT_EQ(shard_for_session(name, 4), -1) << '"' << name << '"';
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 // fabric of route_test (trap-to-adjacent-trap round trip = 24 us).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "circuit/dependency_graph.hpp"
 #include "common/error.hpp"
 #include "core/mapper.hpp"
@@ -592,6 +596,51 @@ TEST(SimTraceValidator, DetectsCorruptedTraces) {
   wrong.set(b, fabric.trap_at({1, 3}));
   EXPECT_FALSE(
       validate_trace(result.trace, graph, fabric, wrong, params).empty());
+}
+
+TEST(SimTraceValidator, UnplacedQubitIsIdleAndMayNotAppearInTheTrace) {
+  const Fabric fabric = make_quale_fabric({2, 2, 4});
+  const RoutingGraph routing(fabric);
+  Program program;
+  const QubitId a = program.add_qubit("a");
+  const QubitId b = program.add_qubit("b");
+  const QubitId idle = program.add_qubit("idle");
+  program.add_gate(GateKind::CX, a, b);
+  const DependencyGraph graph = DependencyGraph::build(program);
+  Placement placement(3);
+  placement.set(a, fabric.trap_at({1, 1}));
+  placement.set(b, fabric.trap_at({1, 3}));
+  placement.set(idle, fabric.trap_at({3, 3}));
+  const ExecutionResult result = execute_circuit(
+      graph, fabric, routing, {0}, placement, ExecutionOptions{});
+  const TechnologyParams params;
+
+  // No op touches the idle qubit, so leaving it unplaced costs nothing.
+  Placement unplaced = placement;
+  unplaced.set(idle, TrapId::invalid());
+  EXPECT_TRUE(
+      validate_trace(result.trace, graph, fabric, unplaced, params).empty());
+
+  // A qubit the trace moves cannot be unplaced: the violation names it.
+  QubitId moved = QubitId::invalid();
+  for (const MicroOp& op : result.trace.ops()) {
+    if (op.kind == MicroOpKind::Move) {
+      moved = op.qubit;
+      break;
+    }
+  }
+  ASSERT_TRUE(moved.is_valid());
+  Placement lost = placement;
+  lost.set(moved, TrapId::invalid());
+  const std::vector<std::string> violations =
+      validate_trace(result.trace, graph, fabric, lost, params);
+  const std::string name = "q" + std::to_string(moved.value());
+  EXPECT_NE(std::find(violations.begin(), violations.end(),
+                      name + " has no initial trap but the trace relocates it"),
+            violations.end());
+  EXPECT_NE(std::find(violations.begin(), violations.end(),
+                      name + " has no initial trap but gate #0 uses it"),
+            violations.end());
 }
 
 /// Every field of a run reused through a workspace equals the fresh run's.
