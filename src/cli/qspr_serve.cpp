@@ -52,7 +52,7 @@ int usage(const char* argv0) {
       << "                         (0 = none; requests may set their own)\n"
       << "  --cache-budget-mb <n>  combined LRU memory budget for the\n"
       << "                         fabric-artifact and result caches, split\n"
-      << "                         evenly (0 = unlimited, the default);\n"
+      << "                         evenly (default 64; 0 = unlimited);\n"
       << "                         evictions are visible in `stats`\n"
       << "  --fabric <file>        default fabric drawing (default: the\n"
       << "                         paper's 45x85 QUALE fabric); requests may\n"

@@ -132,19 +132,6 @@ void Executor::wait(const Job& job) {
   if (state->error) std::rethrow_exception(state->error);
 }
 
-void Executor::run(std::size_t count, const Body& body) {
-  if (count == 0) return;
-  if (workers_ == 1 || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i, 0);
-    return;
-  }
-  // Non-owning wrapper: run() blocks until the job is done, so the reference
-  // outlives every body invocation.
-  wait(submit(count, [&body](std::size_t index, int worker) {
-    body(index, worker);
-  }));
-}
-
 void Executor::worker_loop(int worker) {
   for (;;) {
     std::shared_ptr<Job::State> state;

@@ -88,10 +88,6 @@ class Executor {
   /// from inside a body of this executor.
   void wait(const Job& job);
 
-  /// submit + wait, with a serial fast path (workers == 1 or count <= 1)
-  /// that runs inline without registering a job.
-  void run(std::size_t count, const Body& body);
-
  private:
   void worker_loop(int worker);
   /// Runs one claimed index and does the post-run bookkeeping (error

@@ -67,11 +67,6 @@ MappingEngine::PendingMap& MappingEngine::PendingMap::operator=(
     PendingMap&&) noexcept = default;
 MappingEngine::PendingMap::~PendingMap() = default;
 
-const std::string& MappingEngine::PendingMap::name() const {
-  require(state_ != nullptr, "name() needs a staged job");
-  return state_->job.name;
-}
-
 MappingEngine::MappingEngine(int workers) : executor_(workers) {}
 MappingEngine::~MappingEngine() = default;
 
@@ -229,7 +224,6 @@ MapResult MappingEngine::map(const Program& program, const Fabric& fabric,
   job.program = &program;
   job.fabric = &fabric;
   job.options = options;
-  job.name = program.name();
   return finish(begin(job));
 }
 

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "circuit/program.hpp"
 #include "common/cancel.hpp"
@@ -48,7 +47,7 @@ namespace qspr {
 
 /// One unit of mapping work for the engine: which program, onto which
 /// fabric, under which per-job options (placer, trial budget, RNG seed,
-/// ablation overrides — see MapperOptions). `name` labels batch records.
+/// ablation overrides — see MapperOptions).
 ///
 /// `cancel` (optional) is polled before the setup and before every placement
 /// run (each Monte-Carlo trial, each MVFB forward or backward run, the one
@@ -61,7 +60,6 @@ struct MapJob {
   const Program* program = nullptr;
   const Fabric* fabric = nullptr;
   MapperOptions options;
-  std::string name;
   CancelToken cancel;
 };
 
@@ -92,7 +90,6 @@ class MappingEngine {
     ~PendingMap();
 
     [[nodiscard]] bool valid() const { return state_ != nullptr; }
-    [[nodiscard]] const std::string& name() const;
 
    private:
     friend class MappingEngine;

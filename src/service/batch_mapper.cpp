@@ -134,7 +134,6 @@ BatchResult BatchMapper::run(const std::vector<BatchJob>& manifest,
       map_job.program = program;
       map_job.fabric = fabric;
       map_job.options = job.options;
-      map_job.name = record.name;
       entry.pending = engine_->begin(map_job);
       in_flight.push_back(std::move(entry));
     } catch (const std::exception& e) {

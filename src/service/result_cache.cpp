@@ -78,45 +78,44 @@ ResultCache::Key ResultCache::key_of(const Program& program,
 
 std::optional<MapReply> ResultCache::find(const Key& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  it->second.last_used = ++tick_;
-  return it->second.reply;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->second;
 }
 
 void ResultCache::insert(const Key& key, const MapReply& reply) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  entries_[key] = Entry{reply, ++tick_};
+  if (const auto it = index_.find(key); it != index_.end()) {
+    it->second->second = reply;
+    lru_.splice(lru_.begin(), lru_, it->second);
+  } else {
+    lru_.emplace_front(key, reply);
+    index_.emplace(key, lru_.begin());
+  }
   ++stats_.insertions;
-  enforce_budget_locked(&key);
+  enforce_budget_locked();
 }
 
 void ResultCache::set_budget_bytes(std::size_t budget) {
   const std::lock_guard<std::mutex> lock(mutex_);
   budget_bytes_ = budget;
-  enforce_budget_locked(nullptr);
+  enforce_budget_locked();
 }
 
-void ResultCache::enforce_budget_locked(const Key* keep) {
-  while (budget_bytes_ > 0 && entries_.size() * entry_bytes() > budget_bytes_) {
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (keep != nullptr && it->first == *keep) continue;
-      if (victim == entries_.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
-    }
-    if (victim == entries_.end()) break;  // only the protected entry remains
-    entries_.erase(victim);
+void ResultCache::enforce_budget_locked() {
+  while (budget_bytes_ > 0 && lru_.size() > 1 &&
+         lru_.size() * entry_bytes() > budget_bytes_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
     ++stats_.evictions;
   }
-  stats_.entries = entries_.size();
-  stats_.bytes = entries_.size() * entry_bytes();
+  stats_.entries = lru_.size();
+  stats_.bytes = lru_.size() * entry_bytes();
 }
 
 ResultCache::Stats ResultCache::stats() const {
@@ -126,7 +125,7 @@ ResultCache::Stats ResultCache::stats() const {
 
 std::size_t ResultCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return lru_.size();
 }
 
 }  // namespace qspr

@@ -2,25 +2,32 @@
 // beside the engine's FabricArtifactCache (which shares per-fabric
 // structures).
 //
-// A service absorbing interactive traffic sees duplicate circuits —
-// resubmissions against an open session. The cache keys on a fingerprint of
-// the program's instruction sequence (in program order, since reordering
-// even independent gates can change the mapped result), the fabric-layout
-// fingerprint, and a fingerprint of the *contractual* mapper options — the
-// knobs that change the mapped result, deliberately excluding jobs, which
-// is bit-identity-neutral by the trial-parallel determinism contract. Exact
-// resubmission is a pure hit: no placement, no routing.
+// A service sees duplicate circuits — retries, unchanged resubmissions.
+// Every map request, stateless or in a session, looks up its key before
+// mapping and inserts its reply after a successful miss. The key is a
+// fingerprint of the program's instruction sequence (in program order,
+// since reordering even independent gates can change the mapped result),
+// the fabric-layout fingerprint, and a fingerprint of the *contractual*
+// mapper options — the knobs that change the mapped result, deliberately
+// excluding jobs, which is bit-identity-neutral by the trial-parallel
+// determinism contract. Exact resubmission is a pure hit: no placement, no
+// routing, and no program text compared — a hit trusts the three 64-bit
+// fingerprints.
 //
 // An entry is the reply, not the mapped result: a MapReply holds the fields
 // serve_result_json writes and the fingerprint computed once, so every
 // entry costs the same few bytes whatever the circuit, and a hit writes the
-// reply the miss wrote, apart from the request id and the timings.
+// reply the miss wrote, apart from the request id and the timings. Entries
+// sit on a most-recent-first list indexed by key: lookup, insert and
+// eviction are O(1).
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "circuit/program.hpp"
 #include "core/mapper.hpp"
@@ -47,9 +54,10 @@ namespace qspr {
 
 /// Thread-safe LRU cache of map replies keyed on (program, fabric, options)
 /// fingerprints, with the same memory-budget semantics as
-/// FabricArtifactCache: set_budget_bytes(0) = unlimited; eviction never
-/// drops the entry the current insert writes, so a budget smaller than one
-/// entry degrades to a cache of one.
+/// FabricArtifactCache: set_budget_bytes(0) = unlimited; eviction drops the
+/// least recently used entry and never the most recent one, which is the
+/// entry the current insert writes, so a budget smaller than one entry
+/// degrades to a cache of one.
 class ResultCache {
  public:
   struct Key {
@@ -74,16 +82,17 @@ class ResultCache {
   [[nodiscard]] static Key key_of(const Program& program, const Fabric& fabric,
                                   const MapperOptions& options);
 
-  /// Estimated resident bytes of one entry — the same for every circuit.
+  /// Estimated resident bytes of one entry — the same for every circuit:
+  /// its (key, reply) pair and the index's iterator to it.
   [[nodiscard]] static constexpr std::size_t entry_bytes() {
-    return sizeof(Key) + sizeof(Entry);
+    return sizeof(Entry) + sizeof(Lru::iterator);
   }
 
-  /// nullopt on miss (counted).
+  /// nullopt on miss (counted). A hit becomes the most recently used entry.
   [[nodiscard]] std::optional<MapReply> find(const Key& key);
 
-  /// Inserts (or replaces) the entry for `key` and enforces the budget,
-  /// never evicting the entry just inserted.
+  /// Inserts (or replaces) the entry for `key` as the most recently used
+  /// one and enforces the budget, never evicting the entry just inserted.
   void insert(const Key& key, const MapReply& reply);
 
   /// LRU memory budget in bytes (0 = unlimited, the default).
@@ -102,20 +111,19 @@ class ResultCache {
     }
   };
 
-  struct Entry {
-    MapReply reply;
-    std::uint64_t last_used = 0;
-  };
+  using Entry = std::pair<Key, MapReply>;
+  using Lru = std::list<Entry>;
 
-  /// Caller holds mutex_. Evicts LRU entries (never `keep`) until the
-  /// estimated total fits the budget.
-  void enforce_budget_locked(const Key* keep);
+  /// Caller holds mutex_. Evicts from the back of lru_ (never its front)
+  /// until the estimated total fits the budget.
+  void enforce_budget_locked();
 
   mutable std::mutex mutex_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  /// Most recently used first; find() and insert() splice to the front.
+  Lru lru_;
+  std::unordered_map<Key, Lru::iterator, KeyHash> index_;
   Stats stats_;
   std::size_t budget_bytes_ = 0;
-  std::uint64_t tick_ = 0;
 };
 
 }  // namespace qspr

@@ -153,48 +153,35 @@ std::string MappingServer::process_ticket(ServeTicket& ticket) {
     const Program program = parse_qasm(ticket.request.qasm, id);
     const std::shared_ptr<const Fabric> fabric =
         fabrics_.get(ticket.request.fabric);
+
+    // Mapping is a pure function of (program, fabric, options), so an exact
+    // resubmission, stateless or in a session, is answered from the result
+    // cache — no placement, no routing — with the reply the first map wrote.
+    // Every successful miss is inserted under the key looked up here.
+    const ResultCache::Key key =
+        ResultCache::key_of(program, *fabric, ticket.request.options);
+    std::optional<MapReply> reply = results_.find(key);
+    if (!reply.has_value()) {
+      MapJob job;
+      job.program = &program;
+      job.fabric = fabric.get();
+      job.options = ticket.request.options;
+      job.cancel = token;
+      const MapResult result = engine_.finish(engine_.begin(job));
+      reply = map_reply(result);
+      results_.insert(key, *reply);
+      metrics_.record_trial_cpu_ms(result.trial_cpu_ms);
+      metrics_.record_map_work(result.setup_ms, result.stats.nodes_settled);
+    }
     ServeSession* session = ticket.session.get();
-    const std::string session_name = session != nullptr ? session->name : "";
-
-    // Session fast path: an exact resubmission (same circuit, fabric,
-    // options) is answered from the result cache — no placement, no
-    // routing — with the reply the first map wrote. Every successful
-    // session map is inserted under the key looked up here. Stateless maps
-    // never consult the cache, so their behaviour (and memory profile) is
-    // unchanged.
-    std::optional<ResultCache::Key> key;
-    if (session != nullptr) {
-      key = ResultCache::key_of(program, *fabric, ticket.request.options);
-      if (const std::optional<MapReply> hit = results_.find(*key)) {
-        session->qasm = ticket.request.qasm;
-        const double map_ms =
-            ms_between(started, std::chrono::steady_clock::now());
-        metrics_.count_completed();
-        retry_estimator_.observe_request_ms(map_ms);
-        return serve_result_json(id, *hit, queue_ms, map_ms, session_name);
-      }
-    }
-
-    MapJob job;
-    job.program = &program;
-    job.fabric = fabric.get();
-    job.options = ticket.request.options;
-    job.name = id;
-    job.cancel = token;
-    const MapResult result = engine_.finish(engine_.begin(job));
-    const MapReply reply = map_reply(result);
-    if (key.has_value()) {
-      results_.insert(*key, reply);
-      // Remember the circuit the session's next qasm_append edits.
-      session->qasm = ticket.request.qasm;
-    }
+    // Remember the circuit the session's next qasm_append edits.
+    if (session != nullptr) session->qasm = ticket.request.qasm;
     const double map_ms =
         ms_between(started, std::chrono::steady_clock::now());
     metrics_.count_completed();
-    metrics_.record_trial_cpu_ms(result.trial_cpu_ms);
-    metrics_.record_map_work(result.setup_ms, result.stats.nodes_settled);
     retry_estimator_.observe_request_ms(map_ms);
-    return serve_result_json(id, reply, queue_ms, map_ms, session_name);
+    return serve_result_json(id, *reply, queue_ms, map_ms,
+                             session != nullptr ? session->name : "");
   } catch (const CancelledError& e) {
     // Cancelled mid-mapping: the thread was still occupied for that long,
     // so the sample belongs in the drain-rate estimate.
@@ -517,10 +504,9 @@ void MappingServer::handle_map(Connection& conn, ServeRequest&& request) {
     // The session pins the fabric; per-request fabric is ignored inside it.
     request.fabric = session->fabric;
     // Session maps still run the negotiation diagnostic, although no reply
-    // field carries it. Without it session maps ran 3x faster in a trial,
-    // which nearly doubled mapbench serve_sessions' peak RSS, because the
-    // harness keeps every reply sample; dropping it waits until mapbench
-    // keeps per-pass summaries instead.
+    // field carries it. Without it mapbench serve_sessions ran 3.0-3.5x the
+    // maps/s at +26-28% peak RSS, because the harness keeps every reply
+    // sample; dropping it waits until mapbench keeps per-pass summaries.
     request.options.negotiation_report = true;
   }
   if (request.fabric.empty()) request.fabric = options_.default_fabric;
@@ -632,7 +618,7 @@ std::string MappingServer::stats_json(const std::string& id) {
                          : 0.0);
   json.field("artifact_evictions", cache.evictions);
   json.field("artifact_bytes", static_cast<long long>(cache.bytes));
-  // Program-level result cache (sessions): hit/eviction and
+  // Program-level result cache (every map): hit/eviction and
   // resident-byte counters, so an operator can see both halves of the
   // --cache-budget-mb budget working.
   const ResultCache::Stats results = results_.stats();

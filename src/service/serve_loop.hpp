@@ -75,9 +75,11 @@ struct ServeOptions {
   std::string default_fabric;
   MapperOptions default_options;
   /// Combined memory budget for the engine's fabric-artifact cache and the
-  /// server's result cache (split evenly; 0 = unlimited). Surfaced on the
-  /// qspr_serve CLI as --cache-budget-mb; evictions show up in `stats`.
-  std::size_t cache_budget_bytes = 0;
+  /// server's result cache (split evenly; 0 = unlimited). Every successful
+  /// map inserts a result entry, so the 64 MiB default keeps a long-lived
+  /// daemon bounded. Surfaced on the qspr_serve CLI as --cache-budget-mb;
+  /// evictions show up in `stats`.
+  std::size_t cache_budget_bytes = std::size_t{64} << 20;
   /// Test hook: when set, admitted maps block at the gate before mapping
   /// (see MapStartGate). Never set in production.
   std::shared_ptr<MapStartGate> map_start_gate;
@@ -140,7 +142,7 @@ class MappingServer {
   ServeOptions options_;
   CodecLimits codec_limits_;
   MappingEngine engine_;
-  /// Session maps' replies, keyed on (program, fabric, options). Only the
+  /// Every map's reply, keyed on (program, fabric, options). Only the
   /// mapper threads look up and insert; the poll thread reads its stats.
   ResultCache results_;
   FabricSource fabrics_;

@@ -4,7 +4,8 @@
 // is least-recently-used, and the entry the current operation
 // returns/inserts is never evicted (a budget smaller than one entry
 // degrades to a cache of one, not thrash-to-empty). Also the result cache's
-// program key, and that its entries are reply-sized.
+// eviction order over many evictions, its program key, and that its
+// entries are reply-sized.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -128,6 +129,30 @@ TEST(ResultCacheTest, BudgetEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_LE(stats.bytes, 2 * entry_bytes + entry_bytes / 2);
+}
+
+TEST(ResultCacheTest, EvictsTheUntouchedKeysOldestFirst) {
+  ResultCache cache;
+  cache.set_budget_bytes(64 * ResultCache::entry_bytes());
+  for (std::uint64_t i = 0; i < 64; ++i) cache.insert({i, 0, 0}, entry());
+  for (std::uint64_t i = 0; i < 64; i += 2) {
+    ASSERT_TRUE(cache.find({i, 0, 0}).has_value());
+  }
+  // The odd keys are now the least recently used, oldest first. Each insert
+  // past the budget evicts exactly the oldest of them; probing an evicted
+  // key misses and leaves the order alone.
+  for (std::uint64_t i = 64; i < 96; ++i) {
+    cache.insert({i, 0, 0}, entry());
+    EXPECT_EQ(cache.stats().evictions, static_cast<long long>(i - 63));
+    EXPECT_FALSE(cache.find({2 * (i - 64) + 1, 0, 0}).has_value()) << i;
+  }
+  for (std::uint64_t i = 0; i < 96; ++i) {
+    const bool kept = i >= 64 || i % 2 == 0;
+    EXPECT_EQ(cache.find({i, 0, 0}).has_value(), kept) << i;
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 32);
+  EXPECT_EQ(stats.entries, 64u);
 }
 
 TEST(ResultCacheTest, TinyBudgetDegradesToCacheOfOne) {

@@ -4,8 +4,7 @@
 // `--jobs 1` and `--jobs 4` must produce the same MapResult — latency,
 // full control trace, initial placement — for both the MVFB and the
 // Monte-Carlo flows. Also unit-tests the shared Executor the flows run on
-// (submit/wait, cross-job interleaving, per-job error capture) and its
-// blocking run() loop.
+// (submit/wait, cross-job interleaving, per-job error capture).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +25,7 @@ namespace qspr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Executor::run: the blocking one-loop shape
+// Executor: wait(submit(...)) as one blocking loop
 // ---------------------------------------------------------------------------
 
 TEST(ExecutorRun, RunsEveryIndexExactlyOnce) {
@@ -34,11 +33,11 @@ TEST(ExecutorRun, RunsEveryIndexExactlyOnce) {
   EXPECT_EQ(pool.worker_count(), 4);
   constexpr std::size_t kCount = 1000;
   std::vector<std::atomic<int>> hits(kCount);
-  pool.run(kCount, [&](std::size_t index, int worker) {
+  pool.wait(pool.submit(kCount, [&](std::size_t index, int worker) {
     ASSERT_GE(worker, 0);
     ASSERT_LT(worker, 4);
     hits[index].fetch_add(1, std::memory_order_relaxed);
-  });
+  }));
   for (std::size_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -47,10 +46,10 @@ TEST(ExecutorRun, RunsEveryIndexExactlyOnce) {
 TEST(ExecutorRun, SingleWorkerRunsInOrder) {
   Executor pool(1);
   std::vector<std::size_t> order;
-  pool.run(64, [&](std::size_t index, int worker) {
+  pool.wait(pool.submit(64, [&](std::size_t index, int worker) {
     EXPECT_EQ(worker, 0);
     order.push_back(index);
-  });
+  }));
   ASSERT_EQ(order.size(), 64u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
@@ -58,25 +57,25 @@ TEST(ExecutorRun, SingleWorkerRunsInOrder) {
 TEST(ExecutorRun, ReusableAcrossJobsAndEmptyJobsAreNoops) {
   Executor pool(3);
   std::atomic<int> total{0};
-  pool.run(0, [&](std::size_t, int) { total.fetch_add(1); });
+  pool.wait(pool.submit(0, [&](std::size_t, int) { total.fetch_add(1); }));
   EXPECT_EQ(total.load(), 0);
   for (int round = 0; round < 5; ++round) {
-    pool.run(10, [&](std::size_t, int) { total.fetch_add(1); });
+    pool.wait(pool.submit(10, [&](std::size_t, int) { total.fetch_add(1); }));
   }
   EXPECT_EQ(total.load(), 50);
 }
 
 TEST(ExecutorRun, PropagatesBodyExceptions) {
   Executor pool(4);
-  EXPECT_THROW(pool.run(
+  EXPECT_THROW(pool.wait(pool.submit(
                    100,
                    [&](std::size_t index, int) {
                      if (index == 42) throw std::runtime_error("trial failed");
-                   }),
+                   })),
                std::runtime_error);
   // The pool stays usable after a failed job.
   std::atomic<int> total{0};
-  pool.run(8, [&](std::size_t, int) { total.fetch_add(1); });
+  pool.wait(pool.submit(8, [&](std::size_t, int) { total.fetch_add(1); }));
   EXPECT_EQ(total.load(), 8);
 }
 

@@ -39,15 +39,15 @@ namespace qspr {
 namespace {
 
 std::string map_request(const std::string& id, int m, double deadline_ms = 0,
-                        const std::string& qasm = kTinyQasm) {
+                        int seed = 1) {
   JsonWriter json;
   json.begin_object();
   json.field("type", "map");
   json.field("id", id);
-  json.field("qasm", qasm);
+  json.field("qasm", kTinyQasm);
   json.field("placer", "mc");
   json.field("m", m);
-  json.field("seed", 1);
+  json.field("seed", seed);
   if (deadline_ms > 0) json.field("deadline_ms", deadline_ms);
   json.end_object();
   return json.str();
@@ -512,13 +512,15 @@ TEST(ServeFaultInjection, RetryAfterHintAdaptsToObservedCost) {
   ServeHarness harness(options);
   RawClient client(harness.port());
 
-  // Feed the estimator with genuinely slow completions.
+  // Feed the estimator with genuinely slow completions. Each slow map has
+  // its own seed: a repeat would be a result-cache hit, which costs nothing.
   for (int i = 0; i < 3; ++i) {
-    client.send_line(map_request("warm" + std::to_string(i), 300));
+    client.send_line(map_request("warm" + std::to_string(i), 300,
+                                 /*deadline_ms=*/0, /*seed=*/i + 1));
     EXPECT_TRUE(client.recv_json().bool_or("ok", false));
   }
   // Now overflow the queue and read the hint off the shed replies.
-  client.send_line(map_request("occupy", 300));
+  client.send_line(map_request("occupy", 300, /*deadline_ms=*/0, /*seed=*/4));
   client.send_line(map_request("queued", 4));
   int hint = -1;
   std::vector<JsonValue> replies;

@@ -6,9 +6,10 @@
 // serve_harness.hpp, shared with the fault-injection suite) and script
 // byte-level clients against the session wire protocol: name minting
 // (standalone "s<N>" vs sharded "s<shard>.<start>.<N>"), the
-// exact-resubmission result-cache fast path, that an edit maps exactly like
-// the concatenated circuit, one-map-per-session admission, the qasm_append
-// contract, and drain behaviour with sessions open.
+// exact-resubmission result-cache fast path that every map takes, stateless
+// or in a session, that an edit maps exactly like the concatenated circuit,
+// one-map-per-session admission, the qasm_append contract, and drain
+// behaviour with sessions open.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -45,6 +46,15 @@ MapperOptions session_map_options() {
   options.monte_carlo_trials = 4;
   options.rng_seed = 1;
   return options;
+}
+
+/// The `stats` object of a fresh stats reply.
+JsonValue fetch_stats(RawClient& client) {
+  client.send_line(R"({"type":"stats","id":"s"})");
+  const JsonValue reply = client.recv_json();
+  const JsonValue* stats = reply.find("stats");
+  EXPECT_NE(stats, nullptr);
+  return stats != nullptr ? *stats : JsonValue();
 }
 
 /// session_open and return the minted name.
@@ -185,6 +195,62 @@ TEST(ServeSession, CacheHitReplyEqualsTheMissReply) {
   EXPECT_EQ(parse_json(hit).string_or("id", ""), "m2");
   EXPECT_EQ(without_id_and_timings(hit), without_id_and_timings(miss));
   EXPECT_EQ(without_id_and_timings(miss).find("map_ms"), std::string::npos);
+  EXPECT_EQ(harness.drain_and_join(), 0);
+}
+
+TEST(ServeSession, IdenticalStatelessMapsAreOneMissThenOneHit) {
+  // A stateless map takes the same cache path as a session map: its exact
+  // repeat is answered with the first reply's bytes, apart from the id and
+  // the timings.
+  ServeHarness harness;
+  RawClient client(harness.port());
+
+  client.send_line(session_map("m1", "", kTinyQasm));
+  const std::string miss = client.recv_line();
+  client.send_line(session_map("m2", "", kTinyQasm));
+  const std::string hit = client.recv_line();
+  ASSERT_TRUE(parse_json(miss).bool_or("ok", false)) << miss;
+  ASSERT_TRUE(parse_json(hit).bool_or("ok", false)) << hit;
+  EXPECT_EQ(parse_json(hit).string_or("id", ""), "m2");
+  EXPECT_EQ(without_id_and_timings(hit), without_id_and_timings(miss));
+
+  const JsonValue stats = fetch_stats(client);
+  EXPECT_EQ(stats.number_or("result_misses", -1), 1);
+  EXPECT_EQ(stats.number_or("result_insertions", -1), 1);
+  EXPECT_EQ(stats.number_or("result_hits", -1), 1);
+  EXPECT_EQ(harness.drain_and_join(), 0);
+}
+
+TEST(ServeSession, SessionMapHitsTheEntryOfAStatelessMap) {
+  // The key leaves out the negotiation diagnostic that session maps force,
+  // so a session map of a circuit already mapped statelessly is a hit.
+  ServeHarness harness;
+  RawClient client(harness.port());
+
+  client.send_line(session_map("m1", "", kTinyQasm));
+  const JsonValue stateless = client.recv_json();
+  ASSERT_TRUE(stateless.bool_or("ok", false));
+  const std::string name = open_session(client, "o1");
+  client.send_line(session_map("m2", name, kTinyQasm));
+  const JsonValue in_session = client.recv_json();
+  ASSERT_TRUE(in_session.bool_or("ok", false));
+  EXPECT_EQ(in_session.string_or("session", ""), name);
+  EXPECT_EQ(in_session.string_or("result_fp", ""),
+            stateless.string_or("result_fp", "?"));
+
+  const JsonValue stats = fetch_stats(client);
+  EXPECT_EQ(stats.number_or("result_insertions", -1), 1);
+  EXPECT_EQ(stats.number_or("result_hits", -1), 1);
+  EXPECT_EQ(harness.drain_and_join(), 0);
+}
+
+TEST(ServeSession, DefaultCacheBudgetIs64MiB) {
+  // Every successful map inserts a result entry, so the default budget is
+  // finite: a long-lived daemon's caches stay bounded.
+  ServeHarness harness;
+  RawClient client(harness.port());
+  EXPECT_EQ(fetch_stats(client).number_or("cache_budget_bytes", -1),
+            64.0 * 1024 * 1024);
   EXPECT_EQ(harness.drain_and_join(), 0);
 }
 

@@ -77,7 +77,7 @@ std::string worker_binary() {
   return sibling_binary("qspr_serve");
 }
 
-std::string map_request(const std::string& id, int m) {
+std::string map_request(const std::string& id, int m, int seed = 1) {
   JsonWriter json;
   json.begin_object();
   json.field("type", "map");
@@ -85,7 +85,7 @@ std::string map_request(const std::string& id, int m) {
   json.field("qasm", kTinyQasm);
   json.field("placer", "mc");
   json.field("m", m);
-  json.field("seed", 1);
+  json.field("seed", seed);
   json.end_object();
   return json.str();
 }
@@ -341,8 +341,10 @@ TEST(ShardChaos, SeededKillScheduleLosesNoReplies) {
         const std::string id =
             "c" + std::to_string(c) + "_r" + std::to_string(r);
         // request() throws only when the retry budget is spent; any
-        // returned line is the exactly-one reply for this id.
-        const std::string line = client.request(map_request(id, 60));
+        // returned line is the exactly-one reply for this id. Each request
+        // has its own seed, so none is a worker's result-cache hit.
+        const std::string line = client.request(
+            map_request(id, 60, c * kRequestsPerClient + r + 1));
         const JsonValue reply = parse_json(line);
         ASSERT_EQ(reply.string_or("id", ""), id) << line;
         if (reply.bool_or("ok", false)) {
