@@ -1,5 +1,7 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <optional>
@@ -43,6 +45,32 @@ struct MappingEngine::PendingState {
 
   Executor* executor = nullptr;
   bool collected = false;
+
+  /// Who runs the negotiation diagnostic: the first of finish() and the
+  /// job's tail to set this. finish() sets it on entry, so a caller already
+  /// waiting diagnoses as a blocking map always has; a caller arriving after
+  /// the trials ended finds the tail's diagnostic done.
+  std::atomic<bool> diagnosis_claimed{false};
+  /// The tail's diagnostic, when the tail won the claim.
+  std::optional<NegotiationDiagnostics> tail_negotiation;
+  /// Stopwatch reading when the placement trials ended, merge included.
+  double trials_end_ms = 0.0;
+
+  /// The optional negotiation diagnostic of the mapped `trace`.
+  [[nodiscard]] std::optional<NegotiationDiagnostics> diagnose(
+      const Trace& trace) const {
+    if (!job.options.negotiation_report || trace.size() == 0) return {};
+    return diagnose_negotiation(*artifacts, exec.tech, trace, job.options);
+  }
+
+  /// The job's tail, run by the executor body that ended its trials: the
+  /// setup job of a flow without trials, or the trial body that merged the
+  /// winner. A throw from the diagnostic fails that executor job, so
+  /// finish() rethrows it.
+  void tail(const Trace& trace) {
+    trials_end_ms = stopwatch.elapsed_ms();
+    if (!diagnosis_claimed.exchange(true)) tail_negotiation = diagnose(trace);
+  }
 
   ~PendingState() {
     if (collected || executor == nullptr) return;
@@ -138,6 +166,7 @@ MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
     if (opts.kind == MapperKind::IdealBaseline) {
       result.latency = result.ideal_latency;
       result.setup_ms = setup_watch.elapsed_ms();
+      s->tail(result.trace);
       return;
     }
     const FabricArtifacts& artifacts = *s->artifacts;
@@ -150,7 +179,9 @@ MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
       result.setup_ms = setup_watch.elapsed_ms();
       // Trial submission is the job's last act, and nothing after it can
       // throw: when finish()'s setup wait rethrows, no trial handle exists.
-      s->trial_run = s->placer->submit(*s->executor);
+      s->trial_run = s->placer->submit(
+          *s->executor,
+          [s](const MvfbResult& best) { s->tail(best.best_trace); });
       return;
     }
     // Single-placement flows: QUALE / QPOS (center placement, §I) or a QSPR
@@ -172,6 +203,7 @@ MappingEngine::PendingMap MappingEngine::begin(const MapJob& job) {
     result.stats = execution.stats;
     result.timings = std::move(execution.timings);
     result.placement_runs = 1;
+    s->tail(result.trace);
   });
   PendingMap pending;
   pending.state_ = std::move(state);
@@ -183,6 +215,8 @@ MapResult MappingEngine::finish(PendingMap pending) {
   PendingState& state = *pending.state_;
   require(!state.collected, "finish() called twice on one job");
   state.collected = true;
+  const bool diagnose_here = !state.diagnosis_claimed.exchange(true);
+  const double entry_ms = state.stopwatch.elapsed_ms();
   // Setup first: it wrote ideal_latency/setup_ms (and a single-run flow's
   // whole mapping) into the result and submitted the trial loop collected
   // below. A setup failure (cancelled job, malformed program) rethrows here
@@ -206,15 +240,14 @@ MapResult MappingEngine::finish(PendingMap pending) {
     result.placement_runs = best.total_runs;
   }
 
-  // Stop the clock before the optional diagnostic: cpu_ms reports the
-  // mapping itself, and must not depend on whether a report was requested.
-  // Under a shared executor this is wall time from begin() to finish(), so
-  // it includes time spent interleaved with other jobs' trials.
-  result.cpu_ms = state.stopwatch.elapsed_ms();
-  if (state.job.options.negotiation_report && result.trace.size() > 0) {
-    result.negotiation = diagnose_negotiation(
-        *state.artifacts, state.exec.tech, result.trace, state.job.options);
-  }
+  // The clock stops at the later of finish() entry and the end of the
+  // trials, never after the optional diagnostic: cpu_ms reports the mapping
+  // itself, and must not depend on whether a report was requested. Under a
+  // shared executor this is wall time, so it includes time spent
+  // interleaved with other jobs' trials.
+  result.cpu_ms = std::max(entry_ms, state.trials_end_ms);
+  result.negotiation = diagnose_here ? state.diagnose(result.trace)
+                                     : std::move(state.tail_negotiation);
   return result;
 }
 

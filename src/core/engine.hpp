@@ -23,6 +23,14 @@
 // the placement trials. Trials always run through MvfbPlacer: MVFB seeds, or
 // Monte-Carlo trials as seeds of one forward run each.
 //
+// Every job has one rule for its tail. The executor body that ends the
+// trials (the setup job of a flow without trials, or the trial body that
+// merges the winner) runs the optional negotiation diagnostic, unless
+// finish() has already claimed it. finish() claims it on entry. So a caller
+// that is already waiting diagnoses after the trials, as a blocking map
+// always has, while a batch coordinator that reaches finish() late finds
+// the diagnostic done on a pool worker, in parallel with other jobs' trials.
+//
 // Two entry shapes:
 //   map(...)            — blocking; the classic map_program behaviour.
 //   begin(...)/finish() — the batch pipeline: begin() validates the options
@@ -31,8 +39,9 @@
 //                         blocking; finish() waits and assembles the
 //                         MapResult. Several begun jobs keep every worker
 //                         busy across job boundaries. Per-job failures stay
-//                         per-job: a throwing trial poisons only its own
-//                         finish(), never the engine or its neighbours.
+//                         per-job: a throwing trial or diagnostic poisons
+//                         only its own finish(), never the engine or its
+//                         neighbours.
 #pragma once
 
 #include <memory>
@@ -79,9 +88,10 @@ class MappingEngine {
   [[nodiscard]] Executor& executor();
   [[nodiscard]] FabricArtifactCache& artifacts();
 
-  /// A job staged by begin(): its setup job (and then its placement trials)
-  /// in flight on the shared executor. Destroying an unfinished PendingMap
-  /// drains both first (errors swallowed), so captures never dangle.
+  /// A job staged by begin(): its setup job (and then its placement trials
+  /// and tail) in flight on the shared executor. Destroying an unfinished
+  /// PendingMap drains both first (errors swallowed), so captures never
+  /// dangle.
   class PendingMap {
    public:
     PendingMap();
@@ -110,7 +120,9 @@ class MappingEngine {
   [[nodiscard]] PendingMap begin(const MapJob& job);
 
   /// Blocks until the staged job's trials finish and assembles the
-  /// MapResult. Rethrows the job's captured trial failure, if any.
+  /// MapResult. Runs the negotiation diagnostic itself unless the job's
+  /// tail ran it before finish() was entered. Rethrows the job's captured
+  /// trial or diagnostic failure, if any.
   MapResult finish(PendingMap pending);
 
   /// Blocking convenience: begin + finish.

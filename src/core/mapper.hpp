@@ -102,7 +102,10 @@ struct MapResult {
   std::vector<InstructionTiming> timings;
   /// Placement runs consumed (1 for single-placement flows).
   int placement_runs = 1;
-  /// Wall-clock mapping time.
+  /// Wall-clock mapping time, from MappingEngine::begin() to the later of
+  /// finish() entry and the end of the placement trials (the winner merge
+  /// included). It never includes the negotiation diagnostic, wherever that
+  /// runs.
   double cpu_ms = 0.0;
   /// Thread-CPU time spent inside placement trials, summed over workers
   /// (scheduler time, not wall clock: a descheduled worker accrues nothing).

@@ -1,6 +1,7 @@
 #include "core/mvfb.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -11,8 +12,8 @@
 namespace qspr {
 
 /// Everything one in-flight seed loop owns: the per-seed RNG streams (forked
-/// up front by index) and one TrialContext per worker. Heap-held via
-/// shared_ptr so the executor job body outlives AsyncRun moves.
+/// up front by index), one TrialContext per worker, and the merged result.
+/// Heap-held via shared_ptr so the executor job body outlives AsyncRun moves.
 struct MvfbPlacer::AsyncState {
   /// Thread-confined state of one worker. The placer's simulators are shared
   /// read-only by every worker; all a worker mutates lives here:
@@ -44,7 +45,50 @@ struct MvfbPlacer::AsyncState {
 
   std::vector<Rng> seed_rngs;
   std::vector<TrialContext> contexts;
+  /// Seeds whose bodies finished. A seed adds itself after its last write
+  /// to its context, so the body that completes the count sees every
+  /// context and merges; a failed or cancelled seed never adds itself.
+  std::atomic<std::size_t> finished{0};
+  MergeHook on_merged;
+  /// Written by the merging body; collect() reads it after the job ends.
+  MvfbResult result;
+
+  /// Deterministic cross-worker merge: run counts and CPU time are
+  /// order-independent sums; the winner is the global (latency, seed index)
+  /// minimum.
+  void merge();
 };
+
+void MvfbPlacer::AsyncState::merge() {
+  TrialContext* winner = nullptr;
+  for (TrialContext& candidate : contexts) {
+    result.total_runs += candidate.runs;
+    result.total_iterations += candidate.iterations;
+    result.trial_cpu_ms += candidate.cpu_ms;
+    if (winner == nullptr ||
+        winner->improved_by(candidate.best.best_latency,
+                            candidate.best_seed)) {
+      winner = &candidate;
+    }
+  }
+
+  require(winner != nullptr && winner->best.best_latency < kInfiniteDuration,
+          "MVFB produced no execution");
+  result.best_latency = winner->best.best_latency;
+  result.best_is_backward = winner->best.best_is_backward;
+  result.best_execution = std::move(winner->best.best_execution);
+  // Runs return their traces in issue order; only the winner's is sorted.
+  result.best_execution.trace.sort_by_time();
+  if (result.best_is_backward) {
+    // §IV.A: a winning backward computation is reported as its reverse — a
+    // forward execution starting from the backward run's *final* placement.
+    result.best_initial_placement = result.best_execution.final_placement;
+    result.best_trace = result.best_execution.trace.time_reversed();
+  } else {
+    result.best_initial_placement = result.best_execution.initial_placement;
+    result.best_trace = result.best_execution.trace;
+  }
+}
 
 MvfbPlacer::AsyncRun::AsyncRun() = default;
 MvfbPlacer::AsyncRun::AsyncRun(AsyncRun&&) noexcept = default;
@@ -124,8 +168,10 @@ MvfbPlacer::SeedOutcome MvfbPlacer::run_seed(
   return out;
 }
 
-MvfbPlacer::AsyncRun MvfbPlacer::submit(Executor& executor) {
+MvfbPlacer::AsyncRun MvfbPlacer::submit(Executor& executor,
+                                        MergeHook on_merged) {
   auto state = std::make_shared<AsyncState>();
+  state->on_merged = std::move(on_merged);
   // Fork one RNG per seed up front, in seed order: seed i's stream is a pure
   // function of (rng_seed, i), independent of the worker count and of how
   // the executor interleaves seeds (even with other jobs in flight).
@@ -152,47 +198,21 @@ MvfbPlacer::AsyncRun MvfbPlacer::submit(Executor& executor) {
           ctx.best_seed = seed;
         }
         ctx.cpu_ms += watch.elapsed_ms();
+        // The last seed to finish merges, after its CPU time is taken, so
+        // trial_cpu_ms sums seed evaluations only.
+        if (state->finished.fetch_add(1) + 1 == state->seed_rngs.size()) {
+          state->merge();
+          if (state->on_merged) state->on_merged(state->result);
+        }
       });
   return run;
 }
 
 MvfbResult MvfbPlacer::collect(Executor& executor, AsyncRun& run) {
   require(run.valid(), "collect() needs a submitted MVFB run");
+  // A wait that returns saw every seed finish, so the last one merged.
   executor.wait(run.job_);
-  AsyncState& state = *run.state_;
-
-  // Deterministic cross-worker merge: run counts are order-independent sums;
-  // the winner is the global (latency, seed index) minimum.
-  MvfbResult result;
-  AsyncState::TrialContext* winner = nullptr;
-  for (AsyncState::TrialContext& candidate : state.contexts) {
-    result.total_runs += candidate.runs;
-    result.total_iterations += candidate.iterations;
-    result.trial_cpu_ms += candidate.cpu_ms;
-    if (winner == nullptr ||
-        winner->improved_by(candidate.best.best_latency,
-                            candidate.best_seed)) {
-      winner = &candidate;
-    }
-  }
-
-  require(winner != nullptr && winner->best.best_latency < kInfiniteDuration,
-          "MVFB produced no execution");
-  result.best_latency = winner->best.best_latency;
-  result.best_is_backward = winner->best.best_is_backward;
-  result.best_execution = std::move(winner->best.best_execution);
-  // Runs return their traces in issue order; only the winner's is sorted.
-  result.best_execution.trace.sort_by_time();
-  if (result.best_is_backward) {
-    // §IV.A: a winning backward computation is reported as its reverse — a
-    // forward execution starting from the backward run's *final* placement.
-    result.best_initial_placement = result.best_execution.final_placement;
-    result.best_trace = result.best_execution.trace.time_reversed();
-  } else {
-    result.best_initial_placement = result.best_execution.initial_placement;
-    result.best_trace = result.best_execution.trace;
-  }
-  return result;
+  return std::move(run.state_->result);
 }
 
 MvfbResult MvfbPlacer::place_and_execute(Executor& executor) {

@@ -22,7 +22,9 @@
 // The seed loop runs on an Executor. place_and_execute() spawns a private
 // one (the original single-job shape); the Executor& overload and the
 // submit/collect pair run the seeds as one job on a *shared* executor, so a
-// batch service can interleave many placers' seeds on one worker set.
+// batch service can interleave many placers' seeds on one worker set. The
+// executor body that finishes the last seed merges the winner, so a run's
+// result is ready when its job ends, whether or not anyone is waiting.
 //
 // One "placement run" is a single forward or backward execution; one
 // "iteration" is a forward+backward pair. The paper's Table 1 budgets the
@@ -30,6 +32,7 @@
 // number of placement runs.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -118,11 +121,18 @@ class MvfbPlacer {
     Executor::Job job_;
   };
 
-  /// Submits the seed loop as one job on `executor` (non-blocking).
-  [[nodiscard]] AsyncRun submit(Executor& executor);
+  /// Called with the merged result, on the worker that merged it.
+  using MergeHook = std::function<void(const MvfbResult&)>;
 
-  /// Waits for the submitted seeds and merges the winner deterministically.
-  /// Rethrows the lowest-seed-index failure of this run, if any.
+  /// Submits the seed loop as one job on `executor` (non-blocking). The body
+  /// that finishes the last seed merges the winner and then calls
+  /// `on_merged`, if set, inside that body: the hook must not wait on
+  /// `executor`, and a throw from it fails the run. A run with a failed or
+  /// cancelled seed merges nothing and never calls the hook.
+  [[nodiscard]] AsyncRun submit(Executor& executor, MergeHook on_merged = {});
+
+  /// Waits for the submitted seeds and returns the winner the last seed
+  /// merged. Rethrows the lowest-seed-index failure of this run, if any.
   MvfbResult collect(Executor& executor, AsyncRun& run);
 
   /// Runs the full multi-start search on a shared executor (submit+collect).

@@ -98,7 +98,8 @@ std::uint64_t result_fingerprint(const MapResult& result) {
   mix_i64(result.placement_runs);
   mix_placement(result.initial_placement);
   mix_placement(result.final_placement);
-  hash.bytes(result.trace.to_string());
+  result.trace.write_text(
+      [&hash](std::string_view piece) { hash.bytes(piece); });
   return hash.value();
 }
 

@@ -121,10 +121,10 @@ struct CodecLimits {
                                                const MapperOptions& defaults);
 
 /// Process-stable FNV-1a fingerprint of a MapResult's contractual fields
-/// (latency, placements, trace), as 16 hex digits. Two results are
-/// bit-identical exactly when their fingerprints match, so a client can
-/// compare a served result against a local map_program run without shipping
-/// the trace.
+/// (latency, placements, and the trace as the bytes of Trace::to_string()),
+/// as 16 hex digits. Two results are bit-identical exactly when their
+/// fingerprints match, so a client can compare a served result against a
+/// local map_program run without shipping the trace.
 [[nodiscard]] std::string map_result_fingerprint(const MapResult& result);
 
 /// What a successful map reply says about its result: every result field

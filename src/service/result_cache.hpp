@@ -83,9 +83,13 @@ class ResultCache {
                                   const MapperOptions& options);
 
   /// Estimated resident bytes of one entry — the same for every circuit:
-  /// its (key, reply) pair and the index's iterator to it.
+  /// the list node (two links and the (key, reply) pair), the index node
+  /// (key, list iterator and its next link) and one bucket slot. Allocator
+  /// headers are not counted.
   [[nodiscard]] static constexpr std::size_t entry_bytes() {
-    return sizeof(Entry) + sizeof(Lru::iterator);
+    constexpr std::size_t kLink = sizeof(void*);
+    return (2 * kLink + sizeof(Entry)) +
+           (sizeof(Key) + sizeof(Lru::iterator) + kLink) + kLink;
   }
 
   /// nullopt on miss (counted). A hit becomes the most recently used entry.

@@ -77,8 +77,9 @@ struct ServeOptions {
   /// Combined memory budget for the engine's fabric-artifact cache and the
   /// server's result cache (split evenly; 0 = unlimited). Every successful
   /// map inserts a result entry, so the 64 MiB default keeps a long-lived
-  /// daemon bounded. Surfaced on the qspr_serve CLI as --cache-budget-mb;
-  /// evictions show up in `stats`.
+  /// daemon bounded: its result half holds 182 361 entries of
+  /// ResultCache::entry_bytes(). Surfaced on the qspr_serve CLI as
+  /// --cache-budget-mb; evictions show up in `stats`.
   std::size_t cache_budget_bytes = std::size_t{64} << 20;
   /// Test hook: when set, admitted maps block at the gate before mapping
   /// (see MapStartGate). Never set in production.

@@ -1,7 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace qspr {
 
@@ -59,26 +58,9 @@ Trace Trace::time_reversed() const {
 }
 
 std::string Trace::to_string() const {
-  std::ostringstream os;
-  for (const MicroOp& op : ops_) {
-    os << '[' << op.start << ',' << op.end << "] ";
-    switch (op.kind) {
-      case MicroOpKind::Move:
-        os << "move  q" << op.qubit.value() << ' ' << qspr::to_string(op.from)
-           << " -> " << qspr::to_string(op.to);
-        break;
-      case MicroOpKind::Turn:
-        os << "turn  q" << op.qubit.value() << " at "
-           << qspr::to_string(op.from);
-        break;
-      case MicroOpKind::Gate:
-        os << "gate  #" << op.instruction.value() << " at "
-           << qspr::to_string(op.from);
-        break;
-    }
-    os << '\n';
-  }
-  return os.str();
+  std::string text;
+  write_text([&text](std::string_view piece) { text += piece; });
+  return text;
 }
 
 }  // namespace qspr

@@ -8,7 +8,9 @@
 // reported solution is the reverse of that backward trace (§IV.A).
 #pragma once
 
+#include <charconv>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -57,8 +59,62 @@ class Trace {
   /// Human-readable rendering, one op per line (debugging / examples).
   [[nodiscard]] std::string to_string() const;
 
+  /// Passes the text of to_string() to `sink` as consecutive
+  /// std::string_view pieces, without building it. map_result_fingerprint
+  /// hashes these bytes, so every recorded result_fp pins the format.
+  template <typename Sink>
+  void write_text(Sink&& sink) const;
+
  private:
   std::vector<MicroOp> ops_;
 };
+
+template <typename Sink>
+void Trace::write_text(Sink&& sink) const {
+  const auto put = [&sink](std::string_view piece) { sink(piece); };
+  const auto number = [&put](long long value) {
+    char digits[24];
+    const char* const end =
+        std::to_chars(digits, digits + sizeof digits, value).ptr;
+    put(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+  };
+  const auto position = [&](Position p) {
+    put("(");
+    number(p.row);
+    put(",");
+    number(p.col);
+    put(")");
+  };
+  for (const MicroOp& op : ops_) {
+    put("[");
+    number(op.start);
+    put(",");
+    number(op.end);
+    put("] ");
+    switch (op.kind) {
+      case MicroOpKind::Move:
+        put("move  q");
+        number(op.qubit.value());
+        put(" ");
+        position(op.from);
+        put(" -> ");
+        position(op.to);
+        break;
+      case MicroOpKind::Turn:
+        put("turn  q");
+        number(op.qubit.value());
+        put(" at ");
+        position(op.from);
+        break;
+      case MicroOpKind::Gate:
+        put("gate  #");
+        number(op.instruction.value());
+        put(" at ");
+        position(op.from);
+        break;
+    }
+    put("\n");
+  }
+}
 
 }  // namespace qspr

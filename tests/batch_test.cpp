@@ -2,7 +2,8 @@
 //
 //   * batch output is bit-identical to a sequential map_program loop over
 //     the same manifest, at any engine worker count (the per-job
-//     determinism of PR 2 composed across jobs);
+//     determinism contract composed across jobs), negotiation diagnostic
+//     included, wherever the diagnostic runs;
 //   * per-fabric artifacts are built once per *distinct* fabric layout and
 //     cache-hit paths produce results identical to cold builds;
 //   * a malformed or infeasible job fails only its own record — never the
@@ -130,6 +131,82 @@ TEST_P(BatchDeterminism, MvfbBatchMatchesSequentialLoop) {
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, BatchDeterminism,
                          ::testing::Values(1, 4));
+
+void expect_same_negotiation(const MapResult& expected,
+                             const MapResult& actual,
+                             const std::string& label) {
+  ASSERT_TRUE(expected.negotiation.has_value()) << label;
+  ASSERT_TRUE(actual.negotiation.has_value()) << label;
+  const NegotiationDiagnostics& e = *expected.negotiation;
+  const NegotiationDiagnostics& a = *actual.negotiation;
+  EXPECT_EQ(e.nets, a.nets) << label;
+  EXPECT_EQ(e.iterations_used, a.iterations_used) << label;
+  EXPECT_EQ(e.converged, a.converged) << label;
+  EXPECT_EQ(e.overused_resources, a.overused_resources) << label;
+  EXPECT_EQ(e.max_overuse, a.max_overuse) << label;
+  EXPECT_EQ(e.total_excess, a.total_excess) << label;
+  EXPECT_EQ(e.min_feasible_excess, a.min_feasible_excess) << label;
+  EXPECT_EQ(e.searches_performed, a.searches_performed) << label;
+  EXPECT_EQ(e.total_delay, a.total_delay) << label;
+  EXPECT_EQ(e.heuristic_weight, a.heuristic_weight) << label;
+  EXPECT_EQ(e.nodes_settled, a.nodes_settled) << label;
+}
+
+TEST(MappingEngine, LateFinishesTakeTheDiagnosticTheirTailsRan) {
+  // Sixteen jobs staged before any is finished, then finished newest
+  // first: most jobs' trials end before finish() is entered, so the body
+  // that ends them runs the diagnostic; the rest claim it in finish().
+  // Either way every result equals a one-worker blocking map's, diagnostic
+  // counters included.
+  std::vector<Program> corpus = mixed_corpus();
+  corpus.push_back(make_encoder(QeccCode::Q9_1_3));
+  const Fabric fabric = make_quale_fabric({4, 4, 4});
+  struct Flow {
+    const char* name;
+    MapperKind kind;
+    PlacerKind placer;
+  };
+  const Flow flows[] = {{"qspr/mc", MapperKind::Qspr, PlacerKind::MonteCarlo},
+                        {"qspr/mvfb", MapperKind::Qspr, PlacerKind::Mvfb},
+                        {"qspr/center", MapperKind::Qspr, PlacerKind::Center},
+                        {"quale", MapperKind::Quale, PlacerKind::Mvfb}};
+  std::vector<MapJob> jobs;
+  std::vector<std::string> labels;
+  for (const Flow& flow : flows) {
+    for (const Program& program : corpus) {
+      MapJob job;
+      job.program = &program;
+      job.fabric = &fabric;
+      job.options.kind = flow.kind;
+      job.options.placer = flow.placer;
+      job.options.mvfb_seeds = 4;
+      job.options.monte_carlo_trials = 8;
+      job.options.rng_seed = 11;
+      job.options.negotiation_report = true;
+      jobs.push_back(job);
+      labels.push_back(program.name() + " " + flow.name);
+    }
+  }
+  ASSERT_EQ(jobs.size(), 16u);
+
+  MappingEngine engine(4);
+  std::vector<MappingEngine::PendingMap> pending;
+  pending.reserve(jobs.size());
+  for (const MapJob& job : jobs) pending.push_back(engine.begin(job));
+  std::vector<MapResult> results(jobs.size());
+  for (std::size_t i = jobs.size(); i-- > 0;) {
+    results[i] = engine.finish(std::move(pending[i]));
+  }
+
+  MappingEngine serial(1);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const MapResult expected =
+        serial.map(*jobs[i].program, fabric, jobs[i].options);
+    expect_same_mapping(expected, results[i], labels[i]);
+    EXPECT_EQ(expected.ideal_latency, results[i].ideal_latency) << labels[i];
+    expect_same_negotiation(expected, results[i], labels[i]);
+  }
+}
 
 // Records stream in manifest order regardless of scheduling.
 TEST(BatchMapper, StreamsRecordsInManifestOrder) {

@@ -2,7 +2,8 @@
 // engine's staged jobs — the contracts qspr_serve's drain path leans on:
 //
 //   * an abandoned staged job (PendingMap destroyed without finish) drains
-//     its submitted trials before the engine goes away, so trial-body
+//     its submitted trials, and the negotiation diagnostic its tail runs
+//     when nobody claimed it, before the engine goes away, so job-body
 //     captures never dangle;
 //   * many threads may each wait their own jobs while the executor shuts
 //     down right behind them;
@@ -92,6 +93,29 @@ TEST_P(EngineTrialFlow, AbandonedPendingMapDrainsItsQueuedTrials) {
   // The engine is still fully serviceable afterwards.
   const MapResult result = engine.map(program, fabric, job.options);
   EXPECT_GT(result.latency, 0);
+}
+
+TEST_P(EngineTrialFlow, AbandonedPendingMapDrainsItsTailDiagnostic) {
+  // No finish() claims the diagnostic of an abandoned job, so the body that
+  // ends its trials runs it and writes into the pending state. Destroying
+  // the handle must wait that tail out. On one worker the destructor's own
+  // wait runs the tail; on two, the tail may run on the pool thread while
+  // the destructor waits.
+  const Program program = make_encoder(QeccCode::Q7_1_3);
+  const Fabric fabric = make_quale_fabric({4, 4, 4});
+  MapperOptions options = flow_options(GetParam(), 6);
+  options.negotiation_report = true;
+  MapJob job;
+  job.program = &program;
+  job.fabric = &fabric;
+  job.options = options;
+  for (const int workers : {1, 2}) {
+    MappingEngine engine(workers);
+    { MappingEngine::PendingMap abandoned = engine.begin(job); }
+    const MapResult result = engine.map(program, fabric, options);
+    ASSERT_TRUE(result.negotiation.has_value()) << workers << " workers";
+    EXPECT_GT(result.negotiation->nets, 0) << workers << " workers";
+  }
 }
 
 TEST(ExecutorShutdown, WaitersRacingDestructionEachGetTheirJob) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/dependency_graph.hpp"
+#include "common/cancel.hpp"
 #include "core/monte_carlo.hpp"
 #include "core/mvfb.hpp"
 #include "core/placer.hpp"
@@ -145,6 +146,64 @@ TEST_F(MvfbTest, BackwardWinnersReportReversedTraces) {
     EXPECT_EQ(result.best_initial_placement,
               result.best_execution.initial_placement);
   }
+}
+
+TEST_F(MvfbTest, MergeHookRunsOnceWithTheResultCollectReturns) {
+  // The body that finishes the last seed merges and calls the hook, so the
+  // hook has run when the job ends, before anyone collects. Covered: an
+  // MVFB run whose winner is a backward run (reversed in the merge) and a
+  // Monte-Carlo run (one forward run per seed).
+  MvfbOptions mvfb;
+  mvfb.seeds = 8;
+  mvfb.rng_seed = 4;
+  MvfbOptions monte_carlo;
+  monte_carlo.seeds = 10;
+  monte_carlo.max_runs_per_seed = 1;
+  for (const MvfbOptions& options : {mvfb, monte_carlo}) {
+    const bool backward_winner = options.max_runs_per_seed > 1;
+    SCOPED_TRACE(backward_winner ? "mvfb" : "monte carlo");
+    MvfbPlacer placer(graph_, fabric_, routing_, rank_, exec_, options);
+    Executor executor(3);
+    int calls = 0;
+    MvfbResult merged;
+    MvfbPlacer::AsyncRun run =
+        placer.submit(executor, [&](const MvfbResult& result) {
+          ++calls;
+          merged = result;
+        });
+    executor.wait(run.job());
+    EXPECT_EQ(calls, 1);
+
+    const MvfbResult collected = placer.collect(executor, run);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(collected.best_is_backward, backward_winner);
+    EXPECT_EQ(merged.best_latency, collected.best_latency);
+    EXPECT_EQ(merged.best_is_backward, collected.best_is_backward);
+    EXPECT_EQ(merged.best_initial_placement, collected.best_initial_placement);
+    EXPECT_EQ(merged.best_trace.to_string(), collected.best_trace.to_string());
+    EXPECT_EQ(merged.best_execution.final_placement,
+              collected.best_execution.final_placement);
+    EXPECT_EQ(merged.total_runs, collected.total_runs);
+    EXPECT_EQ(merged.total_iterations, collected.total_iterations);
+    EXPECT_EQ(merged.trial_cpu_ms, collected.trial_cpu_ms);
+  }
+}
+
+TEST_F(MvfbTest, CancelledRunNeverCallsTheMergeHook) {
+  // A cancelled seed never counts as finished, so nothing merges and
+  // collect() rethrows the cancellation.
+  CancelSource source;
+  source.request_cancel();
+  MvfbOptions options;
+  options.seeds = 4;
+  options.cancel = source.token();
+  MvfbPlacer placer(graph_, fabric_, routing_, rank_, exec_, options);
+  Executor executor(2);
+  int calls = 0;
+  MvfbPlacer::AsyncRun run =
+      placer.submit(executor, [&calls](const MvfbResult&) { ++calls; });
+  EXPECT_THROW(placer.collect(executor, run), CancelledError);
+  EXPECT_EQ(calls, 0);
 }
 
 TEST_F(MvfbTest, MonteCarloBaselineWorks) {

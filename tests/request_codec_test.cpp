@@ -6,10 +6,15 @@
 // 2^53 silently rounded by the double-typed JSON reader).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
+#include "fabric/quale_fabric.hpp"
+#include "qecc/codes.hpp"
 #include "service/request_codec.hpp"
 #include "service/result_cache.hpp"
 
@@ -170,6 +175,64 @@ TEST_F(ParseRequestTest, SessionFramesParse) {
       parse(R"({"type":"session_close","id":"c1","session":"s1"})");
   EXPECT_EQ(close.kind, RequestKind::SessionClose);
   EXPECT_EQ(close.session, "s1");
+}
+
+/// The fingerprint as first defined: FNV-1a over the contractual integers,
+/// then over the bytes of the rendered Trace::to_string().
+std::string fingerprint_of_rendered_trace(const MapResult& result) {
+  Fnv1a hash;
+  const auto mix = [&hash](long long v) {
+    hash.u64(static_cast<std::uint64_t>(v));
+  };
+  const auto mix_placement = [&mix](const Placement& placement) {
+    mix(static_cast<long long>(placement.qubit_count()));
+    for (std::size_t q = 0; q < placement.qubit_count(); ++q) {
+      mix(placement.trap_of(QubitId::from_index(q)).value());
+    }
+  };
+  mix(result.latency);
+  mix(result.ideal_latency);
+  mix(result.placement_runs);
+  mix_placement(result.initial_placement);
+  mix_placement(result.final_placement);
+  hash.bytes(result.trace.to_string());
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash.value()));
+  return hex;
+}
+
+TEST(ResultFingerprintTest, StreamedTraceHashesTheBytesOfItsText) {
+  // The baseline mapper models no movement: an empty trace.
+  MapperOptions baseline;
+  baseline.kind = MapperKind::IdealBaseline;
+  const MapResult empty = map_program(make_encoder(QeccCode::Q5_1_3),
+                                      make_paper_fabric(), baseline);
+  ASSERT_EQ(empty.trace.size(), 0u);
+  EXPECT_EQ(map_result_fingerprint(empty),
+            fingerprint_of_rendered_trace(empty));
+
+  // One op of each kind, with multi-digit fields.
+  MapResult built;
+  built.latency = 1234;
+  built.ideal_latency = 56;
+  built.placement_runs = 3;
+  built.initial_placement = Placement(2);
+  built.initial_placement.set(QubitId(0), TrapId(17));
+  built.initial_placement.set(QubitId(1), TrapId(4));
+  built.final_placement = built.initial_placement;
+  built.trace.add({MicroOpKind::Move, InstructionId(7), QubitId(12),
+                   {10, 3}, {10, 140}, 0, 11});
+  built.trace.add({MicroOpKind::Turn, InstructionId(7), QubitId(12),
+                   {10, 140}, {10, 140}, 11, 21});
+  built.trace.add({MicroOpKind::Gate, InstructionId(305), QubitId(),
+                   {9, 140}, {9, 140}, 21, 1031});
+  ASSERT_EQ(built.trace.to_string(),
+            "[0,11] move  q12 (10,3) -> (10,140)\n"
+            "[11,21] turn  q12 at (10,140)\n"
+            "[21,1031] gate  #305 at (9,140)\n");
+  EXPECT_EQ(map_result_fingerprint(built),
+            fingerprint_of_rendered_trace(built));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Allocation regression test for the simulator's reusable workspace: once an
-// EventSimulator::Workspace is warm, a placement run allocates only the
-// buffers of the ExecutionResult it returns (trace, timings and the two
-// placements, plus Placement::validate's count table). The suite replaces
+// Allocation regression tests. Once an EventSimulator::Workspace is warm, a
+// placement run allocates only the buffers of the ExecutionResult it returns
+// (trace, timings and the two placements, plus Placement::validate's count
+// table). And the result cache's per-entry estimate, behind its byte budget
+// and `stats`, matches what an insert really allocates. The suite replaces
 // the global operator new with a counting version, so it lives in its own
-// binary and affects no other suite. It asserts a count, never a time.
+// binary and affects no other suite. It asserts counts, never a time.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -16,16 +18,27 @@
 #include "fabric/quale_fabric.hpp"
 #include "qecc/codes.hpp"
 #include "route/routing_graph.hpp"
+#include "service/result_cache.hpp"
 #include "sim/event_sim.hpp"
 
 namespace {
 
 std::atomic<long long> g_allocations{0};
+std::atomic<long long> g_allocated_bytes{0};
+
+/// Out of line, so that operator new stays small enough for GCC to inline
+/// and to see that malloc pairs with the free of operator delete; otherwise
+/// -Wmismatched-new-delete warns at every inlined delete.
+[[gnu::noinline]] void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<long long>(size),
+                              std::memory_order_relaxed);
+}
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
   throw std::bad_alloc();
 }
@@ -61,6 +74,23 @@ TEST(WorkspaceAllocation, WarmRunAllocatesOnlyItsResult) {
   EXPECT_EQ(warm.latency, cold.latency);
   EXPECT_EQ(warm.trace.ops().size(), cold.trace.ops().size());
   EXPECT_GT(warm.stats.moves, 0);
+}
+
+TEST(ResultCacheAllocation, EntryEstimateMatchesBytesAllocatedPerInsert) {
+  // Every byte an insert asks operator new for: the list node, the index
+  // node and the bucket array's growth, amortised over many inserts.
+  constexpr int kInserts = 10'000;
+  ResultCache cache;
+  const MapReply reply;
+  const long long start = g_allocated_bytes.load();
+  for (int i = 0; i < kInserts; ++i) {
+    cache.insert({static_cast<std::uint64_t>(i), 0, 0}, reply);
+  }
+  const double per_insert =
+      static_cast<double>(g_allocated_bytes.load() - start) / kInserts;
+  ASSERT_EQ(cache.size(), static_cast<std::size_t>(kInserts));
+  const double estimate = static_cast<double>(ResultCache::entry_bytes());
+  EXPECT_NEAR(per_insert, estimate, 0.1 * estimate);
 }
 
 }  // namespace
