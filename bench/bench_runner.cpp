@@ -5,8 +5,8 @@
 //
 //   bench_runner [--smoke] [--output PATH] [--baseline PATH]
 //
-//   frontier_queue      Router Dijkstra under the binary and bucket
-//                       frontiers over one mixed query set (gated);
+//   frontier_queue      Router Dijkstra (bucket-queue frontier) over one
+//                       mixed query set (gated);
 //   pathfinder_runs     the optimized negotiation stack against the
 //                       baseline configuration at 8, 16 and 32 nets
 //                       (--smoke: 8 and 32) (gated);
@@ -290,12 +290,9 @@ int main(int argc, char** argv) {
   std::vector<PathFinderSample> gated_samples;
 
   // ------------------------------------------------------ frontier-queue ---
-  // The integer-cost Router Dijkstra under each frontier kind (binary heap /
-  // monotone bucket queue, forced through the test hook) over a mixed
-  // long-haul + local workload. The kinds pop the identical (f, g, node)
-  // order, so path delays must agree exactly (asserted below); the rows
-  // measure the pure constant-factor difference, and both feed the --smoke
-  // perf gate.
+  // The integer-cost Router Dijkstra (its arena's frontier is the monotone
+  // bucket queue) over a mixed long-haul + local workload; the row feeds
+  // the --smoke perf gate.
   {
     const Fabric fabric = make_paper_fabric();
     const RoutingGraph graph(fabric);
@@ -318,65 +315,47 @@ int main(int argc, char** argv) {
     const int reps = smoke ? 20 : 2000;
 
     json.key("frontier_queue").begin_array();
-    Duration reference_delay = -1;
-    for (const FrontierKind kind :
-         {FrontierKind::Binary, FrontierKind::Bucket}) {
-      force_frontier_kind(kind);
-      SearchArena<Duration> arena;
-      Duration delay_sum = 0;
-      const std::uint64_t settles_before = arena.settle_count();
-      const double ns_per_rep = qspr_bench::time_ns_per_rep(reps, [&] {
-        delay_sum = 0;
-        for (const Query& q : queries) {
-          const auto path =
-              router.route_trap_to_trap(q.from, q.to, congestion, arena);
-          delay_sum += path.has_value() ? path->total_delay() : -1;
-        }
-      });
-      clear_frontier_kind_override();
-      const auto settles = static_cast<long long>(
-          arena.settle_count() - settles_before);
-      const double ns_per_query =
-          ns_per_rep / static_cast<double>(queries.size());
-      const double settles_per_sec =
-          ns_per_rep > 0.0
-              ? static_cast<double>(settles) / static_cast<double>(reps) /
-                    (ns_per_rep * 1e-9)
-              : 0.0;
-      if (reference_delay < 0) {
-        reference_delay = delay_sum;
-      } else if (delay_sum != reference_delay) {
-        // The equivalence contract broke: the frontier is no longer a pure
-        // constant-factor knob. Numbers recorded against it are garbage.
-        std::cerr << "frontier_queue: " << to_string(kind)
-                  << " path delays diverged from binary (" << delay_sum
-                  << " vs " << reference_delay << ")\n";
-        return 1;
+    SearchArena<Duration> arena;
+    Duration delay_sum = 0;
+    const double ns_per_rep = qspr_bench::time_ns_per_rep(reps, [&] {
+      delay_sum = 0;
+      for (const Query& q : queries) {
+        const auto path =
+            router.route_trap_to_trap(q.from, q.to, congestion, arena);
+        delay_sum += path.has_value() ? path->total_delay() : -1;
       }
-      std::cout << "frontier_queue/" << to_string(kind) << ": "
-                << format_fixed(ns_per_query, 0) << " ns/query, "
-                << format_fixed(settles_per_sec / 1e6, 2) << " M settles/s\n";
-      json.begin_object()
-          .field("name", "router_dijkstra")
-          .field("engine", std::string(to_string(kind)))
-          .field("config", "paper_45x85_mixed")
-          .field("repetitions", reps)
-          .field("queries_per_rep", static_cast<long long>(queries.size()))
-          .field("ns_per_query", ns_per_query)
-          .field("nodes_settled", settles)
-          .field("settles_per_sec", settles_per_sec)
-          .field("path_delay_us", static_cast<long long>(delay_sum))
-          .end_object();
-      PathFinderSample gate_row;
-      gate_row.name = "router_dijkstra";
-      gate_row.engine = to_string(kind);
-      gate_row.config = "paper_45x85_mixed";
-      gate_row.repetitions = reps;
-      gate_row.ns_per_query = ns_per_query;
-      gate_row.nodes_settled = settles;
-      gated_samples.push_back(std::move(gate_row));
-    }
+    });
+    const auto settles = static_cast<long long>(arena.settle_count());
+    const double ns_per_query =
+        ns_per_rep / static_cast<double>(queries.size());
+    const double settles_per_sec =
+        ns_per_rep > 0.0
+            ? static_cast<double>(settles) / static_cast<double>(reps) /
+                  (ns_per_rep * 1e-9)
+            : 0.0;
+    std::cout << "frontier_queue/bucket: " << format_fixed(ns_per_query, 0)
+              << " ns/query, " << format_fixed(settles_per_sec / 1e6, 2)
+              << " M settles/s\n";
+    json.begin_object()
+        .field("name", "router_dijkstra")
+        .field("engine", "bucket")
+        .field("config", "paper_45x85_mixed")
+        .field("repetitions", reps)
+        .field("queries_per_rep", static_cast<long long>(queries.size()))
+        .field("ns_per_query", ns_per_query)
+        .field("nodes_settled", settles)
+        .field("settles_per_sec", settles_per_sec)
+        .field("path_delay_us", static_cast<long long>(delay_sum))
+        .end_object();
     json.end_array();
+    PathFinderSample gate_row;
+    gate_row.name = "router_dijkstra";
+    gate_row.engine = "bucket";
+    gate_row.config = "paper_45x85_mixed";
+    gate_row.repetitions = reps;
+    gate_row.ns_per_query = ns_per_query;
+    gate_row.nodes_settled = settles;
+    gated_samples.push_back(std::move(gate_row));
   }
 
   // --------------------------------------------------------- pathfinder ---

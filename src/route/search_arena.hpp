@@ -10,13 +10,14 @@
 //
 // Layout: per-node state is a single struct-of-records array (dist, parent,
 // and one interleaved stamp+settled word), so touching / relaxing / settling
-// a node costs one cache line instead of four. The frontier is chosen by cost
-// type (FrontierKind): a monotone bucket queue for integer Duration costs and
-// a std::push_heap binary heap for double congestion costs. Both pop the
-// exact same (f, g, node) total order — entries are pairwise distinct because
-// pushes happen only on strict dist improvement — so searches are
-// bit-identical across kinds (asserted by tests/frontier_queue_test.cpp and
-// the fuzz differential, which force each kind through one test-only hook).
+// a node costs one cache line instead of four. The frontier follows the cost
+// type at compile time: a monotone bucket queue for integer costs (the
+// Router's Duration searches) and a std::push_heap binary heap for
+// floating-point costs (the PathFinder's congestion searches). Both pop the
+// exact strict (f, g, node) order — entries are pairwise distinct because
+// pushes happen only on strict dist improvement — which
+// tests/frontier_queue_test.cpp checks by replaying one script into a
+// SearchArena<Duration> and a SearchArena<double>.
 //
 // An arena holds one frontier, so each search over it runs in one direction,
 // source to target. The arena is shared by the incremental Router (integer
@@ -26,7 +27,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -38,52 +38,6 @@
 #include "common/time.hpp"
 
 namespace qspr {
-
-/// Which priority structure backs a SearchArena's frontier.
-///   Binary — std::push_heap/pop_heap binary heap; the default for
-///            floating-point costs.
-///   Bucket — monotone bucket queue keyed by integer f; the default for
-///            integer costs, legal only under a consistent heuristic
-///            (popped keys never decrease). Bucket on a floating-point
-///            arena resolves to Binary.
-enum class FrontierKind : std::uint8_t { Binary, Bucket };
-
-[[nodiscard]] constexpr const char* to_string(FrontierKind kind) {
-  switch (kind) {
-    case FrontierKind::Binary: return "binary";
-    case FrontierKind::Bucket: return "bucket";
-  }
-  return "?";
-}
-
-namespace detail {
-/// Process-global frontier override (-1 = none), set by force_frontier_kind.
-inline std::atomic<int>& frontier_override() {
-  static std::atomic<int> value{-1};
-  return value;
-}
-}  // namespace detail
-
-/// Test hook: forces every arena — including the ones inside simulator
-/// workspaces — onto one frontier kind from its next begin().
-inline void force_frontier_kind(FrontierKind kind) {
-  detail::frontier_override().store(static_cast<int>(kind),
-                                    std::memory_order_relaxed);
-}
-inline void clear_frontier_kind_override() {
-  detail::frontier_override().store(-1, std::memory_order_relaxed);
-}
-
-/// The frontier an arena of the given cost class uses: the forced kind if
-/// any, else Bucket for integers and Binary for doubles. Bucket on a
-/// floating-point arena resolves to Binary — bucket indexing requires
-/// integer keys.
-[[nodiscard]] inline FrontierKind default_frontier_kind(bool integer_cost) {
-  const int forced =
-      detail::frontier_override().load(std::memory_order_relaxed);
-  if (forced >= 0 && integer_cost) return static_cast<FrontierKind>(forced);
-  return integer_cost ? FrontierKind::Bucket : FrontierKind::Binary;
-}
 
 template <typename Cost>
 class SearchArena {
@@ -119,12 +73,8 @@ class SearchArena {
       wipe_stamps();
       generation_ = 1;
     }
-    kind_ = default_frontier_kind(!std::is_floating_point_v<Cost>);
-    frontier_.clear_all();
+    frontier_.clear();
   }
-
-  /// The frontier kind resolved at the last begin().
-  [[nodiscard]] FrontierKind frontier() const { return kind_; }
 
   /// Unique nodes settled over this arena's lifetime (monotone; sample a
   /// before/after delta to attribute settles to one simulation or query).
@@ -163,15 +113,15 @@ class SearchArena {
     s.parent = from;
   }
 
-  [[nodiscard]] bool heap_empty() const { return frontier_.empty(kind_); }
+  [[nodiscard]] bool heap_empty() const { return frontier_.empty(); }
   void heap_push(Cost f, Cost g, RouteNodeId node) {
-    frontier_.push(kind_, HeapEntry{f, g, node});
+    frontier_.push(HeapEntry{f, g, node});
   }
-  HeapEntry heap_pop() { return frontier_.pop(kind_); }
+  HeapEntry heap_pop() { return frontier_.pop(); }
   /// Cheap guess at a node the frontier will pop soon (invalid when empty);
   /// prefetch hint only — no ordering guarantee for the bucket queue.
   [[nodiscard]] RouteNodeId heap_peek_node() const {
-    return frontier_.peek_node(kind_);
+    return frontier_.peek_node();
   }
 
   /// Test hook: jump the generation counter (e.g. to just below the wrap
@@ -208,25 +158,42 @@ class SearchArena {
     for (NodeState& s : state_) s.tag = 0;
   }
 
-  /// One frontier: heap storage for Binary, bucket array for Bucket. Both
-  /// pop the strict (f, g, node) minimum; entries are pairwise distinct
-  /// (pushes only on strict improvement), so the pop sequence — and
-  /// therefore the search — is identical across kinds.
-  struct Frontier {
+  /// Binary heap: the frontier of floating-point costs (no bucket keys).
+  struct BinaryHeap {
     std::vector<HeapEntry> heap_;
-    // Monotone bucket queue, indexed by the (small, bounded) integer f.
-    // Only buckets in [cursor_, high_] can be non-empty: pops drain the
-    // cursor bucket before advancing, and pushes never land below the
-    // cursor — which bounds both pop scans and clears. Until the first pop
-    // the cursor is the smallest key pushed so far (clear_all parks it past
-    // every bucket), so the first pop starts its scan there instead of at
-    // key 0. After a pop the cursor is the popped key, and the monotone
-    // discipline (asserted) keeps every later push at or above it. Each
-    // bucket is itself a tiny (g, node) min-heap: unit-cost grids pile many
-    // ties into one f, and a linear min-scan per pop would go quadratic in
-    // that pile (measurably slower than the binary heap); the per-bucket
-    // heap keeps pops at O(log bucket) while preserving the exact
-    // (f, g, node) order — every entry in a bucket shares f.
+
+    void clear() { heap_.clear(); }
+    [[nodiscard]] bool empty() const { return heap_.empty(); }
+    void push(HeapEntry entry) {
+      heap_.push_back(entry);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    }
+    HeapEntry pop() {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const HeapEntry top = heap_.back();
+      heap_.pop_back();
+      return top;
+    }
+    [[nodiscard]] RouteNodeId peek_node() const {
+      return heap_.empty() ? RouteNodeId::invalid() : heap_.front().node;
+    }
+  };
+
+  /// Monotone bucket queue, indexed by the (small, bounded) integer f: the
+  /// frontier of integer costs, legal because their heuristic is consistent
+  /// (popped keys never decrease). Only buckets in [cursor_, high_] can be
+  /// non-empty: pops drain the cursor bucket before advancing, and pushes
+  /// never land below the cursor — which bounds both pop scans and clears.
+  /// Until the first pop the cursor is the smallest key pushed so far
+  /// (clear parks it past every bucket), so the first pop starts its scan
+  /// there instead of at key 0. After a pop the cursor is the popped key,
+  /// and the monotone discipline (asserted) keeps every later push at or
+  /// above it. Each bucket is itself a tiny (g, node) min-heap: unit-cost
+  /// grids pile many ties into one f, and a linear min-scan per pop would go
+  /// quadratic in that pile (measurably slower than the binary heap); the
+  /// per-bucket heap keeps pops at O(log bucket) while preserving the exact
+  /// (f, g, node) order — every entry in a bucket shares f.
+  struct BucketQueue {
     static constexpr std::size_t kNoCursor =
         std::numeric_limits<std::size_t>::max();
     std::vector<std::vector<HeapEntry>> buckets_;
@@ -235,8 +202,7 @@ class SearchArena {
     std::size_t live_ = 0;
     bool popped_ = false;
 
-    void clear_all() {
-      heap_.clear();
+    void clear() {
       if (live_ > 0) {
         for (std::size_t i = cursor_; i <= high_ && live_ > 0; ++i) {
           live_ -= buckets_[i].size();
@@ -249,92 +215,56 @@ class SearchArena {
       popped_ = false;
     }
 
-    [[nodiscard]] bool empty(FrontierKind kind) const {
-      return kind == FrontierKind::Bucket ? live_ == 0 : heap_.empty();
+    [[nodiscard]] bool empty() const { return live_ == 0; }
+
+    void push(HeapEntry entry) {
+      assert(entry.f >= Cost{0});
+      const auto key = static_cast<std::size_t>(entry.f);
+      // Monotonicity: with a consistent heuristic every push's f is at
+      // least the last popped f, which is where the cursor stands after a
+      // pop, so no push after the first pop moves it. The frontier may
+      // transiently drain mid-expansion; later sibling pushes are bounded
+      // by the popped key, not each other.
+      assert(!popped_ || key >= cursor_);
+      cursor_ = std::min(cursor_, key);
+      if (key >= buckets_.size()) {
+        buckets_.resize(std::max<std::size_t>(key + 1, buckets_.size() * 2));
+      }
+      auto& bucket = buckets_[key];
+      bucket.push_back(entry);
+      std::push_heap(bucket.begin(), bucket.end(), std::greater<>{});
+      high_ = std::max(high_, key);
+      ++live_;
     }
 
-    void push(FrontierKind kind, HeapEntry entry) {
-      switch (kind) {
-        case FrontierKind::Binary:
-          heap_.push_back(entry);
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-          return;
-        case FrontierKind::Bucket: {
-          const auto key = bucket_key(entry.f);
-          // Monotonicity: with a consistent heuristic every push's f is at
-          // least the last popped f, which is where the cursor stands after
-          // a pop, so no push after the first pop moves it. The frontier
-          // may transiently drain mid-expansion; later sibling pushes are
-          // bounded by the popped key, not each other.
-          assert(!popped_ || key >= cursor_);
-          cursor_ = std::min(cursor_, key);
-          if (key >= buckets_.size()) {
-            buckets_.resize(std::max<std::size_t>(key + 1,
-                                                  buckets_.size() * 2));
-          }
-          auto& bucket = buckets_[key];
-          bucket.push_back(entry);
-          std::push_heap(bucket.begin(), bucket.end(), std::greater<>{});
-          high_ = std::max(high_, key);
-          ++live_;
-          return;
-        }
-      }
+    HeapEntry pop() {
+      while (buckets_[cursor_].empty()) ++cursor_;
+      popped_ = true;
+      auto& bucket = buckets_[cursor_];
+      // All entries here share f == cursor_; the per-bucket heap pops the
+      // (g, node) minimum, so the strict (f, g, node) order matches the
+      // binary heap exactly.
+      std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
+      const HeapEntry top = bucket.back();
+      bucket.pop_back();
+      --live_;
+      return top;
     }
 
-    HeapEntry pop(FrontierKind kind) {
-      switch (kind) {
-        case FrontierKind::Binary: {
-          std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-          const HeapEntry top = heap_.back();
-          heap_.pop_back();
-          return top;
-        }
-        case FrontierKind::Bucket: {
-          advance_cursor();
-          popped_ = true;
-          auto& bucket = buckets_[cursor_];
-          // All entries here share f == cursor_; the per-bucket heap pops
-          // the (g, node) minimum, so the strict (f, g, node) order matches
-          // the binary heap exactly.
-          std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
-          const HeapEntry top = bucket.back();
-          bucket.pop_back();
-          --live_;
-          return top;
-        }
-      }
-      return HeapEntry{};  // unreachable
-    }
-
-    [[nodiscard]] RouteNodeId peek_node(FrontierKind kind) const {
-      if (kind != FrontierKind::Bucket) {
-        return heap_.empty() ? RouteNodeId::invalid() : heap_.front().node;
-      }
+    [[nodiscard]] RouteNodeId peek_node() const {
       if (live_ == 0) return RouteNodeId::invalid();
       for (std::size_t i = cursor_; i <= high_; ++i) {
         if (!buckets_[i].empty()) return buckets_[i].front().node;
       }
       return RouteNodeId::invalid();
     }
-
-   private:
-    [[nodiscard]] static std::size_t bucket_key(Cost f) {
-      assert(f >= Cost{0});
-      return static_cast<std::size_t>(f);
-    }
-
-    void advance_cursor() {
-      while (buckets_[cursor_].empty()) ++cursor_;
-    }
   };
 
   std::vector<NodeState> state_;
   std::uint32_t generation_ = 0;
   std::uint64_t settles_ = 0;
-  FrontierKind kind_ =
-      default_frontier_kind(!std::is_floating_point_v<Cost>);
-  Frontier frontier_;
+  std::conditional_t<std::is_integral_v<Cost>, BucketQueue, BinaryHeap>
+      frontier_;
 };
 
 /// Generation-stamped membership set over a dense index range: O(1) insert /

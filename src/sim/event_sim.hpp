@@ -71,7 +71,7 @@ struct ExecutionStats {
   long long busy_enqueues = 0;
   /// Dijkstra nodes the run's routing searches settled (the work the
   /// frontier-queue/arena layer exists to make cheap). Observability only:
-  /// never part of the mapped result, and identical across frontier kinds.
+  /// never part of the mapped result.
   long long nodes_settled = 0;
 };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "fabric/fabric.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "fabric/text_io.hpp"
+#include "mutants.hpp"
 
 namespace qspr {
 namespace {
@@ -243,6 +246,18 @@ TEST(FabricTextIo, Describe) {
   const std::string description = describe_fabric(make_paper_fabric());
   EXPECT_NE(description.find("45x85"), std::string::npos);
   EXPECT_NE(description.find("924 traps"), std::string::npos);
+}
+
+TEST(FabricTextIo, SeededMutantsParseOrThrow) {
+  // Byte-level mutants of a rendered tile parse or throw a std::exception
+  // (serve's bad_request for a fabric it cannot load). A mutant that parses
+  // renders to a drawing that parses back to itself.
+  expect_parse_or_throw<std::exception>(
+      make_mutants({render_fabric(make_quale_fabric({3, 3, 4}))}, 600, 2012),
+      [](const std::string& text) {
+        const std::string drawing = render_fabric(parse_fabric(text));
+        EXPECT_EQ(render_fabric(parse_fabric(drawing)), drawing) << text;
+      });
 }
 
 }  // namespace

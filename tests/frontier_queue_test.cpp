@@ -1,9 +1,9 @@
-// Frontier-queue equivalence: the two SearchArena frontier kinds (binary
-// heap, monotone bucket queue) must pop the exact same strict (f, g, node)
-// order on every workload the searches can generate — which is what makes
-// the frontier choice invisible in routing results. Also covers the bucket
-// queue's monotone discipline, the generation-wrap reuse path, the test-only
-// override, and the floating-point Bucket->Binary fallback.
+// Frontier-queue equivalence: an integer-cost SearchArena (monotone bucket
+// queue) must pop the exact strict (f, g, node) order that the reference, a
+// SearchArena<double> (binary heap), pops for the same pushes; the keys are
+// small integers, exact in double. Also covers the bucket queue's monotone
+// discipline, the Router's costs against an independent search, the
+// generation-wrap reuse path, and StampedSet.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 
 #include "common/time.hpp"
 #include "fabric/quale_fabric.hpp"
+#include "route/pathfinder.hpp"
 #include "route/router.hpp"
 #include "route/search_arena.hpp"
 
@@ -20,20 +21,18 @@ namespace {
 
 using Entry = SearchArena<Duration>::HeapEntry;
 
-constexpr FrontierKind kKinds[] = {FrontierKind::Binary, FrontierKind::Bucket};
+/// Pops one entry as integer keys (exact for the double reference here).
+template <typename Cost>
+Entry pop(SearchArena<Cost>& arena) {
+  const auto e = arena.heap_pop();
+  return {static_cast<Duration>(e.f), static_cast<Duration>(e.g), e.node};
+}
 
-/// Forces `kind` onto every arena's next begin() for the guard's lifetime.
-struct ForcedFrontier {
-  explicit ForcedFrontier(FrontierKind kind) { force_frontier_kind(kind); }
-  ~ForcedFrontier() { clear_frontier_kind_override(); }
-  ForcedFrontier(const ForcedFrontier&) = delete;
-  ForcedFrontier& operator=(const ForcedFrontier&) = delete;
-};
-
-/// Drains `arena`'s forward frontier into a vector.
-std::vector<Entry> drain(SearchArena<Duration>& arena) {
+/// Drains `arena`'s frontier into a vector.
+template <typename Cost>
+std::vector<Entry> drain(SearchArena<Cost>& arena) {
   std::vector<Entry> popped;
-  while (!arena.heap_empty()) popped.push_back(arena.heap_pop());
+  while (!arena.heap_empty()) popped.push_back(pop(arena));
   return popped;
 }
 
@@ -47,7 +46,7 @@ void expect_same_entries(const std::vector<Entry>& a,
   }
 }
 
-TEST(FrontierQueueTest, BothKindsPopIdenticalOrderOnAdversarialTies) {
+TEST(FrontierQueueTest, BucketQueuePopsBinaryHeapOrderOnAdversarialTies) {
   // Heavy equal-f and equal-(f, g) collisions: the whole batch shares three
   // f values and repeats g values, so only the (f, g, node) tie-break can
   // order it. Entries are pairwise distinct, exactly like real pushes
@@ -63,15 +62,15 @@ TEST(FrontierQueueTest, BothKindsPopIdenticalOrderOnAdversarialTies) {
   std::vector<Entry> reversed(batch.rbegin(), batch.rend());
 
   std::vector<std::vector<Entry>> popped;
-  for (const FrontierKind kind : kKinds) {
+  const auto push_then_drain = [&](auto arena) {
     for (const std::vector<Entry>& order : {batch, reversed}) {
-      const ForcedFrontier forced(kind);
-      SearchArena<Duration> arena;
       arena.begin(batch.size());
       for (const Entry& e : order) arena.heap_push(e.f, e.g, e.node);
       popped.push_back(drain(arena));
     }
-  }
+  };
+  push_then_drain(SearchArena<double>{});
+  push_then_drain(SearchArena<Duration>{});
   for (std::size_t i = 0; i + 1 < popped.size(); ++i) {
     expect_same_entries(popped[i], popped[i + 1], "tie batch");
   }
@@ -89,19 +88,19 @@ struct ScriptStep {
 };
 constexpr ScriptStep kPop{-1, -1};
 
-/// Replays `searches` on one arena of `kind` (begin() before each script,
-/// the frontier drained after it) and returns every popped entry in order.
+/// Replays `searches` on one arena (begin() before each script, the
+/// frontier drained after it) and returns every popped entry in order.
+template <typename Cost>
 std::vector<Entry> replay(
-    FrontierKind kind, const std::vector<std::vector<ScriptStep>>& searches) {
-  const ForcedFrontier forced(kind);
-  SearchArena<Duration> arena;
+    const std::vector<std::vector<ScriptStep>>& searches) {
+  SearchArena<Cost> arena;
   std::vector<Entry> popped;
   for (const std::vector<ScriptStep>& script : searches) {
     arena.begin(64);
     int node = 0;
     for (const ScriptStep& step : script) {
       if (step.f < 0) {
-        popped.push_back(arena.heap_pop());
+        popped.push_back(pop(arena));
       } else {
         arena.heap_push(step.f, step.g, RouteNodeId::from_index(node++));
       }
@@ -111,15 +110,12 @@ std::vector<Entry> replay(
   return popped;
 }
 
-TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
+TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesBinaryHeap) {
   // Dijkstra-shaped interleaving: each pop may trigger pushes whose keys are
   // bounded below by the *popped* key (not by each other) — including pushes
   // after the frontier transiently drains mid-expansion, the case that
   // constrains the bucket queue's cursor discipline.
-  std::vector<std::vector<Entry>> popped;
-  for (const FrontierKind kind : kKinds) {
-    const ForcedFrontier forced(kind);
-    SearchArena<Duration> arena;
+  const auto run = [](auto arena) {
     arena.begin(4096);
     std::uint64_t lcg = 12345;
     const auto next = [&lcg](std::uint64_t bound) {
@@ -130,7 +126,7 @@ TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
     arena.heap_push(0, 0, RouteNodeId::from_index(node++));
     std::vector<Entry> sequence;
     while (!arena.heap_empty() && node < 4000) {
-      const Entry top = arena.heap_pop();
+      const Entry top = pop(arena);
       sequence.push_back(top);
       // 0-3 children pushed immediately, each at f >= the *popped* f — the
       // Dijkstra discipline. With branching often 0 the frontier regularly
@@ -147,9 +143,11 @@ TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
         arena.heap_push(f, g, RouteNodeId::from_index(node++));
       }
     }
-    while (!arena.heap_empty()) sequence.push_back(arena.heap_pop());
-    popped.push_back(std::move(sequence));
-  }
+    for (const Entry& e : drain(arena)) sequence.push_back(e);
+    return sequence;
+  };
+  const std::vector<std::vector<Entry>> popped = {
+      run(SearchArena<double>{}), run(SearchArena<Duration>{})};
   ASSERT_GT(popped[0].size(), 1000u) << "workload died early; reseed the LCG";
   expect_same_entries(popped[0], popped[1], "binary vs bucket");
   for (std::size_t i = 0; i + 1 < popped[0].size(); ++i) {
@@ -173,79 +171,52 @@ TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesAcrossKinds) {
         {20, 6}, {16, 5}, kPop, kPop, {16, 7}, kPop, kPop}},
   };
   for (std::size_t c = 0; c < scripts.size(); ++c) {
-    const std::vector<Entry> reference =
-        replay(FrontierKind::Binary, scripts[c]);
+    const std::vector<Entry> reference = replay<double>(scripts[c]);
     const std::string label = "script " + std::to_string(c);
-    expect_same_entries(reference, replay(FrontierKind::Bucket, scripts[c]),
+    expect_same_entries(reference, replay<Duration>(scripts[c]),
                         (label + " bucket").c_str());
   }
 }
 
-TEST(FrontierQueueTest, RouterPathsIdenticalAcrossKinds) {
-  // End-to-end: the integer-cost Router must return byte-identical paths and
-  // costs under every frontier kind (the fuzz differential asserts the same
-  // through the whole mapper; this is the focused single-query version).
-  const Fabric fabric = make_quale_fabric({3, 3, 4});
+/// Checks the Router's turn-aware query between every pair of every
+/// `stride`-th trap outward from the center, and the farthest trap, against
+/// a one-net negotiation on the reference Dijkstra (binary heap, its own
+/// loop): an idle ledger prices each cell at t_move x 1, like Eq. 2.
+void expect_router_matches_reference(const Fabric& fabric,
+                                     std::size_t stride) {
+  const std::vector<TrapId> by_distance =
+      fabric.traps_by_distance(fabric.center());
+  std::vector<TrapId> traps = {by_distance.back()};
+  for (std::size_t i = 0; i + 1 < by_distance.size(); i += stride) {
+    traps.push_back(by_distance[i]);
+  }
   const RoutingGraph graph(fabric);
   const TechnologyParams params;
   const Router router(graph, params);
-  CongestionState congestion(fabric.segment_count(), fabric.junction_count());
-  const auto traps = fabric.traps_by_distance(fabric.center());
-
-  for (std::size_t i = 0; i + 1 < std::min<std::size_t>(traps.size(), 16);
-       ++i) {
-    std::vector<RoutedPath> paths;
-    std::vector<Duration> costs;
-    for (const FrontierKind kind : kKinds) {
-      const ForcedFrontier forced(kind);
-      SearchArena<Duration> arena;
-      Duration cost = 0;
-      const auto path = router.route_trap_to_trap(
-          traps[i], traps[i + 1], congestion, arena, &cost);
-      ASSERT_TRUE(path.has_value()) << to_string(kind);
-      paths.push_back(*path);
-      costs.push_back(cost);
+  const CongestionState idle(fabric.segment_count(), fabric.junction_count());
+  PathFinderOptions reference_options;
+  reference_options.engine = PathFinderEngine::ReferenceDijkstra;
+  PathFinderScratch scratch;
+  SearchArena<Duration> arena;
+  for (const TrapId from : traps) {
+    for (const TrapId to : traps) {
+      if (from == to) continue;
+      Duration selection_cost = -1;
+      const auto path =
+          router.route_trap_to_trap(from, to, idle, arena, &selection_cost);
+      ASSERT_TRUE(path.has_value());
+      const PathFinderResult reference = route_nets_negotiated(
+          graph, params, {{from, to}}, reference_options, scratch);
+      EXPECT_EQ(selection_cost, reference.total_delay)
+          << from.index() << "->" << to.index();
+      EXPECT_EQ(path->total_delay(), selection_cost);
     }
-    EXPECT_EQ(paths[0].nodes, paths[1].nodes) << "bucket, query " << i;
-    EXPECT_EQ(costs[0], costs[1]) << "query " << i;
   }
 }
 
-TEST(FrontierQueueTest, ForcedKindOverrideAppliesAtNextBegin) {
-  SearchArena<Duration> integer_arena;
-  SearchArena<double> double_arena;
-  integer_arena.begin(8);
-  double_arena.begin(8);
-  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Bucket);
-  EXPECT_EQ(double_arena.frontier(), FrontierKind::Binary);
-
-  force_frontier_kind(FrontierKind::Binary);
-  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Bucket);  // not yet
-  integer_arena.begin(8);
-  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Binary);
-
-  // Clearing restores bucket for integer costs and binary for doubles, again
-  // from the next begin().
-  clear_frontier_kind_override();
-  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Binary);  // not yet
-  integer_arena.begin(8);
-  double_arena.begin(8);
-  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Bucket);
-  EXPECT_EQ(double_arena.frontier(), FrontierKind::Binary);
-}
-
-TEST(FrontierQueueTest, ForcedBucketOnFloatingPointArenaResolvesToBinary) {
-  // Bucket indexing needs integer keys; a double arena falls back.
-  const ForcedFrontier forced(FrontierKind::Bucket);
-  SearchArena<double> arena;
-  arena.begin(8);
-  EXPECT_EQ(arena.frontier(), FrontierKind::Binary);
-  arena.heap_push(1.5, 1.5, RouteNodeId::from_index(0));
-  arena.heap_push(0.5, 0.5, RouteNodeId::from_index(1));
-  EXPECT_EQ(arena.heap_pop().node, RouteNodeId::from_index(1));
-  SearchArena<Duration> integer_arena;
-  integer_arena.begin(8);
-  EXPECT_EQ(integer_arena.frontier(), FrontierKind::Bucket);
+TEST(FrontierQueueTest, RouterCostsMatchReferenceDijkstraOnIdleFabrics) {
+  expect_router_matches_reference(make_quale_fabric({3, 3, 4}), 1);
+  expect_router_matches_reference(make_paper_fabric(), 29);
 }
 
 TEST(FrontierQueueTest, GenerationWrapReuseStaysCorrect) {
@@ -283,6 +254,26 @@ TEST(FrontierQueueTest, GenerationWrapReuseStaysCorrect) {
   EXPECT_EQ(arena.debug_generation(), 1u);
   EXPECT_EQ(wrapped->nodes, fresh->nodes);
   EXPECT_EQ(wrapped_cost, fresh_cost);
+}
+
+TEST(FrontierQueueTest, StampedSetInsertReportsOnlyTheFirstPerReset) {
+  StampedSet set;
+  set.reset(8);
+  EXPECT_TRUE(set.insert(3));
+  EXPECT_FALSE(set.insert(3));
+  EXPECT_TRUE(set.contains(3));
+  EXPECT_FALSE(set.contains(7));
+  set.reset(8);  // a reset empties the set
+  EXPECT_FALSE(set.contains(3));
+  EXPECT_TRUE(set.insert(3));
+
+  // Growing the universe after use leaves no earlier member behind, in the
+  // old range or the new one.
+  set.reset(64);
+  for (std::size_t i = 0; i < 64; ++i) EXPECT_FALSE(set.contains(i)) << i;
+  EXPECT_TRUE(set.insert(3));
+  EXPECT_TRUE(set.insert(63));
+  EXPECT_FALSE(set.insert(63));
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Differential fuzz harness over the whole mapping stack: seeded random
-// programs driven through map_program serially, trial-parallel (jobs), under
-// each forced frontier kind, and through the batch service — asserting
-// bit-identical MapResults (latency, trace, placements) and identical
-// negotiation diagnostics across all of them. Parallelism and search data
-// structures are exactly the kind of change that silently breaks the
+// programs driven through map_program serially, trial-parallel (jobs), and
+// through the batch service — asserting bit-identical MapResults (latency,
+// trace, placements) and identical negotiation diagnostics across all of
+// them. Parallelism is exactly the kind of change that silently breaks the
 // determinism contract; this suite pins it stack-wide.
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "core/mapper.hpp"
 #include "fabric/quale_fabric.hpp"
 #include "qecc/random_circuit.hpp"
-#include "route/search_arena.hpp"
 #include "service/batch_mapper.hpp"
 
 namespace qspr {
@@ -150,44 +148,6 @@ TEST(FuzzDifferential, BatchServiceMatchesSerialAcrossSeededPrograms) {
     EXPECT_EQ(result.records[c].name, cases[c].program.name());
     expect_identical(serial[c], result.records[c].result,
                      "batch/case" + std::to_string(c));
-  }
-}
-
-TEST(FuzzDifferential, FrontierKindsBitIdenticalAcrossParallelismConfigs) {
-  // The frontier queue (binary heap / bucket queue) never shows in results:
-  // forcing bucket across the whole corpus — the Router's integer arenas
-  // inside the simulator workspaces take it, the PathFinder's double arenas
-  // resolve it to binary — must reproduce the forced-binary result bit for
-  // bit, serial and trial-parallel, diagnostics included. This is the
-  // stack-level twin of tests/frontier_queue_test.cpp.
-  struct OverrideGuard {
-    ~OverrideGuard() { clear_frontier_kind_override(); }
-  } guard;
-
-  const std::vector<Fabric> fabrics = make_fabrics();
-  const std::vector<FuzzCase> cases = make_cases();
-
-  std::vector<MapResult> reference;
-  reference.reserve(cases.size());
-  force_frontier_kind(FrontierKind::Binary);
-  for (const FuzzCase& fuzz : cases) {
-    MapperOptions options = fuzz.options;
-    options.jobs = 1;
-    reference.push_back(
-        map_program(fuzz.program, fabrics[fuzz.fabric], options));
-  }
-
-  force_frontier_kind(FrontierKind::Bucket);
-  for (std::size_t c = 0; c < cases.size(); ++c) {
-    for (const int jobs : {1, 4}) {
-      MapperOptions options = cases[c].options;
-      options.jobs = jobs;
-      const MapResult result =
-          map_program(cases[c].program, fabrics[cases[c].fabric], options);
-      expect_identical(reference[c], result,
-                       "bucket/jobs" + std::to_string(jobs) + "/case" +
-                           std::to_string(c));
-    }
   }
 }
 

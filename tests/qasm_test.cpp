@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "mutants.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/writer.hpp"
 #include "qecc/codes.hpp"
@@ -253,6 +255,21 @@ TEST(QasmRobustness, WhitespaceOnlyAndCommentOnlyFilesAreEmptyPrograms) {
     const Program program = parse_qasm(text);
     EXPECT_EQ(program.instruction_count(), 0u) << '"' << text << '"';
   }
+}
+
+TEST(QasmRobustness, SeededMutantsParseOrThrowError) {
+  // Byte-level mutants of a paper encoder and of every broken-corpus member
+  // parse or throw a qspr::Error, which serve reports as bad_request. A
+  // mutant that parses survives a write/parse round trip unchanged.
+  std::vector<std::string> seeds = {write_qasm(make_encoder(QeccCode::Q7_1_3))};
+  for (const BrokenQasm& broken : broken_qasm_corpus()) {
+    seeds.push_back(broken.text);
+  }
+  expect_parse_or_throw<Error>(
+      make_mutants(seeds, 150, 2012), [](const std::string& text) {
+        const std::string written = write_qasm(parse_qasm(text, "mutant"));
+        EXPECT_EQ(write_qasm(parse_qasm(written, "mutant")), written) << text;
+      });
 }
 
 }  // namespace

@@ -8,12 +8,16 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/fnv.hpp"
+#include "common/rng.hpp"
 #include "fabric/quale_fabric.hpp"
+#include "mutants.hpp"
 #include "qecc/codes.hpp"
 #include "service/request_codec.hpp"
 #include "service/result_cache.hpp"
@@ -175,6 +179,41 @@ TEST_F(ParseRequestTest, SessionFramesParse) {
       parse(R"({"type":"session_close","id":"c1","session":"s1"})");
   EXPECT_EQ(close.kind, RequestKind::SessionClose);
   EXPECT_EQ(close.session, "s1");
+}
+
+/// A valid stateless map frame.
+constexpr const char* kMapFrame =
+    R"({"type":"map","id":"r1","fabric":"paper","placer":"mc","m":8,)"
+    R"("seed":1,"deadline_ms":5000,)"
+    R"("qasm":"QUBIT q0,0\nQUBIT q1\nH q0\nC-X q0,q1\nMEASURE q1\n"})";
+
+TEST(FrameReaderTest, SeededMapFrameMutantsFrameAndParseOrThrow) {
+  // Map-frame mutants, one per line, read in chunks of 1 to 64 bytes frame
+  // as the whole stream read at once does; each frame parses or throws a
+  // std::exception, which serve answers with bad_request.
+  const CodecLimits limits;
+  ASSERT_EQ(parse_serve_request(kMapFrame, limits, {}).kind, RequestKind::Map);
+  std::string stream;
+  for (const std::string& mutant : make_mutants({kMapFrame}, 600, 2012)) {
+    stream += mutant + '\n';
+  }
+  std::vector<std::string> whole;
+  ASSERT_TRUE(FrameReader(limits.max_frame_bytes).feed(stream, whole));
+  FrameReader reader(limits.max_frame_bytes);
+  std::vector<std::string> frames;
+  Rng rng(2012);
+  for (std::size_t at = 0; at < stream.size();) {
+    const std::size_t chunk = 1 + rng.uniform_index(64);
+    ASSERT_TRUE(
+        reader.feed(std::string_view(stream).substr(at, chunk), frames));
+    at += chunk;
+  }
+  EXPECT_EQ(reader.partial_bytes(), 0u);
+  EXPECT_EQ(frames, whole);
+  expect_parse_or_throw<std::exception>(
+      frames, [&limits](const std::string& frame) {
+        (void)parse_serve_request(frame, limits, {});
+      });
 }
 
 /// The fingerprint as first defined: FNV-1a over the contractual integers,
