@@ -5,7 +5,7 @@
 //
 //   bench_runner [--smoke] [--output PATH] [--baseline PATH]
 //
-//   frontier_queue      Router Dijkstra (bucket-queue frontier) over one
+//   frontier_queue      Router Dijkstra (binary-heap frontier) over one
 //                       mixed query set (gated);
 //   pathfinder_runs     the optimized negotiation stack against the
 //                       baseline configuration at 8, 16 and 32 nets
@@ -290,9 +290,9 @@ int main(int argc, char** argv) {
   std::vector<PathFinderSample> gated_samples;
 
   // ------------------------------------------------------ frontier-queue ---
-  // The integer-cost Router Dijkstra (its arena's frontier is the monotone
-  // bucket queue) over a mixed long-haul + local workload; the row feeds
-  // the --smoke perf gate.
+  // The integer-cost Router Dijkstra (its arena's frontier is the binary
+  // heap every search uses) over a mixed long-haul + local workload; the row
+  // feeds the --smoke perf gate.
   {
     const Fabric fabric = make_paper_fabric();
     const RoutingGraph graph(fabric);
@@ -333,12 +333,12 @@ int main(int argc, char** argv) {
             ? static_cast<double>(settles) / static_cast<double>(reps) /
                   (ns_per_rep * 1e-9)
             : 0.0;
-    std::cout << "frontier_queue/bucket: " << format_fixed(ns_per_query, 0)
-              << " ns/query, " << format_fixed(settles_per_sec / 1e6, 2)
-              << " M settles/s\n";
+    std::cout << "frontier_queue/binary_heap: "
+              << format_fixed(ns_per_query, 0) << " ns/query, "
+              << format_fixed(settles_per_sec / 1e6, 2) << " M settles/s\n";
     json.begin_object()
         .field("name", "router_dijkstra")
-        .field("engine", "bucket")
+        .field("engine", "binary_heap")
         .field("config", "paper_45x85_mixed")
         .field("repetitions", reps)
         .field("queries_per_rep", static_cast<long long>(queries.size()))
@@ -350,7 +350,7 @@ int main(int argc, char** argv) {
     json.end_array();
     PathFinderSample gate_row;
     gate_row.name = "router_dijkstra";
-    gate_row.engine = "bucket";
+    gate_row.engine = "binary_heap";
     gate_row.config = "paper_45x85_mixed";
     gate_row.repetitions = reps;
     gate_row.ns_per_query = ns_per_query;

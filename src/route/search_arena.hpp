@@ -10,14 +10,13 @@
 //
 // Layout: per-node state is a single struct-of-records array (dist, parent,
 // and one interleaved stamp+settled word), so touching / relaxing / settling
-// a node costs one cache line instead of four. The frontier follows the cost
-// type at compile time: a monotone bucket queue for integer costs (the
-// Router's Duration searches) and a std::push_heap binary heap for
-// floating-point costs (the PathFinder's congestion searches). Both pop the
-// exact strict (f, g, node) order — entries are pairwise distinct because
-// pushes happen only on strict dist improvement — which
-// tests/frontier_queue_test.cpp checks by replaying one script into a
-// SearchArena<Duration> and a SearchArena<double>.
+// a node costs one cache line instead of four. The frontier is one binary
+// min-heap for every cost type, with hand-written hole sifts and a
+// branch-free child pick. It pops the strict (f, g, node) order: entries
+// are pairwise distinct because pushes happen only on strict dist
+// improvement, so any correct min-heap pops the same sequence, and the heap
+// needs no monotone keys. tests/frontier_queue_test.cpp checks the pops
+// against the scripted entries sorted by (f, g, node).
 //
 // An arena holds one frontier, so each search over it runs in one direction,
 // source to target. The arena is shared by the incremental Router (integer
@@ -29,7 +28,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -48,12 +46,6 @@ class SearchArena {
     Cost f;
     Cost g;
     RouteNodeId node;
-
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      if (a.f != b.f) return a.f > b.f;
-      if (a.g != b.g) return a.g > b.g;
-      return a.node > b.node;
-    }
   };
 
   static constexpr Cost infinity() {
@@ -73,7 +65,7 @@ class SearchArena {
       wipe_stamps();
       generation_ = 1;
     }
-    frontier_.clear();
+    heap_.clear();
   }
 
   /// Unique nodes settled over this arena's lifetime (monotone; sample a
@@ -113,15 +105,61 @@ class SearchArena {
     s.parent = from;
   }
 
-  [[nodiscard]] bool heap_empty() const { return frontier_.empty(); }
+  [[nodiscard]] bool heap_empty() const { return heap_.empty(); }
+
+  /// Hole-based sift-up: parents move down until the entry's slot is found.
   void heap_push(Cost f, Cost g, RouteNodeId node) {
-    frontier_.push(HeapEntry{f, g, node});
+    const HeapEntry entry{f, g, node};
+    std::size_t hole = heap_.size();
+    heap_.push_back(entry);
+    HeapEntry* const h = heap_.data();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!before(entry, h[parent])) break;
+      h[hole] = h[parent];
+      hole = parent;
+    }
+    h[hole] = entry;
   }
-  HeapEntry heap_pop() { return frontier_.pop(); }
-  /// Cheap guess at a node the frontier will pop soon (invalid when empty);
-  /// prefetch hint only — no ordering guarantee for the bucket queue.
+
+  /// Pops the minimum. The hole left at the root walks down to a leaf along
+  /// the smaller children, picked without a branch, and the old last entry
+  /// sifts up from there: it usually belongs near the bottom, so a pop costs
+  /// about one comparison per level instead of a plain sift-down's two.
+  HeapEntry heap_pop() {
+    const HeapEntry top = heap_.front();
+    const HeapEntry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return top;
+    HeapEntry* const h = heap_.data();
+    std::size_t hole = 0;
+    std::size_t child = 1;
+    while (child + 1 < n) {
+      child += before(h[child + 1], h[child]);
+      h[hole] = h[child];
+      hole = child;
+      child = 2 * hole + 1;
+    }
+    if (child < n) {  // a lone left child at the bottom
+      h[hole] = h[child];
+      hole = child;
+    }
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!before(last, h[parent])) break;
+      h[hole] = h[parent];
+      hole = parent;
+    }
+    h[hole] = last;
+    assert(!before(h[0], top));
+    return top;
+  }
+
+  /// The node the next pop returns (invalid when empty); the searches
+  /// prefetch its state and adjacency while they expand the current pop.
   [[nodiscard]] RouteNodeId heap_peek_node() const {
-    return frontier_.peek_node();
+    return heap_.empty() ? RouteNodeId::invalid() : heap_.front().node;
   }
 
   /// Test hook: jump the generation counter (e.g. to just below the wrap
@@ -158,113 +196,17 @@ class SearchArena {
     for (NodeState& s : state_) s.tag = 0;
   }
 
-  /// Binary heap: the frontier of floating-point costs (no bucket keys).
-  struct BinaryHeap {
-    std::vector<HeapEntry> heap_;
-
-    void clear() { heap_.clear(); }
-    [[nodiscard]] bool empty() const { return heap_.empty(); }
-    void push(HeapEntry entry) {
-      heap_.push_back(entry);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    }
-    HeapEntry pop() {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      const HeapEntry top = heap_.back();
-      heap_.pop_back();
-      return top;
-    }
-    [[nodiscard]] RouteNodeId peek_node() const {
-      return heap_.empty() ? RouteNodeId::invalid() : heap_.front().node;
-    }
-  };
-
-  /// Monotone bucket queue, indexed by the (small, bounded) integer f: the
-  /// frontier of integer costs, legal because their heuristic is consistent
-  /// (popped keys never decrease). Only buckets in [cursor_, high_] can be
-  /// non-empty: pops drain the cursor bucket before advancing, and pushes
-  /// never land below the cursor — which bounds both pop scans and clears.
-  /// Until the first pop the cursor is the smallest key pushed so far
-  /// (clear parks it past every bucket), so the first pop starts its scan
-  /// there instead of at key 0. After a pop the cursor is the popped key,
-  /// and the monotone discipline (asserted) keeps every later push at or
-  /// above it. Each bucket is itself a tiny (g, node) min-heap: unit-cost
-  /// grids pile many ties into one f, and a linear min-scan per pop would go
-  /// quadratic in that pile (measurably slower than the binary heap); the
-  /// per-bucket heap keeps pops at O(log bucket) while preserving the exact
-  /// (f, g, node) order — every entry in a bucket shares f.
-  struct BucketQueue {
-    static constexpr std::size_t kNoCursor =
-        std::numeric_limits<std::size_t>::max();
-    std::vector<std::vector<HeapEntry>> buckets_;
-    std::size_t cursor_ = kNoCursor;
-    std::size_t high_ = 0;
-    std::size_t live_ = 0;
-    bool popped_ = false;
-
-    void clear() {
-      if (live_ > 0) {
-        for (std::size_t i = cursor_; i <= high_ && live_ > 0; ++i) {
-          live_ -= buckets_[i].size();
-          buckets_[i].clear();
-        }
-      }
-      cursor_ = kNoCursor;
-      high_ = 0;
-      live_ = 0;
-      popped_ = false;
-    }
-
-    [[nodiscard]] bool empty() const { return live_ == 0; }
-
-    void push(HeapEntry entry) {
-      assert(entry.f >= Cost{0});
-      const auto key = static_cast<std::size_t>(entry.f);
-      // Monotonicity: with a consistent heuristic every push's f is at
-      // least the last popped f, which is where the cursor stands after a
-      // pop, so no push after the first pop moves it. The frontier may
-      // transiently drain mid-expansion; later sibling pushes are bounded
-      // by the popped key, not each other.
-      assert(!popped_ || key >= cursor_);
-      cursor_ = std::min(cursor_, key);
-      if (key >= buckets_.size()) {
-        buckets_.resize(std::max<std::size_t>(key + 1, buckets_.size() * 2));
-      }
-      auto& bucket = buckets_[key];
-      bucket.push_back(entry);
-      std::push_heap(bucket.begin(), bucket.end(), std::greater<>{});
-      high_ = std::max(high_, key);
-      ++live_;
-    }
-
-    HeapEntry pop() {
-      while (buckets_[cursor_].empty()) ++cursor_;
-      popped_ = true;
-      auto& bucket = buckets_[cursor_];
-      // All entries here share f == cursor_; the per-bucket heap pops the
-      // (g, node) minimum, so the strict (f, g, node) order matches the
-      // binary heap exactly.
-      std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
-      const HeapEntry top = bucket.back();
-      bucket.pop_back();
-      --live_;
-      return top;
-    }
-
-    [[nodiscard]] RouteNodeId peek_node() const {
-      if (live_ == 0) return RouteNodeId::invalid();
-      for (std::size_t i = cursor_; i <= high_; ++i) {
-        if (!buckets_[i].empty()) return buckets_[i].front().node;
-      }
-      return RouteNodeId::invalid();
-    }
-  };
+  /// The strict (f, g, node) order, combined with `&` and `|` so that the
+  /// heap's child pick compiles without branches.
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return (a.f < b.f) |
+           ((a.f == b.f) & ((a.g < b.g) | ((a.g == b.g) & (a.node < b.node))));
+  }
 
   std::vector<NodeState> state_;
+  std::vector<HeapEntry> heap_;
   std::uint32_t generation_ = 0;
   std::uint64_t settles_ = 0;
-  std::conditional_t<std::is_integral_v<Cost>, BucketQueue, BinaryHeap>
-      frontier_;
 };
 
 /// Generation-stamped membership set over a dense index range: O(1) insert /

@@ -1,13 +1,18 @@
-// Frontier-queue equivalence: an integer-cost SearchArena (monotone bucket
-// queue) must pop the exact strict (f, g, node) order that the reference, a
-// SearchArena<double> (binary heap), pops for the same pushes; the keys are
-// small integers, exact in double. Also covers the bucket queue's monotone
-// discipline, the Router's costs against an independent search, the
-// generation-wrap reuse path, and StampedSet.
+// Frontier order: SearchArena's binary heap must pop the strict
+// (f, g, node) order, for integer and floating-point costs alike. Each case
+// drives an arena and an independent reference in lockstep — the pushed
+// entries kept sorted by (f, g, node) in a std::set — and checks every pop,
+// and the heap_peek_node() that names it beforehand, against the
+// reference's minimum. The scripts cover adversarial ties, a Dijkstra-shaped
+// interleaving, small edge cases, and a seeded script whose pushes land below
+// the last pop, as weighted A* produces. Also covers the Router's costs
+// against an independent search, the generation-wrap reuse path, and
+// StampedSet.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/time.hpp"
@@ -19,65 +24,129 @@
 namespace qspr {
 namespace {
 
-using Entry = SearchArena<Duration>::HeapEntry;
-
-/// Pops one entry as integer keys (exact for the double reference here).
-template <typename Cost>
-Entry pop(SearchArena<Cost>& arena) {
-  const auto e = arena.heap_pop();
-  return {static_cast<Duration>(e.f), static_cast<Duration>(e.g), e.node};
-}
-
-/// Drains `arena`'s frontier into a vector.
-template <typename Cost>
-std::vector<Entry> drain(SearchArena<Cost>& arena) {
-  std::vector<Entry> popped;
-  while (!arena.heap_empty()) popped.push_back(pop(arena));
-  return popped;
-}
-
-void expect_same_entries(const std::vector<Entry>& a,
-                         const std::vector<Entry>& b, const char* label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].f, b[i].f) << label << " pop " << i;
-    EXPECT_EQ(a[i].g, b[i].g) << label << " pop " << i;
-    EXPECT_EQ(a[i].node, b[i].node) << label << " pop " << i;
+/// Deterministic LCG, so scripts are identical on every platform.
+struct Lcg {
+  std::uint64_t state;
+  std::uint64_t next(std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
   }
-}
+};
 
-TEST(FrontierQueueTest, BucketQueuePopsBinaryHeapOrderOnAdversarialTies) {
+/// An arena and the sorted reference, driven in lockstep. Every push goes
+/// to both under a fresh node id; every pop checks the arena's entry, and
+/// the node heap_peek_node() named before it, against the reference.
+template <typename Cost>
+class Lockstep {
+ public:
+  using Entry = std::tuple<Cost, Cost, std::uint32_t>;  // (f, g, node)
+
+  void begin() {
+    arena_.begin(kNodes);
+    reference_.clear();
+    next_node_ = 0;
+  }
+
+  void push(Cost f, Cost g) {
+    ASSERT_LT(next_node_, kNodes) << "script outgrew the arena";
+    arena_.heap_push(f, g, RouteNodeId::from_index(next_node_));
+    reference_.insert({f, g, next_node_});
+    ++next_node_;
+  }
+
+  [[nodiscard]] bool empty() const { return reference_.empty(); }
+  [[nodiscard]] std::uint32_t pushed() const { return next_node_; }
+
+  /// Pops one entry into `popped` (the reference's minimum).
+  void pop(Entry& popped) {
+    ASSERT_EQ(arena_.heap_empty(), reference_.empty());
+    ASSERT_FALSE(reference_.empty());
+    popped = *reference_.begin();
+    reference_.erase(reference_.begin());
+    const auto [f, g, node] = popped;
+    ASSERT_EQ(arena_.heap_peek_node(), RouteNodeId::from_index(node));
+    const auto entry = arena_.heap_pop();
+    ASSERT_EQ(entry.f, f);
+    ASSERT_EQ(entry.g, g);
+    ASSERT_EQ(entry.node, RouteNodeId::from_index(node));
+  }
+
+  /// Pops until both sides are empty.
+  void drain() {
+    Entry popped;
+    while (!reference_.empty()) ASSERT_NO_FATAL_FAILURE(pop(popped));
+    ASSERT_TRUE(arena_.heap_empty());
+    ASSERT_EQ(arena_.heap_peek_node(), RouteNodeId::invalid());
+  }
+
+ private:
+  static constexpr std::uint32_t kNodes = 8192;
+  SearchArena<Cost> arena_;
+  std::set<Entry> reference_;
+  std::uint32_t next_node_ = 0;
+};
+
+template <typename Cost>
+void pop_adversarial_ties() {
   // Heavy equal-f and equal-(f, g) collisions: the whole batch shares three
   // f values and repeats g values, so only the (f, g, node) tie-break can
   // order it. Entries are pairwise distinct, exactly like real pushes
   // (strict dist improvement), so the order is a strict total order.
-  std::vector<Entry> batch;
-  int node = 0;
-  for (const Duration f : {40, 20, 30}) {
-    for (const Duration g : {7, 3, 5, 3 + 14, 7 + 14}) {
-      batch.push_back({f, g, RouteNodeId::from_index(node++)});
-    }
+  std::vector<std::tuple<Cost, Cost>> batch;
+  for (const Cost f : {40, 20, 30}) {
+    for (const Cost g : {7, 3, 5, 3 + 14, 7 + 14}) batch.emplace_back(f, g);
   }
-  // Same multiset in a different push order must not matter either.
-  std::vector<Entry> reversed(batch.rbegin(), batch.rend());
+  // Same entries in a different push order must not matter either.
+  const std::vector<std::tuple<Cost, Cost>> reversed(batch.rbegin(),
+                                                     batch.rend());
+  Lockstep<Cost> step;
+  for (const auto& order : {batch, reversed}) {
+    step.begin();
+    for (const auto& [f, g] : order) ASSERT_NO_FATAL_FAILURE(step.push(f, g));
+    ASSERT_NO_FATAL_FAILURE(step.drain());
+  }
+}
 
-  std::vector<std::vector<Entry>> popped;
-  const auto push_then_drain = [&](auto arena) {
-    for (const std::vector<Entry>& order : {batch, reversed}) {
-      arena.begin(batch.size());
-      for (const Entry& e : order) arena.heap_push(e.f, e.g, e.node);
-      popped.push_back(drain(arena));
+TEST(FrontierQueueTest, PopsSortedOrderOnAdversarialTies) {
+  pop_adversarial_ties<Duration>();
+  pop_adversarial_ties<double>();
+}
+
+template <typename Cost>
+void pop_dijkstra_shaped_workload() {
+  // Dijkstra-shaped interleaving: each pop may trigger pushes whose keys are
+  // bounded below by the *popped* key (not by each other), including pushes
+  // after the frontier transiently drains mid-expansion.
+  Lockstep<Cost> step;
+  step.begin();
+  Lcg lcg{12345};
+  ASSERT_NO_FATAL_FAILURE(step.push(0, 0));
+  Cost last_f = 0;
+  std::uint32_t pops = 0;
+  while (!step.empty() && step.pushed() < 4000) {
+    typename Lockstep<Cost>::Entry top;
+    ASSERT_NO_FATAL_FAILURE(step.pop(top));
+    ++pops;
+    const Cost top_f = std::get<0>(top);
+    EXPECT_LE(last_f, top_f) << "monotone pop " << pops;
+    last_f = top_f;
+    // 0-3 children, each at f >= the popped f. With branching often 0 the
+    // frontier regularly drains mid-run; it then refills from the last pop.
+    std::uint64_t children = lcg.next(4);
+    if (step.empty() && children == 0) children = 1;
+    for (std::uint64_t c = 0; c < children; ++c) {
+      const Cost f = top_f + static_cast<Cost>(lcg.next(12));
+      const Cost g = f - static_cast<Cost>(lcg.next(5));
+      ASSERT_NO_FATAL_FAILURE(step.push(f, g));
     }
-  };
-  push_then_drain(SearchArena<double>{});
-  push_then_drain(SearchArena<Duration>{});
-  for (std::size_t i = 0; i + 1 < popped.size(); ++i) {
-    expect_same_entries(popped[i], popped[i + 1], "tie batch");
   }
-  // And the shared order actually is the sorted strict (f, g, node) order.
-  for (std::size_t i = 0; i + 1 < popped[0].size(); ++i) {
-    EXPECT_TRUE(popped[0][i + 1] > popped[0][i]) << "pop " << i;
-  }
+  ASSERT_GT(pops, 1000u) << "workload died early; reseed the LCG";
+  ASSERT_NO_FATAL_FAILURE(step.drain());
+}
+
+TEST(FrontierQueueTest, DijkstraShapedWorkloadPopsSortedOrder) {
+  pop_dijkstra_shaped_workload<Duration>();
+  pop_dijkstra_shaped_workload<double>();
 }
 
 /// One frontier operation of a scripted search: a push of (f, g) for a
@@ -88,93 +157,78 @@ struct ScriptStep {
 };
 constexpr ScriptStep kPop{-1, -1};
 
-/// Replays `searches` on one arena (begin() before each script, the
-/// frontier drained after it) and returns every popped entry in order.
 template <typename Cost>
-std::vector<Entry> replay(
-    const std::vector<std::vector<ScriptStep>>& searches) {
-  SearchArena<Cost> arena;
-  std::vector<Entry> popped;
+void replay_scripts() {
+  // Small edge cases on one arena: a large first key followed by a fresh
+  // search far below it, pushes in descending key order before the first
+  // pop, and a frontier that drains in the middle of each expansion.
+  const std::vector<std::vector<ScriptStep>> searches = {
+      {{900, 880}, kPop, {900, 890}, {903, 895}, kPop, {905, 900}},
+      {{3, 0}, kPop, {4, 1}, {3, 2}},
+      {{50, 0}, {40, 0}, {30, 0}, {20, 0}, {20, 5}, kPop, {20, 9}, {45, 2},
+       kPop, kPop, {30, 7}, kPop},
+      {{10, 0}, kPop, {14, 1}, {12, 2}, {11, 3}, kPop, kPop, kPop, {14, 4},
+       {20, 6}, {16, 5}, kPop, kPop, {16, 7}, kPop, kPop},
+  };
+  Lockstep<Cost> step;
   for (const std::vector<ScriptStep>& script : searches) {
-    arena.begin(64);
-    int node = 0;
-    for (const ScriptStep& step : script) {
-      if (step.f < 0) {
-        popped.push_back(pop(arena));
+    step.begin();
+    for (const ScriptStep& s : script) {
+      typename Lockstep<Cost>::Entry popped;
+      if (s.f < 0) {
+        ASSERT_NO_FATAL_FAILURE(step.pop(popped));
       } else {
-        arena.heap_push(step.f, step.g, RouteNodeId::from_index(node++));
+        ASSERT_NO_FATAL_FAILURE(
+            step.push(static_cast<Cost>(s.f), static_cast<Cost>(s.g)));
       }
     }
-    for (const Entry& e : drain(arena)) popped.push_back(e);
+    ASSERT_NO_FATAL_FAILURE(step.drain());
   }
-  return popped;
 }
 
-TEST(FrontierQueueTest, MonotoneInterleavedWorkloadMatchesBinaryHeap) {
-  // Dijkstra-shaped interleaving: each pop may trigger pushes whose keys are
-  // bounded below by the *popped* key (not by each other) — including pushes
-  // after the frontier transiently drains mid-expansion, the case that
-  // constrains the bucket queue's cursor discipline.
-  const auto run = [](auto arena) {
-    arena.begin(4096);
-    std::uint64_t lcg = 12345;
-    const auto next = [&lcg](std::uint64_t bound) {
-      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-      return (lcg >> 33) % bound;
-    };
-    int node = 0;
-    arena.heap_push(0, 0, RouteNodeId::from_index(node++));
-    std::vector<Entry> sequence;
-    while (!arena.heap_empty() && node < 4000) {
-      const Entry top = pop(arena);
-      sequence.push_back(top);
-      // 0-3 children pushed immediately, each at f >= the *popped* f — the
-      // Dijkstra discipline. With branching often 0 the frontier regularly
-      // drains mid-run and refills from the last pop, the case that
-      // constrains the bucket queue's cursor handling.
-      std::uint64_t children = next(4);
-      // Whenever the frontier fully drains, refill from the popped key —
-      // the drain-refill case that pins the bucket cursor's floor to the
-      // last *popped* key rather than to earlier sibling pushes.
-      if (arena.heap_empty() && children == 0) children = 1;
+TEST(FrontierQueueTest, ScriptedEdgeCasesPopSortedOrder) {
+  replay_scripts<Duration>();
+  replay_scripts<double>();
+}
+
+template <typename Cost>
+void pop_pushes_below_last_pop(std::uint64_t seed) {
+  // Weighted A* (heuristic_weight > 1) orders by g + w*h with an
+  // inconsistent bound, so a child's key can fall below its parent's: pushes
+  // land below the last pop. Three searches on one arena, each pushing 2 500
+  // entries: random children of random (g, h).
+  Lockstep<Cost> step;
+  Lcg lcg{seed};
+  std::uint32_t below_last_pop = 0;
+  for (int search = 0; search < 3; ++search) {
+    step.begin();
+    ASSERT_NO_FATAL_FAILURE(step.push(0, 0));
+    while (!step.empty() && step.pushed() < 2500) {
+      typename Lockstep<Cost>::Entry top;
+      ASSERT_NO_FATAL_FAILURE(step.pop(top));
+      const Cost top_f = std::get<0>(top);
+      const Cost top_g = std::get<1>(top);
+      std::uint64_t children = lcg.next(5);
+      if (step.empty() && children == 0) children = 2;
       for (std::uint64_t c = 0; c < children; ++c) {
-        const Duration f = top.f + static_cast<Duration>(next(12));
-        const Duration g = f - static_cast<Duration>(next(5));
-        arena.heap_push(f, g, RouteNodeId::from_index(node++));
+        const Cost g = top_g + 1 + static_cast<Cost>(lcg.next(10));
+        const Cost h = static_cast<Cost>(lcg.next(40));
+        // w = 1.5: exact halves in double, truncated for integer costs.
+        const Cost f = g + h * 3 / 2;
+        below_last_pop += f < top_f;
+        ASSERT_NO_FATAL_FAILURE(step.push(f, g));
       }
     }
-    for (const Entry& e : drain(arena)) sequence.push_back(e);
-    return sequence;
-  };
-  const std::vector<std::vector<Entry>> popped = {
-      run(SearchArena<double>{}), run(SearchArena<Duration>{})};
-  ASSERT_GT(popped[0].size(), 1000u) << "workload died early; reseed the LCG";
-  expect_same_entries(popped[0], popped[1], "binary vs bucket");
-  for (std::size_t i = 0; i + 1 < popped[0].size(); ++i) {
-    EXPECT_LE(popped[0][i].f, popped[0][i + 1].f) << "monotone pop " << i;
+    ASSERT_NO_FATAL_FAILURE(step.drain());
   }
+  EXPECT_GT(below_last_pop, 1000u) << "script rarely pushed below a pop";
+}
 
-  // Scripted sequences aimed at where the bucket queue's cursor starts and
-  // moves. Every push after a pop is at least the popped key.
-  const std::vector<std::vector<std::vector<ScriptStep>>> scripts = {
-      // The first pushed key is large, then a fresh search on the same
-      // arena starts far below it.
-      {{{900, 880}, kPop, {900, 890}, {903, 895}, kPop, {905, 900}},
-       {{3, 0}, kPop, {4, 1}, {3, 2}}},
-      // Several pushes in descending key order before the first pop; the
-      // pops after it interleave with pushes at and above the popped key.
-      {{{50, 0}, {40, 0}, {30, 0}, {20, 0}, {20, 5}, kPop, {20, 9}, {45, 2},
-        kPop, kPop, {30, 7}, kPop}},
-      // The frontier drains in the middle of an expansion: each pop empties
-      // it, and the expansion then pushes siblings in descending order.
-      {{{10, 0}, kPop, {14, 1}, {12, 2}, {11, 3}, kPop, kPop, kPop, {14, 4},
-        {20, 6}, {16, 5}, kPop, kPop, {16, 7}, kPop, kPop}},
-  };
-  for (std::size_t c = 0; c < scripts.size(); ++c) {
-    const std::vector<Entry> reference = replay<double>(scripts[c]);
-    const std::string label = "script " + std::to_string(c);
-    expect_same_entries(reference, replay<Duration>(scripts[c]),
-                        (label + " bucket").c_str());
+TEST(FrontierQueueTest, SeededScriptPushingBelowTheLastPopPopsSortedOrder) {
+  for (const std::uint64_t seed : {7u, 31u, 2024u}) {
+    SCOPED_TRACE(seed);
+    pop_pushes_below_last_pop<Duration>(seed);
+    pop_pushes_below_last_pop<double>(seed);
   }
 }
 

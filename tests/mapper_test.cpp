@@ -288,11 +288,13 @@ TEST(Mapper, ThrowsWhenFabricTooSmall) {
 }
 
 TEST(Mapper, ResultsArePinnedAcrossMappersAndPlacers) {
-  // Latency and result fingerprint of every built-in code under QSPR with
-  // each placer, plus QUALE and QPOS (both always use the center
-  // placement), at m = 4 on the paper fabric. Any change to trap selection,
-  // routing, the busy-queue retry order or QUALE's return-home flow moves
-  // at least one of these.
+  // Latency, result fingerprint and Router settle count of every built-in
+  // code under QSPR with each placer, plus QUALE and QPOS (both always use
+  // the center placement), at m = 4 on the paper fabric. Any change to trap
+  // selection, routing, the busy-queue retry order or QUALE's return-home
+  // flow moves at least one of these. The settle count pins the frontier's
+  // pop order where equal latencies would hide a different one: QUALE and
+  // QPOS route turn-unaware, so their zero-cost turn edges tie many entries.
   struct Flow {
     const char* name;
     MapperKind kind;
@@ -307,32 +309,39 @@ TEST(Mapper, ResultsArePinnedAcrossMappersAndPlacers) {
     QeccCode code;
     Duration latency[5];
     const char* fingerprint[5];
+    long long nodes_settled[5];
   };
   const Pinned pinned[] = {
       {QeccCode::Q5_1_3,
        {564, 644, 686, 748, 770},
        {"a521dac2d1bdd7c4", "6b8ffcb96620cf9f", "21763f6fd1e6686e",
-        "11361a969cb1a72e", "b45ec2168adafd7a"}},
+        "11361a969cb1a72e", "b45ec2168adafd7a"},
+       {68, 100, 251, 199, 323}},
       {QeccCode::Q7_1_3,
        {586, 630, 644, 872, 738},
        {"1ef76168a505115c", "fe1c78b39b29d75f", "aa62a1de60975826",
-        "ac2e7cfbfaacc134", "6f5922d752f9d6bf"}},
+        "ac2e7cfbfaacc134", "6f5922d752f9d6bf"},
+       {84, 124, 206, 446, 363}},
       {QeccCode::Q9_1_3,
        {1054, 1062, 1122, 1524, 1180},
        {"ccdc89fb053bf967", "88e035ba793fd0e9", "7a6b02f15c85fe51",
-        "3292f9f915f6fd65", "9787e092bca11ba3"}},
+        "3292f9f915f6fd65", "9787e092bca11ba3"},
+       {157, 319, 279, 572, 313}},
       {QeccCode::Q14_8_3,
        {2948, 3062, 3104, 4236, 3274},
        {"a21a6ce545ee0624", "7b136af0e57185d6", "772de86deca6b36a",
-        "a944bbc378ec0424", "d6eb435a2981a354"}},
+        "a944bbc378ec0424", "d6eb435a2981a354"},
+       {1109, 1477, 1359, 2642, 1477}},
       {QeccCode::Q19_1_7,
        {2976, 3134, 3198, 4280, 3308},
        {"1838d19359c23add", "2fa7a9e18990fb43", "659d04c30738f24a",
-        "7462eb9590bf2a3c", "2aef5a292a5b733a"}},
+        "7462eb9590bf2a3c", "2aef5a292a5b733a"},
+       {1121, 1319, 1741, 2761, 1623}},
       {QeccCode::Q23_1_7,
        {1642, 1806, 1822, 2304, 1846},
        {"ef6eed89dd32b088", "9a8c293577e8d016", "25ce9ce8412423bd",
-        "4b1eabc6a3653570", "2fcbd667936bfb60"}},
+        "4b1eabc6a3653570", "2fcbd667936bfb60"},
+       {320, 814, 761, 1175, 625}},
   };
 
   const Fabric fabric = make_paper_fabric();
@@ -349,6 +358,7 @@ TEST(Mapper, ResultsArePinnedAcrossMappersAndPlacers) {
       const std::string label = code_name(row.code) + " " + flows[f].name;
       EXPECT_EQ(result.latency, row.latency[f]) << label;
       EXPECT_EQ(map_result_fingerprint(result), row.fingerprint[f]) << label;
+      EXPECT_EQ(result.stats.nodes_settled, row.nodes_settled[f]) << label;
     }
   }
 }
